@@ -40,6 +40,9 @@ WORK = ROOT / ".perfbench-work"
 REFERENCE = HERE / "reference.json"
 DEFAULT_SEED = 0
 COMMAND_LIMIT_S = 60.0
+# Timings are in seconds of a machine on which child._calibrate() takes this
+# long, about what it took on an idle 2-vCPU virtual machine; see scale().
+CALIBRATION_S = 0.025
 RUN_LIMIT_S = 150.0  # every command of a run ends by then, so it exits within 180 s
 
 
@@ -57,7 +60,8 @@ class Outcome:
     traced: bool
     problems: list[str] = field(default_factory=list)
     setup_s: float | None = None
-    run_s: float | None = None
+    cpu_s: float | None = None
+    calibration_s: float | None = None
     peak_rss_kb: int | None = None
     spans: list | None = None
     digest: str | None = None
@@ -93,7 +97,6 @@ class Runner:
         n = len(self.outcomes)
         result, spans, log = (self.scratch / f"{n}.{ext}" for ext in ("result", "spans", "log"))
         argv = [sys.executable, str(HERE / "child.py"), str(result), str(spans) if traced else "-"]
-        spawned = time.monotonic()
         with open(log, "wb") as log_file:
             child = subprocess.Popen(
                 argv + command.args, cwd=ROOT, env=self.env, stdout=log_file, stderr=log_file
@@ -112,8 +115,9 @@ class Runner:
             outcome.problems.append(f"exit {child.returncode} before reporting: {tail}")
             return outcome
         report = json.loads(result.read_text(encoding="utf-8"))
-        outcome.setup_s = report["imported"] - spawned
-        outcome.run_s = report["end"] - report["start"]
+        outcome.setup_s = report["setup_cpu_s"]
+        outcome.cpu_s = report["cpu_s"]
+        outcome.calibration_s = report["calibration_s"]
         outcome.peak_rss_kb = report["peak_rss_kb"]
         if report["exit"] != 0 or child.returncode != 0:
             outcome.problems.append(f"exit {report['exit']}: {tail}")
@@ -183,13 +187,20 @@ class Structural(Workload):
                 args += ["--entity", entity, "--from", edge["lower"], "--to", edge["upper"]]
                 command = Command(f"level6 {entity} {pair}", "query", args, target)
                 outcomes.append(runner.run(command, traced))
+        if not traced:
+            # The full compare again, under the same id: with one sample
+            # per pass its median spread most. Traced passes leave it out
+            # so that their per-layer totals count it once.
+            again = out / "compare-again"
+            args = ["compare", "--input", ws, "--output", rel(again), "--levels", "4,5,6"]
+            outcomes.append(runner.run(Command("compare", "compare", args, again), traced))
         return outcomes
 
     def check(self, first):
         compare = first[0]
         full = json.loads((compare.command.out / "report.json").read_text(encoding="utf-8"))
         verdicts = {compare.digest: checks.check_structural(full, self.workspace)}
-        for outcome in first[1:]:
+        for outcome in (o for o in first if o.command.kind == "query"):
             query = json.loads((outcome.command.out / "report.json").read_text(encoding="utf-8"))
             verdicts[outcome.digest] = checks.check_query(query, full)
         return verdicts
@@ -210,19 +221,20 @@ class Logs(Workload):
             args = ["logs2nfa", rel(log), rel(target), "--minimize"]
             command = Command(f"logs2nfa {model_set}/{entity}", "query", args, target)
             outcomes.append(runner.run(command, traced))
-        target = out / "compare"
-        args = ["compare", "--input", rel(self.workspace), "--output", rel(target)]
-        args += ["--levels", "1,3,4", "--hide", "log*"]
-        outcomes.append(runner.run(Command("compare", "compare", args, target), traced))
+        # Untraced passes run the compare twice, for the reason Structural does.
+        for target in [out / "compare"] + ([] if traced else [out / "compare-again"]):
+            args = ["compare", "--input", rel(self.workspace), "--output", rel(target)]
+            args += ["--levels", "1,3,4", "--hide", "log*"]
+            outcomes.append(runner.run(Command("compare", "compare", args, target), traced))
         # Keep this pass's machines with its outputs for the checks.
         shutil.copytree(self.workspace, out / "ws")
-        for outcome in outcomes[:-1]:
+        for outcome in (o for o in outcomes if o.command.kind == "query"):
             outcome.command.out = out / "ws" / outcome.command.out.relative_to(self.workspace)
         return outcomes
 
     def check(self, first):
         verdicts = {}
-        for outcome in first[:-1]:
+        for outcome in (o for o in first if o.command.kind == "query"):
             model_set, entity = outcome.command.out.parent.name, outcome.command.out.stem
             log = (self.inputs / model_set / f"{entity}.log").read_text(encoding="utf-8")
             machine = checks.read_nfa(outcome.command.out.read_text(encoding="utf-8"))
@@ -248,9 +260,10 @@ def golden_check(runner: Runner, out: Path) -> None:
 
 
 def pass_shapes(outcomes: list[Outcome]) -> dict[str, list]:
-    """Shapes of a pass's outputs: the compare's, and the queries' as a multiset."""
+    """Shapes of a pass's outputs, one per command id: the compare's, and the
+    queries' as a multiset."""
     shapes: dict[str, list] = {"compare": [], "queries": []}
-    for outcome in outcomes:
+    for outcome in {o.command.id: o for o in outcomes}.values():
         key = "compare" if outcome.command.kind == "compare" else "queries"
         shapes[key].append(checks.output_shape(outcome.command.out))
     shapes["queries"].sort(key=json.dumps)
@@ -300,47 +313,73 @@ def _percentile(values: list[float], p: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[p - 1]
 
 
-def fastest(passes: list[list[Outcome]], kind: str | None = None) -> dict[str, float]:
-    """Each command's fastest time over the passes, by command id.
+def cpu_samples(passes: list[list[Outcome]], kind: str | None = None) -> dict[str, list[float]]:
+    """Each command's CPU times over the passes, by command id.
 
-    On a shared 2-vCPU virtual machine the CPU speed was seen to change by
-    up to 1.6x within seconds, so a command's fastest pass is a steadier
-    estimate of its cost than any single pass or the median of them.
+    On a shared 2-vCPU virtual machine the speed a process gets changes
+    from second to second: the host takes the CPU away for a while, or a
+    neighbour's load slows it, or it runs up to 1.7x faster for a few
+    seconds. CPU time leaves out the time the CPU is taken away, and
+    medians and pooled percentiles leave out the passes that hit a burst.
+    A command's fastest pass picks such a burst: over five runs of
+    ``lattice`` the fastest compare varied by 29 %, the median by 4 %.
     """
-    best: dict[str, float] = {}
+    times: dict[str, list[float]] = {}
     for outcomes in passes:
         for o in outcomes:
-            if o.run_s is not None and (kind is None or o.command.kind == kind):
-                best[o.command.id] = min(o.run_s, best.get(o.command.id, o.run_s))
-    return best
+            if o.cpu_s is not None and (kind is None or o.command.kind == kind):
+                times.setdefault(o.command.id, []).append(o.cpu_s)
+    return times
+
+
+def scale(outcomes: list[Outcome]) -> float:
+    """The factor that turns a run's CPU times into seconds at the reference speed.
+
+    The machine's speed also drifts between runs, by up to 1.5x over a few
+    minutes, alike for every command of a run. Every child times a fixed
+    calibration workload before it imports the program; the median over a
+    run's commands gives the machine's speed during the run, and every
+    timing is scaled by it. A calibration does not depend on the program,
+    so the scale does not hide a change in the program's speed.
+    """
+    calibrations = [o.calibration_s for o in outcomes if o.calibration_s]
+    return CALIBRATION_S / statistics.median(calibrations) if calibrations else 1.0
+
+
+def cpu_times(passes: list[list[Outcome]], kind: str | None = None) -> dict[str, float]:
+    """Each command's median CPU time over the passes, by command id."""
+    return {key: statistics.median(v) for key, v in cpu_samples(passes, kind).items()}
 
 
 def end_to_end(runner: Runner, passes: list[list[Outcome]]) -> tuple[dict, dict]:
     """Metric values and, for the summary, their sample counts."""
     untraced = [o for o in runner.outcomes if not o.traced and o.setup_s is not None]
-    queries = list(fastest(passes, "query").values())
+    commands = cpu_times(passes)
+    compares = cpu_samples(passes, "compare").get("compare", [])
+    queries = [t for times in cpu_samples(passes, "query").values() for t in times]
     rss = [o.peak_rss_kb for o in untraced if o.peak_rss_kb]
+    factor = scale(untraced)
     values = {
-        "setup_s": _median([o.setup_s for o in untraced]),
-        "wall_s": sum(fastest(passes).values()),
-        "compare_s": fastest(passes, "compare").get("compare", 0.0),
-        "query_p50_s": _percentile(queries, 50),
-        "query_p90_s": _percentile(queries, 90),
+        "setup_s": _median([o.setup_s for o in untraced]) * factor,
+        "pass_s": sum(commands.values()) * factor,
+        "compare_s": commands.get("compare", 0.0) * factor,
+        "query_p50_s": _percentile(queries, 50) * factor,
+        "query_p90_s": _percentile(queries, 90) * factor,
         "peak_rss_mb": max(rss, default=0) / 1024,
     }
     n = len(passes)
     samples = {
         "setup_s": f"median of {len(untraced)} commands",
-        "wall_s": f"sum over {len(fastest(passes))} commands of the fastest of {n} passes",
-        "compare_s": f"fastest of {n} passes",
-        "query_p50_s": f"over {len(queries)} commands, each the fastest of {n} passes",
-        "query_p90_s": f"over {len(queries)} commands, each the fastest of {n} passes",
+        "pass_s": f"sum over {len(commands)} commands of the median of {n} passes",
+        "compare_s": f"median of {len(compares)} runs over {n} passes",
+        "query_p50_s": f"of {len(queries)} query runs pooled over {n} passes",
+        "query_p90_s": f"of {len(queries)} query runs pooled over {n} passes",
         "peak_rss_mb": f"max of {len(rss)} processes",
     }
     return values, samples
 
 
-def per_layer(traced: list[list[Outcome]], untraced: list[list[Outcome]]) -> dict:
+def per_layer(runner: Runner, traced: list[list[Outcome]], untraced: list[list[Outcome]]) -> dict:
     """Per-layer metrics: the median over traced passes of each pass's sum."""
     rows = []
     for outcomes in traced:
@@ -364,7 +403,8 @@ def per_layer(traced: list[list[Outcome]], untraced: list[list[Outcome]]) -> dic
         row["report.bytes_out"] = bytes_out
         rows.append(row)
     metrics = {key: _median([row[key] for row in rows]) for key in rows[0]}
-    metrics["trace.overhead_s"] = sum(fastest(traced).values()) - sum(fastest(untraced).values())
+    overhead = sum(cpu_times(traced).values()) - sum(cpu_times(untraced).values())
+    metrics["trace.overhead_s"] = overhead * scale(runner.outcomes)
     return metrics
 
 
@@ -407,7 +447,7 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> dict:
     failed = sum(bool(o.problems) for o in outcomes)
     untraced = [p for p, t in zip(m.passes, m.traced) if not t]
     if trace:
-        metrics = per_layer([p for p, t in zip(m.passes, m.traced) if t], untraced)
+        metrics = per_layer(m.runner, [p for p, t in zip(m.passes, m.traced) if t], untraced)
         samples = {}
     else:
         metrics, samples = end_to_end(m.runner, untraced)
@@ -420,6 +460,11 @@ def run(name: str, seed: int, seconds: float, trace: bool) -> dict:
     for key, value in metrics.items():
         lines.append(f"  {key:<30} {value:14.6f} {units[key]:<6} {samples.get(key, '')}")
     if not trace:
+        factor = scale([o for o in outcomes if not o.traced])
+        lines.append(
+            f"  {'scale':<30} {factor:14.6f} {'ratio':<6} "
+            f"{CALIBRATION_S} s / median calibration; divide by it for CPU seconds"
+        )
         lines.append(
             f"  {'error_rate':<30} {failed / len(outcomes):14.6f} {'ratio':<6} "
             f"{failed} failed of {len(outcomes)} commands"

@@ -69,7 +69,7 @@ def run_checks(name: str, expect) -> None:
     units = run.metric_units()
     benchmark = json.loads((run.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     e2e, _ = run.end_to_end(measured.runner, [untraced])
-    layers = run.per_layer([traced], [untraced])
+    layers = run.per_layer(measured.runner, [traced], [untraced])
     expect(
         sorted(e2e) == sorted(m["name"] for m in benchmark["end_to_end"]),
         "every end-to-end metric is reported",
