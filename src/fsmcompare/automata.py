@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import unicodedata
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 Trace = tuple[str, ...]
 
@@ -220,16 +220,12 @@ def determinize(machine: Nfa) -> Nfa:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def minimize(machine: Nfa) -> CanonicalDfa:
-    """Canonical minimal complete DFA for the machine's language.
+def _canonical(events: list[str], rows: list[list[int]], accepting: set[int]) -> CanonicalDfa:
+    """Minimal canonical form of a complete DFA table with initial row 0.
 
-    Determinizes, merges language-equivalent states by partition refinement,
-    and renumbers breadth-first over lexicographically sorted events. The
-    result is a canonical form: equal values exactly for equal languages over
-    the machine's alphabet.
+    Merges language-equivalent rows by partition refinement, then renumbers
+    breadth-first over the (lexicographically sorted) events.
     """
-    events, rows, accepting = _subset_table(machine)
     n = len(rows)
     block = [1 if i in accepting else 0 for i in range(n)]
     while True:
@@ -268,6 +264,47 @@ def minimize(machine: Nfa) -> CanonicalDfa:
         None,
     )
     return CanonicalDfa(tuple(events), trans, acc, sink)
+
+
+@functools.lru_cache(maxsize=None)
+def minimize(machine: Nfa) -> CanonicalDfa:
+    """Canonical minimal complete DFA for the machine's language.
+
+    Determinizes, merges language-equivalent states by partition refinement,
+    and renumbers breadth-first over lexicographically sorted events. The
+    result is a canonical form: equal values exactly for equal languages over
+    the machine's alphabet.
+    """
+    return _canonical(*_subset_table(machine))
+
+
+def canonical_product(
+    a: CanonicalDfa, b: CanonicalDfa, accept: Callable[[bool, bool], bool]
+) -> CanonicalDfa:
+    """Canonical DFA of the product of two canonical DFAs over one alphabet.
+
+    ``accept`` decides a product state from the acceptance of its two
+    components: ``operator.and_`` gives the intersection of the languages,
+    ``operator.or_`` their union.
+    """
+    if a.alphabet != b.alphabet:
+        raise ValueError("canonical product needs aligned alphabets")
+    index: dict[tuple[int, int], int] = {(0, 0): 0}
+    order = [(0, 0)]
+    rows: list[list[int]] = []
+    for p, q in order:  # grows while it is walked
+        row = []
+        for pair in zip(a.transitions[p], b.transitions[q]):
+            j = index.get(pair)
+            if j is None:
+                j = index[pair] = len(order)
+                order.append(pair)
+            row.append(j)
+        rows.append(row)
+    accepting = {
+        i for i, (p, q) in enumerate(order) if accept(p in a.accepting, q in b.accepting)
+    }
+    return _canonical(list(a.alphabet), rows, accepting)
 
 
 def union(a: Nfa, b: Nfa) -> Nfa:

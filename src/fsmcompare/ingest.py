@@ -172,38 +172,38 @@ def build_pta(traces: list[Trace]) -> Nfa:
     """
     if not traces:
         return Nfa.empty()
-    children: dict[tuple[Trace, str], Trace] = {}
-    nodes: set[Trace] = {()}
-    accepting_prefixes: set[Trace] = set()
+    # Tree nodes are ints in insertion order; children[node] maps event -> node.
+    children: list[dict[str, int]] = [{}]
+    accepting_nodes: set[int] = set()
     for trace in traces:
-        prefix: Trace = ()
+        node = 0
         for event in trace:
-            nxt = prefix + (event,)
-            children[(prefix, event)] = nxt
-            nodes.add(nxt)
-            prefix = nxt
-        accepting_prefixes.add(prefix)
+            nxt = children[node].get(event)
+            if nxt is None:
+                nxt = children[node][event] = len(children)
+                children.append({})
+            node = nxt
+        accepting_nodes.add(node)
 
-    names: dict[Trace, str] = {(): "s0"}
-    order: list[Trace] = [()]
-    qi = 0
-    while qi < len(order):
-        node = order[qi]
-        qi += 1
-        for event in sorted(e for (p, e) in children if p == node):
-            child = children[(node, event)]
-            if child not in names:
-                names[child] = f"s{len(order)}"
-                order.append(child)
+    names = [""] * len(children)
+    names[0] = "s0"
+    order = [0]
+    for node in order:  # grows while it is walked
+        for event in sorted(children[node]):
+            child = children[node][event]
+            names[child] = f"s{len(order)}"
+            order.append(child)
     transitions = frozenset(
-        (names[parent], event, names[child]) for (parent, event), child in children.items()
+        (names[parent], event, names[child])
+        for parent, kids in enumerate(children)
+        for event, child in kids.items()
     )
     return Nfa(
-        frozenset(names.values()),
-        frozenset(e for (_, e) in children),
+        frozenset(names),
+        frozenset(e for kids in children for e in kids),
         transitions,
         frozenset({"s0"}),
-        frozenset(names[p] for p in accepting_prefixes),
+        frozenset(names[node] for node in accepting_nodes),
     )
 
 

@@ -3,30 +3,29 @@
 Levels 1-3 compare whole model sets: behavior variants, the variant lattice
 completed under union/intersection, and the pairwise difference matrix.
 Levels 4-6 do the same per entity, ending in annotated structural diffs.
+
+Both lattices are completed by one closure over interned languages: each
+distinct language of an entity is a small int with memoized meet
+(intersection) and join (union). A level-2 node is a vector of such ints,
+one per entity; a level-5 node is a vector of length one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import operator
+from dataclasses import dataclass, field, replace
 
 from .automata import (
     CanonicalDfa,
     Nfa,
+    canonical_product,
     has_behavior,
-    intersection,
     minimize,
-    union,
     with_alphabet,
 )
 from .ltsdiff import DiffMachine, DiffParams, diff, diff_stats
-from .model_sets import (
-    ModelSet,
-    Workspace,
-    behavior_count,
-    diff_entity_counts,
-    model_set_intersection,
-    model_set_union,
-)
+from .model_sets import ModelSet, Workspace
 
 DEFAULT_NODE_CAP = 10_000
 
@@ -102,12 +101,17 @@ class LatticeEdge:
 
 @dataclass
 class Lattice:
-    """Variant nodes closed under union/intersection, with cover edges."""
+    """Variant nodes closed under union/intersection, with cover edges.
+
+    ``diffs`` keeps the structural diff behind each level-5 edge label,
+    keyed by (lower, upper); it stays empty at model-set scope.
+    """
 
     entity: str | None
     nodes: tuple[LatticeNode, ...]
     edges: tuple[LatticeEdge, ...]
     payloads: dict[str, object]  # variant label -> ModelSet or Nfa
+    diffs: dict[tuple[str, str], DiffMachine] = field(default_factory=dict)
 
     def node(self, variant: str) -> LatticeNode:
         for n in self.nodes:
@@ -139,19 +143,13 @@ def heat_class(value: int, max_value: int) -> int:
     return min(4, (5 * value) // max_value)
 
 
-def _entity_alphabets(workspace: Workspace) -> dict[str, frozenset[str]]:
-    ctx: dict[str, frozenset[str]] = {}
-    for entity in workspace.entities:
-        sigma: frozenset[str] = frozenset()
-        for ms in workspace.model_sets:
-            sigma |= ms.models[entity].alphabet
-        ctx[entity] = sigma
-    return ctx
+def _entity_alphabet(workspace: Workspace, entity: str) -> frozenset[str]:
+    return frozenset().union(*(ms.models[entity].alphabet for ms in workspace.model_sets))
 
 
 def _entity_keys(workspace: Workspace) -> dict[str, dict[str, CanonicalDfa]]:
     """Canonical per-entity language keys, aligned on the entity's alphabet."""
-    ctx = _entity_alphabets(workspace)
+    ctx = {e: _entity_alphabet(workspace, e) for e in workspace.entities}
     keys: dict[str, dict[str, CanonicalDfa]] = {}
     for ms in workspace.model_sets:
         keys[ms.name] = {
@@ -185,72 +183,131 @@ def level1(workspace: Workspace) -> VariantPartition:
     )
 
 
-def _close_under_ops(observed, intersect, unite, canonical_key, normalize, node_cap):
-    """Close observed payloads under pairwise intersection and union.
+_MEET, _JOIN = operator.and_, operator.or_
 
-    ``observed`` is a list of (label, payload, key). Pairs of node indices
-    are processed first-in-first-out, intersection before union, so computed
-    labels continue the letter sequence deterministically. Computed payloads
-    are normalized (canonical, minimal) before they take part in further
-    combinations, keeping the closure cheap.
 
-    Returns (label, kind, payload, key) tuples in creation order.
+class _Languages:
+    """The distinct languages of one entity, interned as small ints.
+
+    Each int holds its canonical DFA over the entity's alphabet, so equal
+    ints mean equal languages. Meet and join are canonical DFA products,
+    computed once per unordered pair; ``x <= y`` iff ``meet(x, y) == x``.
     """
-    nodes = [(label, "observed", payload, key) for label, payload, key in observed]
-    seen = {key for _, _, _, key in nodes}
-    pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
-    qi = 0
-    while qi < len(pairs):
-        i, j = pairs[qi]
-        qi += 1
-        for combine in (intersect, unite):
-            combined = combine(nodes[i][2], nodes[j][2])
-            key = canonical_key(combined)
-            if key in seen:
+
+    def __init__(self, alphabet: frozenset[str]) -> None:
+        self.alphabet = alphabet
+        self.dfas: list[CanonicalDfa] = []
+        self._ids: dict[CanonicalDfa, int] = {}
+        self._memo: dict[tuple, int] = {}
+
+    def intern(self, machine: Nfa) -> int:
+        return self._intern(minimize(with_alphabet(machine, self.alphabet)))
+
+    def _intern(self, dfa: CanonicalDfa) -> int:
+        x = self._ids.get(dfa)
+        if x is None:
+            x = self._ids[dfa] = len(self.dfas)
+            self.dfas.append(dfa)
+        return x
+
+    def combine(self, accept, x: int, y: int) -> int:
+        """``accept`` is ``_MEET`` or ``_JOIN``."""
+        if x == y:
+            return x
+        key = (accept, x, y) if x < y else (accept, y, x)
+        z = self._memo.get(key)
+        if z is None:
+            z = self._memo[key] = self._intern(
+                canonical_product(self.dfas[x], self.dfas[y], accept)
+            )
+        return z
+
+    def included(self, x: int, y: int) -> bool:
+        return self.combine(_MEET, x, y) == x
+
+    def nonempty(self, x: int) -> bool:
+        return bool(self.dfas[x].accepting)
+
+
+def _fifo_pairs(nodes: list):
+    """The closure's first-in-first-out pair queue, produced as ``nodes`` grows.
+
+    First every pair of the initial nodes; then, for each node added, in
+    order, its pairs with all earlier nodes.
+    """
+    n = len(nodes)
+    yield from itertools.combinations(range(n), 2)
+    while n < len(nodes):
+        yield from ((k, n) for k in range(n))
+        n += 1
+
+
+def _close(
+    observed: list[tuple[int, ...]], languages: list[_Languages], node_cap: int
+) -> list[tuple[int, ...]]:
+    """Close vectors of interned languages under componentwise meet and join.
+
+    Pairs are processed first-in-first-out, intersection before union, so
+    computed nodes continue the letter sequence deterministically. Returns
+    the node vectors in creation order, observed ones first.
+    """
+    nodes = list(observed)
+    seen = set(nodes)
+    for i, j in _fifo_pairs(nodes):
+        for accept in (_MEET, _JOIN):
+            node = tuple(
+                lang.combine(accept, x, y) for lang, x, y in zip(languages, nodes[i], nodes[j])
+            )
+            if node in seen:
                 continue
             if len(nodes) >= node_cap:
                 raise LatticeCapExceeded(
                     f"lattice completion exceeded the node cap of {node_cap}"
                 )
-            label = variant_letters(len(nodes))
-            index = len(nodes)
-            nodes.append((label, "computed", normalize(label, key), key))
-            seen.add(key)
-            pairs.extend((k, index) for k in range(index))
+            nodes.append(node)
+            seen.add(node)
     return nodes
 
 
-def _cover_edges(included) -> list[tuple[int, int]]:
-    """Transitive reduction of a strict inclusion matrix."""
-    n = len(included)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not included[i][j]:
-                continue
-            if any(included[i][k] and included[k][j] for k in range(n) if k not in (i, j)):
-                continue
-            edges.append((i, j))
-    return edges
+def _cover_edges(
+    nodes: list[tuple[int, ...]], languages: list[_Languages]
+) -> list[tuple[int, int]]:
+    """Transitive reduction of the strict componentwise inclusion order.
+
+    ``above[i]`` and ``below[j]`` are bitsets of node indices; ``i -> j`` is
+    a cover edge when no node lies strictly between them.
+    """
+    n = len(nodes)
+    above = [0] * n
+    below = [0] * n
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
+            if i != j and all(lang.included(a, b) for lang, a, b in zip(languages, x, y)):
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if above[i] >> j & 1 and not above[i] & below[j]
+    ]
 
 
-def _canonical_included(a: CanonicalDfa, b: CanonicalDfa) -> bool:
-    """Language inclusion between canonical DFAs over the same alphabet."""
-    if a.alphabet != b.alphabet:
-        raise ValueError("canonical inclusion needs aligned alphabets")
-    # Product walk: a counterexample is a reachable pair accepting in a only.
-    seen = {(0, 0)}
-    stack = [(0, 0)]
-    while stack:
-        p, q = stack.pop()
-        if p in a.accepting and q not in b.accepting:
-            return False
-        for k in range(len(a.alphabet)):
-            pair = (a.transitions[p][k], b.transitions[q][k])
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True
+def _nodes(partition: VariantPartition, payloads: list, sizes: list[int]) -> tuple[list, dict]:
+    """Lattice nodes and the payload of each label, in closure order.
+
+    Observed classes come first and keep their letters; computed nodes
+    continue the letter sequence.
+    """
+    observed = len(partition.classes)
+    labels = [cls.variant for cls in partition.classes]
+    labels += [variant_letters(i) for i in range(observed, len(payloads))]
+    members = {cls.variant: cls.members for cls in partition.classes}
+    nodes = [
+        LatticeNode(label, "observed" if i < observed else "computed", members.get(label, ()), size)
+        for i, (label, size) in enumerate(zip(labels, sizes))
+    ]
+    return nodes, dict(zip(labels, payloads))
 
 
 def level2(partition: VariantPartition, *, node_cap: int = DEFAULT_NODE_CAP) -> Lattice:
@@ -263,49 +320,38 @@ def level2(partition: VariantPartition, *, node_cap: int = DEFAULT_NODE_CAP) -> 
         raise ValueError("level2 expects the model-set scope partition of level1")
     reps: list[ModelSet] = [cls.representative for cls in partition.classes]
     entities = reps[0].entities() if reps else ()
-    ctx: dict[str, frozenset[str]] = {e: frozenset() for e in entities}
-    for rep in reps:
-        for e in entities:
-            ctx[e] |= rep.models[e].alphabet
-
-    def canonical_key(ms: ModelSet) -> tuple:
-        return tuple(minimize(with_alphabet(ms.models[e], ctx[e])) for e in entities)
-
-    def normalize(label: str, key: tuple) -> ModelSet:
-        return ModelSet(label, {e: key[i].to_nfa() for i, e in enumerate(entities)})
-
+    languages = [
+        _Languages(frozenset().union(*(rep.models[e].alphabet for rep in reps)))
+        for e in entities
+    ]
     observed = [
-        (cls.variant, cls.representative, canonical_key(cls.representative))
-        for cls in partition.classes
+        tuple(lang.intern(rep.models[e]) for lang, e in zip(languages, entities)) for rep in reps
     ]
-    raw = _close_under_ops(
-        observed, model_set_intersection, model_set_union, canonical_key, normalize, node_cap
-    )
+    vectors = _close(observed, languages, node_cap)
 
-    nodes = []
-    payloads: dict[str, ModelSet] = {}
-    members = {cls.variant: cls.members for cls in partition.classes}
-    for label, kind, payload, _ in raw:
-        payloads[label] = payload
-        nodes.append(LatticeNode(label, kind, members.get(label, ()), behavior_count(payload)))
-
-    keys = [key for _, _, _, key in raw]
-    n = len(keys)
-    included = [
-        [
-            i != j
-            and all(_canonical_included(keys[i][k], keys[j][k]) for k in range(len(entities)))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    edges = []
-    for i, j in _cover_edges(included):
-        changed, newly = diff_entity_counts(payloads[nodes[i].variant], payloads[nodes[j].variant])
-        edges.append(
-            LatticeEdge(nodes[i].variant, nodes[j].variant, changed=changed, newly_present=newly)
+    payloads = reps + [
+        ModelSet(
+            variant_letters(i),
+            {e: lang.dfas[x].to_nfa() for e, lang, x in zip(entities, languages, vectors[i])},
         )
-    return Lattice(None, tuple(nodes), tuple(edges), payloads)
+        for i in range(len(reps), len(vectors))
+    ]
+    sizes = [sum(lang.nonempty(x) for lang, x in zip(languages, v)) for v in vectors]
+    nodes, payloads_by_label = _nodes(partition, payloads, sizes)
+    edges = []
+    for i, j in _cover_edges(vectors, languages):
+        changed = newly_present = 0
+        for lang, x, y in zip(languages, vectors[i], vectors[j]):
+            if lang.nonempty(y) and not lang.nonempty(x):
+                newly_present += 1
+            elif lang.nonempty(y) and x != y:
+                changed += 1
+        edges.append(
+            LatticeEdge(
+                nodes[i].variant, nodes[j].variant, changed=changed, newly_present=newly_present
+            )
+        )
+    return Lattice(None, tuple(nodes), tuple(edges), payloads_by_label)
 
 
 def level3(workspace: Workspace) -> DiffMatrix:
@@ -323,38 +369,65 @@ def level3(workspace: Workspace) -> DiffMatrix:
     return DiffMatrix(names, tuple(cells), heat)
 
 
+def _entity_partition(
+    workspace: Workspace, entity: str, sigma: frozenset[str]
+) -> VariantPartition:
+    """One entity's level-4 partition; ``sigma`` is the entity's alphabet."""
+    classes: list[tuple[CanonicalDfa, list[str]]] = []
+    absent: list[str] = []
+    for ms in workspace.model_sets:
+        machine = ms.models[entity]
+        if not has_behavior(machine):
+            absent.append(ms.name)
+            continue
+        key = minimize(with_alphabet(machine, sigma))
+        for existing, group in classes:
+            if existing == key:
+                group.append(ms.name)
+                break
+        else:
+            classes.append((key, [ms.name]))
+    return VariantPartition(
+        entity=entity,
+        classes=tuple(
+            VariantClass(
+                variant_letters(i),
+                tuple(group),
+                workspace.model_set(group[0]).models[entity],
+            )
+            for i, (_, group) in enumerate(classes)
+        ),
+        absent=tuple(absent),
+    )
+
+
 def level4(workspace: Workspace) -> dict[str, VariantPartition]:
     """Per-entity model variants; models without behavior are marked absent."""
-    ctx = _entity_alphabets(workspace)
-    result: dict[str, VariantPartition] = {}
-    for entity in workspace.entities:
-        classes: list[tuple[CanonicalDfa, list[str]]] = []
-        absent: list[str] = []
-        for ms in workspace.model_sets:
-            machine = ms.models[entity]
-            if not has_behavior(machine):
-                absent.append(ms.name)
-                continue
-            key = minimize(with_alphabet(machine, ctx[entity]))
-            for existing, group in classes:
-                if existing == key:
-                    group.append(ms.name)
-                    break
-            else:
-                classes.append((key, [ms.name]))
-        result[entity] = VariantPartition(
-            entity=entity,
-            classes=tuple(
-                VariantClass(
-                    variant_letters(i),
-                    tuple(group),
-                    workspace.model_set(group[0]).models[entity],
-                )
-                for i, (_, group) in enumerate(classes)
-            ),
-            absent=tuple(absent),
-        )
-    return result
+    return {
+        e: _entity_partition(workspace, e, _entity_alphabet(workspace, e))
+        for e in workspace.entities
+    }
+
+
+def _entity_lattice(
+    workspace: Workspace, entity: str, partition: VariantPartition | None, node_cap: int
+) -> Lattice:
+    """The entity's level-5 nodes, payloads and cover edges; edges unlabeled."""
+    if entity not in workspace.entities:
+        raise KeyError(entity)
+    sigma = _entity_alphabet(workspace, entity)
+    if partition is None:
+        partition = _entity_partition(workspace, entity, sigma)
+    lang = _Languages(sigma)
+    observed = [(lang.intern(cls.representative),) for cls in partition.classes]
+    vectors = _close(observed, [lang], node_cap)
+    payloads = [cls.representative for cls in partition.classes]
+    payloads += [lang.dfas[x].to_nfa() for (x,) in vectors[len(payloads) :]]
+    nodes, payloads_by_label = _nodes(partition, payloads, [len(p.transitions) for p in payloads])
+    edges = [
+        LatticeEdge(nodes[i].variant, nodes[j].variant) for i, j in _cover_edges(vectors, [lang])
+    ]
+    return Lattice(entity, tuple(nodes), tuple(edges), payloads_by_label)
 
 
 def level5(
@@ -363,55 +436,31 @@ def level5(
     params: DiffParams | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
+    partition: VariantPartition | None = None,
 ) -> Lattice:
     """Entity model variant lattice with structural edge labels.
 
     Nodes are labeled with the transition count of their representative;
     edges with the added/removed transition counts of the structural diff
-    between the lower and upper representatives.
+    between the lower and upper representatives, which ``diffs`` keeps.
+    ``partition`` is the entity's level-4 partition when the caller has it.
     """
     params = params or DiffParams()
-    if entity not in workspace.entities:
-        raise KeyError(entity)
-    partition = level4(workspace)[entity]
-    ctx = _entity_alphabets(workspace)[entity]
-
-    def canonical_key(machine: Nfa) -> tuple:
-        return (minimize(with_alphabet(machine, ctx)),)
-
-    def normalize(label: str, key: tuple) -> Nfa:
-        return key[0].to_nfa()
-
-    observed = [
-        (cls.variant, cls.representative, canonical_key(cls.representative))
-        for cls in partition.classes
-    ]
-    raw = _close_under_ops(observed, intersection, union, canonical_key, normalize, node_cap)
-
-    nodes = []
-    payloads: dict[str, Nfa] = {}
-    members = {cls.variant: cls.members for cls in partition.classes}
-    for label, kind, payload, _ in raw:
-        payloads[label] = payload
-        nodes.append(LatticeNode(label, kind, members.get(label, ()), len(payload.transitions)))
-
-    keys = [key[0] for _, _, _, key in raw]
-    n = len(keys)
-    included = [
-        [i != j and _canonical_included(keys[i], keys[j]) for j in range(n)] for i in range(n)
-    ]
+    lattice = _entity_lattice(workspace, entity, partition, node_cap)
     edges = []
-    for i, j in _cover_edges(included):
-        stats = diff_stats(diff(payloads[nodes[i].variant], payloads[nodes[j].variant], params))
+    for edge in lattice.edges:
+        machine = diff(lattice.payloads[edge.lower], lattice.payloads[edge.upper], params)
+        lattice.diffs[(edge.lower, edge.upper)] = machine
+        stats = diff_stats(machine)
         edges.append(
-            LatticeEdge(
-                nodes[i].variant,
-                nodes[j].variant,
+            replace(
+                edge,
                 added_transitions=stats.added_transitions,
                 removed_transitions=stats.removed_transitions,
             )
         )
-    return Lattice(entity, tuple(nodes), tuple(edges), payloads)
+    lattice.edges = tuple(edges)
+    return lattice
 
 
 def level6(
@@ -422,13 +471,20 @@ def level6(
     params: DiffParams | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
+    lattice: Lattice | None = None,
 ) -> DiffMachine:
-    """Structural diff between two level-5 variants of one entity."""
+    """Structural diff between two level-5 variants of one entity.
+
+    ``lattice`` is the entity's level-5 lattice, built with the same
+    ``params``, when the caller has it; a cover edge's diff is then reused.
+    """
     params = params or DiffParams()
-    lattice = level5(workspace, entity, params, node_cap=node_cap)
+    if lattice is None:
+        lattice = _entity_lattice(workspace, entity, None, node_cap)
     try:
         source = lattice.payloads[from_variant]
         target = lattice.payloads[to_variant]
     except KeyError as exc:
         raise KeyError(f"variant {exc.args[0]!r} does not exist at entity {entity!r}") from exc
-    return diff(source, target, params)
+    machine = lattice.diffs.get((from_variant, to_variant))
+    return machine if machine is not None else diff(source, target, params)

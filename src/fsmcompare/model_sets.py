@@ -113,8 +113,3 @@ def diff_entity_counts(s1: ModelSet, s2: ModelSet) -> tuple[int, int]:
         elif not b1 and b2:
             newly_present += 1
     return changed, newly_present
-
-
-def behavior_count(ms: ModelSet) -> int:
-    """Number of entities whose model has any behavior."""
-    return sum(has_behavior(m) for m in ms.models.values())

@@ -26,7 +26,7 @@ from .levels import (
     level5,
     level6,
 )
-from .ltsdiff import Change, DiffMachine, DiffParams, diff
+from .ltsdiff import Change, DiffMachine, DiffParams
 from .model_sets import Workspace
 
 
@@ -84,7 +84,9 @@ def build_bundle(
     if 3 in wanted:
         bundle.level3 = level3(workspace)
 
-    per_entity = level4(workspace) if wanted & {4, 5, 6} else None
+    targeted = entity is not None and from_variant is not None and to_variant is not None
+    # A targeted level-6 query needs neither level 4 nor the edge diffs.
+    per_entity = level4(workspace) if 4 in wanted or (entity is None and wanted & {5, 6}) else None
     if 4 in wanted:
         bundle.level4 = per_entity
     if wanted & {5, 6}:
@@ -92,22 +94,35 @@ def build_bundle(
             selected = [entity]
         else:
             selected = [e for e in workspace.entities if len(per_entity[e].classes) >= 2]
-        lattices = {e: level5(workspace, e, params, node_cap=node_cap) for e in selected}
+        lattices = {}
+        if 5 in wanted or not targeted:
+            lattices = {
+                e: level5(
+                    workspace, e, params, node_cap=node_cap, partition=(per_entity or {}).get(e)
+                )
+                for e in selected
+            }
         if 5 in wanted:
             bundle.level5 = lattices
         if 6 in wanted:
             entries: list[Level6Entry] = []
-            if entity is not None and from_variant is not None and to_variant is not None:
-                machine = level6(workspace, entity, from_variant, to_variant, params, node_cap=node_cap)
+            if targeted:
+                machine = level6(
+                    workspace,
+                    entity,
+                    from_variant,
+                    to_variant,
+                    params,
+                    node_cap=node_cap,
+                    lattice=lattices.get(entity),
+                )
                 entries.append(Level6Entry(entity, from_variant, to_variant, machine))
             else:
-                # One diff per cover edge, reusing the lattices just built.
+                # One entry per cover edge, reusing the diffs behind its label.
                 for e in selected:
                     lattice = lattices[e]
                     for edge in lattice.edges:
-                        machine = diff(
-                            lattice.payloads[edge.lower], lattice.payloads[edge.upper], params
-                        )
+                        machine = lattice.diffs[(edge.lower, edge.upper)]
                         entries.append(Level6Entry(e, edge.lower, edge.upper, machine))
             bundle.level6 = tuple(entries)
     return bundle

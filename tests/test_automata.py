@@ -23,6 +23,7 @@ from fsmcompare import (
 )
 
 from conftest import (
+    OracleBudgetExceeded,
     fig2_machines,
     oracle_accepts_with_insertions,
     oracle_compare,

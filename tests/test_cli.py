@@ -1,10 +1,14 @@
 """End-to-end CLI tests via click's runner."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
 
+import fsmcompare
 from fsmcompare.cli import main
 
 
@@ -135,6 +139,21 @@ class TestCompare:
             assert result.exit_code == 0
         trees = [tree_bytes(first), tree_bytes(second)]
         assert trees[0] == trees[1]
+
+    def test_outputs_do_not_depend_on_hash_seed(self, running_example_dir, tmp_path):
+        # String hashing is randomized per interpreter, so only separate
+        # processes can show set or dict order leaking into the outputs.
+        src = str(Path(fsmcompare.__file__).resolve().parents[1])
+        trees = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"hash{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            command = [sys.executable, "-m", "fsmcompare.cli", "compare"]
+            command += ["--input", str(running_example_dir), "--output", str(out)]
+            subprocess.run(command, env=env, check=True, capture_output=True)
+            trees.append(tree_bytes(out))
+        assert trees[0] and trees[0] == trees[1]
 
 
 class TestDiff:

@@ -11,7 +11,10 @@ from fsmcompare import (
     LatticeCapExceeded,
     ModelSet,
     Workspace,
+    diff_entity_counts,
     diff_stats,
+    has_behavior,
+    intersection,
     language_equivalent,
     language_included,
     level1,
@@ -20,7 +23,14 @@ from fsmcompare import (
     level4,
     level5,
     level6,
+    minimize,
+    model_set_equivalent,
+    model_set_included,
+    model_set_intersection,
+    model_set_union,
+    union,
     variant_letters,
+    with_alphabet,
 )
 
 from conftest import random_nfa
@@ -318,3 +328,122 @@ class TestRandomWorkspaceConsistency:
         second = level1(ws)
         assert first == second
         assert level3(ws) == level3(ws)
+
+
+def naive_lattice(observed, meet, join, included, node_cap):
+    """Textbook closure over raw payloads, for checking the library's.
+
+    Payloads are combined with the public NFA or model-set operations and
+    never normalized; a combination is new unless mutual inclusion matches it
+    to an existing node. Pairs go first-in-first-out, meet before join.
+    Returns (kinds, payloads, cover edges as index pairs).
+    """
+    kinds = ["observed"] * len(observed)
+    payloads = list(observed)
+    pairs = [(i, j) for i in range(len(payloads)) for j in range(i + 1, len(payloads))]
+    qi = 0
+    while qi < len(pairs):
+        i, j = pairs[qi]
+        qi += 1
+        for op in (meet, join):
+            combined = op(payloads[i], payloads[j])
+            if any(included(combined, p) and included(p, combined) for p in payloads):
+                continue
+            if len(payloads) >= node_cap:
+                raise LatticeCapExceeded(node_cap)
+            kinds.append("computed")
+            payloads.append(combined)
+            pairs.extend((k, len(payloads) - 1) for k in range(len(payloads) - 1))
+    n = len(payloads)
+    below = [[i != j and included(payloads[i], payloads[j]) for j in range(n)] for i in range(n)]
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if below[i][j] and not any(below[i][k] and below[k][j] for k in range(n))
+    ]
+    return kinds, payloads, edges
+
+
+def dense_workspace(rng, n_sets, n_entities):
+    """Denser machines than random_workspace, so closures compute nodes."""
+    entities = tuple(f"e{i}" for i in range(n_entities))
+    sets = []
+    for i in range(n_sets):
+        models = {e: random_nfa(rng, max_states=4, max_events=2, density=2.0) for e in entities}
+        sets.append(ModelSet(f"m{i}", models))
+    return Workspace(entities, tuple(sets))
+
+
+def assert_same_cap(build, naive, observed_count, node_count):
+    """Both closures raise for a cap below the node count and not at it."""
+    if node_count == observed_count:
+        return
+    for run in (build, naive):
+        with pytest.raises(LatticeCapExceeded):
+            run(node_count - 1)
+        run(node_count)
+
+
+class TestClosureAgainstNaiveOracle:
+    def test_level2_matches_naive_closure(self):
+        rng = random.Random(59)
+        for _ in range(15):
+            ws = dense_workspace(rng, n_sets=4, n_entities=2)
+            partition = level1(ws)
+            reps = [cls.representative for cls in partition.classes]
+
+            def naive(cap):
+                return naive_lattice(
+                    reps, model_set_intersection, model_set_union, model_set_included, cap
+                )
+
+            lattice = level2(partition)
+            kinds, payloads, edges = naive(10_000)
+            assert [(n.variant, n.kind) for n in lattice.nodes] == [
+                (variant_letters(i), kind) for i, kind in enumerate(kinds)
+            ]
+            assert [n.size for n in lattice.nodes] == [
+                sum(has_behavior(m) for m in p.models.values()) for p in payloads
+            ]
+            for node, payload in zip(lattice.nodes, payloads):
+                assert model_set_equivalent(lattice.payloads[node.variant], payload)
+            assert [(e.lower, e.upper, e.changed, e.newly_present) for e in lattice.edges] == [
+                (variant_letters(i), variant_letters(j))
+                + diff_entity_counts(payloads[i], payloads[j])
+                for i, j in edges
+            ]
+            assert_same_cap(
+                lambda cap: level2(partition, node_cap=cap), naive, len(reps), len(payloads)
+            )
+
+    def test_level5_matches_naive_closure(self):
+        rng = random.Random(61)
+        for _ in range(15):
+            ws = dense_workspace(rng, n_sets=5, n_entities=2)
+            for entity in ws.entities:
+                sigma = frozenset().union(*(ms.models[entity].alphabet for ms in ws.model_sets))
+                reps = [cls.representative for cls in level4(ws)[entity].classes]
+
+                def naive(cap):
+                    return naive_lattice(reps, intersection, union, language_included, cap)
+
+                lattice = level5(ws, entity)
+                kinds, payloads, edges = naive(10_000)
+                assert [(n.variant, n.kind) for n in lattice.nodes] == [
+                    (variant_letters(i), kind) for i, kind in enumerate(kinds)
+                ]
+                assert [n.size for n in lattice.nodes] == [
+                    len(p.transitions)
+                    if kind == "observed"
+                    else len(minimize(with_alphabet(p, sigma)).to_nfa().transitions)
+                    for kind, p in zip(kinds, payloads)
+                ]
+                for node, payload in zip(lattice.nodes, payloads):
+                    assert language_equivalent(lattice.payloads[node.variant], payload)
+                assert [(e.lower, e.upper) for e in lattice.edges] == [
+                    (variant_letters(i), variant_letters(j)) for i, j in edges
+                ]
+                assert_same_cap(
+                    lambda cap: level5(ws, entity, node_cap=cap), naive, len(reps), len(payloads)
+                )

@@ -201,3 +201,27 @@ class TestJson:
         assert changes.count("removed") == 1
         removed = next(s for s in doc["states"] if s["change"] == "removed")
         assert removed["left"] == "s4" and removed["right"] is None
+
+
+class TestBuildBundle:
+    def test_each_structural_diff_is_computed_once(self, running_example, monkeypatch):
+        import fsmcompare.levels
+
+        calls = []
+
+        def counting_diff(*args):
+            calls.append(args)
+            return diff(*args)
+
+        monkeypatch.setattr(fsmcompare.levels, "diff", counting_diff)
+        bundle = build_bundle(running_example, levels=(5, 6))
+        assert len(calls) == len(bundle.level6) == sum(
+            len(lattice.edges) for lattice in bundle.level5.values()
+        )
+        for entry in bundle.level6:
+            key = (entry.from_variant, entry.to_variant)
+            assert entry.machine is bundle.level5[entry.entity].diffs[key]
+
+        calls.clear()
+        build_bundle(running_example, levels=(6,), entity="E2", from_variant="D", to_variant="A")
+        assert len(calls) == 1
