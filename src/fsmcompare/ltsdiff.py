@@ -16,13 +16,24 @@ best current score among pairs of successors on that event (and is S0(p, q)
 when they share none); pred_avg mirrors this on predecessors; k is the
 attenuation. The map is a contraction for k < 1, so the iteration converges
 and is cut off at a max-norm change of convergence_epsilon.
+
+The iteration runs on a flat list of floats. A pair whose states share no
+outgoing and no incoming event is constant after the first step and is
+computed once; each other pair reads one entry per shared event, and an
+event with several neighbour pairs adds one entry per pair, so a step is
+linear in the number of these groups and their members. Sums and products
+are evaluated in the order the formula above gives, so the scores are
+exactly those of the dense n x m iteration.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 from typing import NamedTuple
 
 from .automata import Nfa
@@ -41,14 +52,16 @@ class DiffParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.attenuation < 1.0:
             raise ValueError("attenuation must be in (0, 1)")
-        if self.convergence_epsilon < 0.0:
+        # Written as "not (x >= bound)" so that NaN, which fails every
+        # comparison, is rejected too.
+        if not self.convergence_epsilon >= 0.0:
             raise ValueError("convergence_epsilon must be non-negative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.landmark_fraction <= 1.0:
             raise ValueError("landmark_fraction must be in (0, 1]")
-        if self.landmark_ratio < 1.0:
-            raise ValueError("landmark_ratio must be at least 1")
+        if not 1.0 <= self.landmark_ratio < math.inf:
+            raise ValueError("landmark_ratio must be finite and at least 1")
 
 
 @dataclass(frozen=True)
@@ -58,9 +71,6 @@ class ScoreTable:
     left: tuple[str, ...]
     right: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
-
-    def score(self, p: str, q: str) -> float:
-        return self.values[self.left.index(p)][self.right.index(q)]
 
     def transposed(self) -> "ScoreTable":
         cols = tuple(
@@ -129,112 +139,172 @@ class DiffStats(NamedTuple):
     removed_states: int
 
 
-def _label_maps(machine: Nfa) -> tuple[dict[str, frozenset[str]], dict[str, frozenset[str]]]:
-    out: dict[str, set[str]] = {s: set() for s in machine.states}
-    inc: dict[str, set[str]] = {s: set() for s in machine.states}
-    for src, event, dst in machine.transitions:
-        out[src].add(event)
-        inc[dst].add(event)
-    return (
-        {s: frozenset(v) for s, v in out.items()},
-        {s: frozenset(v) for s, v in inc.items()},
-    )
+def _neighbours(
+    machine: Nfa, states: tuple[str, ...]
+) -> tuple[list[dict[str, list[int]]], list[dict[str, list[int]]]]:
+    """Per state index: event -> successor indices, and event -> predecessor indices."""
+    idx = {s: i for i, s in enumerate(states)}
+    succ: list[dict[str, list[int]]] = [{} for _ in states]
+    pred: list[dict[str, list[int]]] = [{} for _ in states]
+    for src, event, dst in sorted(machine.transitions):
+        succ[idx[src]].setdefault(event, []).append(idx[dst])
+        pred[idx[dst]].setdefault(event, []).append(idx[src])
+    return succ, pred
 
 
-def _jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    if not a and not b:
+def _pair_groups(x: list[dict[str, list[int]]], y: list[dict[str, list[int]]]) -> list:
+    """Neighbour groups of the pairs of states of x and y, by flat index.
+
+    Pair (i, j) has flat index i * len(y) + j. Its entry lists, per event
+    that both states have, in event order, the flat index of the pair of
+    their neighbours on that event, or a tuple of them if there are several.
+    Pairs that share no event have None.
+    """
+    m = len(y)
+
+    def by_event(adjacency):
+        states: dict[str, list[tuple[int, list[int]]]] = {}
+        for i, neighbours in enumerate(adjacency):
+            for event, targets in neighbours.items():
+                states.setdefault(event, []).append((i, targets))
+        return states
+
+    x_by_event, y_by_event = by_event(x), by_event(y)
+    groups: list = [None] * (len(x) * m)
+    for event in sorted(x_by_event.keys() & y_by_event.keys()):
+        ys = y_by_event[event]
+        for i, ti in x_by_event[event]:
+            for j, tj in ys:
+                if len(ti) == len(tj) == 1:
+                    group = ti[0] * m + tj[0]
+                else:
+                    group = tuple(pi * m + qi for pi in ti for qi in tj)
+                f = i * m + j
+                if groups[f] is None:
+                    groups[f] = [group]
+                else:
+                    groups[f].append(group)
+    return groups
+
+
+def _jaccard(shared: int, na: int, nb: int) -> float:
+    """Jaccard overlap of two label sets of sizes na and nb with `shared` in common."""
+    if not na and not nb:
         return 1.0
-    return len(a & b) / len(a | b)
+    return shared / (na + nb - shared)
+
+
+def _pair_tables(
+    a: Nfa, b: Nfa
+) -> tuple[tuple[str, ...], tuple[str, ...], list[float], list, list]:
+    """State orders, flat local scores and flat successor and predecessor groups."""
+    left = tuple(sorted(a.states))
+    right = tuple(sorted(b.states))
+    succ_a, pred_a = _neighbours(a, left)
+    succ_b, pred_b = _neighbours(b, right)
+    succ_groups = _pair_groups(succ_a, succ_b)
+    pred_groups = _pair_groups(pred_a, pred_b)
+    labels_b = [(len(sb), len(pb)) for sb, pb in zip(succ_b, pred_b)]
+    s0 = []
+    f = 0
+    for sa, pa in zip(succ_a, pred_a):
+        na_out, na_in = len(sa), len(pa)
+        for nb_out, nb_in in labels_b:
+            shared_out = len(succ_groups[f] or ())
+            shared_in = len(pred_groups[f] or ())
+            s0.append(
+                0.5 * (_jaccard(shared_out, na_out, nb_out) + _jaccard(shared_in, na_in, nb_in))
+            )
+            f += 1
+    return left, right, s0, succ_groups, pred_groups
+
+
+def _rows(flat: list[float], n: int, m: int) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
 
 
 def local_scores(a: Nfa, b: Nfa) -> ScoreTable:
     """Similarity from directly connected transition labels only."""
-    left = tuple(sorted(a.states))
-    right = tuple(sorted(b.states))
-    out_a, in_a = _label_maps(a)
-    out_b, in_b = _label_maps(b)
-    values = tuple(
-        tuple(
-            0.5 * (_jaccard(out_a[p], out_b[q]) + _jaccard(in_a[p], in_b[q])) for q in right
-        )
-        for p in left
-    )
-    return ScoreTable(left, right, values)
-
-
-def _edge_maps(machine: Nfa, states: tuple[str, ...]):
-    idx = {s: i for i, s in enumerate(states)}
-    succ: dict[tuple[int, str], list[int]] = {}
-    pred: dict[tuple[int, str], list[int]] = {}
-    for src, event, dst in sorted(machine.transitions):
-        succ.setdefault((idx[src], event), []).append(idx[dst])
-        pred.setdefault((idx[dst], event), []).append(idx[src])
-    return succ, pred
+    left, right, s0, _, _ = _pair_tables(a, b)
+    return ScoreTable(left, right, _rows(s0, len(left), len(right)))
 
 
 def global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
     """Fixed point of the damped neighborhood recurrence seeded by local scores."""
-    base = local_scores(a, b)
-    left, right = base.left, base.right
-    out_a, in_a = _label_maps(a)
-    out_b, in_b = _label_maps(b)
-    succ_a, pred_a = _edge_maps(a, left)
-    succ_b, pred_b = _edge_maps(b, right)
+    left, right, s0, succ_groups, pred_groups = _pair_tables(a, b)
 
-    # Per pair: for every shared event, the successor (resp. predecessor)
-    # index pairs whose best score feeds the average.
-    succ_groups: list[list[list[tuple[int, int]] | None]] = []
-    pred_groups: list[list[list[tuple[int, int]] | None]] = []
-    for i, p in enumerate(left):
-        succ_row: list[list[tuple[int, int]] | None] = []
-        pred_row: list[list[tuple[int, int]] | None] = []
-        for j, q in enumerate(right):
-            shared_out = sorted(out_a[p] & out_b[q])
-            shared_in = sorted(in_a[p] & in_b[q])
-            succ_row.append(
-                [
-                    [(pi, qi) for pi in succ_a[(i, e)] for qi in succ_b[(j, e)]]
-                    for e in shared_out
-                ]
-                or None
-            )
-            pred_row.append(
-                [
-                    [(pi, qi) for pi in pred_a[(i, e)] for qi in pred_b[(j, e)]]
-                    for e in shared_in
-                ]
-                or None
-            )
-        succ_groups.append(succ_row)
-        pred_groups.append(pred_row)
+    # The value list holds, in this order: the pairs with at most one group
+    # per side, the other pairs that change, the pairs that share no event
+    # (constant after the first step), a copy of S0 for every side of a
+    # changing pair that shares no event, and the maximum of every group of
+    # several pairs, refreshed at the start of each step.
+    simple: list[int] = []
+    general: list[int] = []
+    constant: list[int] = []
+    for f, (sg, pg) in enumerate(zip(succ_groups, pred_groups)):
+        if not sg and not pg:
+            constant.append(f)
+        elif len(sg or ()) <= 1 and len(pg or ()) <= 1:
+            simple.append(f)
+        else:
+            general.append(f)
+    n_changing = len(simple) + len(general)
+    pos = [0] * len(s0)
+    for p, f in enumerate(chain(simple, general, constant)):
+        pos[f] = p
 
+    # k * 0.5 * x evaluates as (k * 0.5) * x, so hoisting both constants
+    # keeps every float of the recurrence in the module docstring.
     k = params.attenuation
-    s0 = [list(row) for row in base.values]
-    current = [row[:] for row in s0]
+    half = k * 0.5
+    static = [(1.0 - k) * s0[f] + half * (s0[f] + s0[f]) for f in constant]
+    static_delta = max((abs(v - s0[f]) for v, f in zip(static, constant)), default=0.0)
+    maxima_at = len(s0) + sum(
+        not succ_groups[f] or not pred_groups[f] for f in chain(simple, general)
+    )
+    multi: list[tuple[int, ...]] = []
+
+    def side(f: int, groups) -> tuple[int, ...]:
+        """Positions of a side's terms, in event order; one S0 copy if it has none."""
+        if not groups:
+            static.append(s0[f])
+            return (n_changing + len(static) - 1,)
+        slots = []
+        for g in groups:
+            if isinstance(g, int):
+                slots.append(pos[g])
+            else:
+                slots.append(maxima_at + len(multi))
+                multi.append(tuple(pos[h] for h in g))
+        return tuple(slots)
+
+    simple_specs = []
+    for f in simple:
+        (x,), (y,) = side(f, succ_groups[f]), side(f, pred_groups[f])
+        simple_specs.append(((1.0 - k) * s0[f], x, y))
+    general_specs = []
+    for f in general:
+        succ, pred = side(f, succ_groups[f]), side(f, pred_groups[f])
+        general_specs.append(((1.0 - k) * s0[f], succ, len(succ), pred, len(pred)))
+    current = [s0[f] for f in chain(simple, general, constant)] + static[len(constant) :]
+    # Free the setup tables before the steps allocate their lists.
+    del succ_groups, pred_groups, simple, general, constant
     for _ in range(params.max_iterations):
-        delta = 0.0
-        nxt = []
-        for i in range(len(left)):
-            row = []
-            for j in range(len(right)):
-                groups = succ_groups[i][j]
-                if groups is None:
-                    succ_avg = s0[i][j]
-                else:
-                    succ_avg = sum(max(current[pi][qi] for pi, qi in g) for g in groups) / len(groups)
-                groups = pred_groups[i][j]
-                if groups is None:
-                    pred_avg = s0[i][j]
-                else:
-                    pred_avg = sum(max(current[pi][qi] for pi, qi in g) for g in groups) / len(groups)
-                value = (1.0 - k) * s0[i][j] + k * 0.5 * (succ_avg + pred_avg)
-                delta = max(delta, abs(value - current[i][j]))
-                row.append(value)
-            nxt.append(row)
-        current = nxt
+        get = current.__getitem__
+        current += [max(map(get, g)) for g in multi]
+        # A one-term side averages to its term: sum([x]) / 1 == x.
+        nxt = [c + half * (get(x) + get(y)) for c, x, y in simple_specs]
+        nxt += [
+            c + half * (sum(map(get, succ)) / n_succ + sum(map(get, pred)) / n_pred)
+            for c, succ, n_succ, pred, n_pred in general_specs
+        ]
+        delta = max(static_delta, max(map(abs, map(sub, nxt, current)), default=0.0))
+        static_delta = 0.0
+        current = nxt + static
         if delta <= params.convergence_epsilon:
             break
-    return ScoreTable(left, right, tuple(tuple(row) for row in current))
+    flat = list(map(current.__getitem__, pos))
+    return ScoreTable(left, right, _rows(flat, len(left), len(right)))
 
 
 def _ranked_pairs(scores: ScoreTable) -> list[tuple[int, int]]:
@@ -295,61 +365,63 @@ def compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) ->
 
     Neighbor pairs of already-matched pairs are preferred; when none remain
     addable, the best unmatched pair with a positive score anywhere in the
-    table is taken, and growth resumes from there.
+    table is taken, and growth resumes from there. "Best" is the order of
+    ``_ranked_pairs``: higher score first, then state names.
     """
     _check_injective(landmarks)
     left, right = scores.left, scores.right
     lidx = {s: i for i, s in enumerate(left)}
     ridx = {s: j for j, s in enumerate(right)}
-    out_a, in_a = _label_maps(a)
-    out_b, in_b = _label_maps(b)
-    succ_a, pred_a = _edge_maps(a, left)
-    succ_b, pred_b = _edge_maps(b, right)
+    succ_a, pred_a = _neighbours(a, left)
+    succ_b, pred_b = _neighbours(b, right)
     values = scores.values
 
     matched: list[tuple[int, int]] = sorted((lidx[p], ridx[q]) for p, q in landmarks)
     used_left = {i for i, _ in matched}
     used_right = {j for _, j in matched}
-    pool: set[tuple[int, int]] = set()
+    # A used state stays used, so a pair that is not free now never will
+    # be: the pool heap drops such pairs when they surface, and the ranking
+    # of all pairs is walked once, by a cursor that only moves forward.
+    pool: list[tuple[float, str, str, int, int]] = []
+
+    def free(i: int, j: int) -> bool:
+        return i not in used_left and j not in used_right
 
     def expand(i: int, j: int) -> None:
-        p, q = left[i], right[j]
-        for event in out_a[p] & out_b[q]:
-            for pi in succ_a[(i, event)]:
-                for qi in succ_b[(j, event)]:
-                    pool.add((pi, qi))
-        for event in in_a[p] & in_b[q]:
-            for pi in pred_a[(i, event)]:
-                for qi in pred_b[(j, event)]:
-                    pool.add((pi, qi))
+        for x, y in ((succ_a[i], succ_b[j]), (pred_a[i], pred_b[j])):
+            for event in x.keys() & y.keys():
+                for pi in x[event]:
+                    for qi in y[event]:
+                        if free(pi, qi):
+                            heapq.heappush(pool, (-values[pi][qi], left[pi], right[qi], pi, qi))
 
     for i, j in matched:
         expand(i, j)
 
-    def best(candidates) -> tuple[int, int] | None:
-        choice = None
-        choice_key = None
-        for i, j in candidates:
-            if i in used_left or j in used_right:
-                continue
-            key = (-values[i][j], left[i], right[j])
-            if choice_key is None or key < choice_key:
-                choice = (i, j)
-                choice_key = key
-        return choice
-
-    all_pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
+    ranking: list[tuple[int, int]] | None = None
+    cursor = 0
     while True:
-        pick = best(pool)
-        if pick is None:
-            pick = best(all_pairs)
-            if pick is None or values[pick[0]][pick[1]] <= 0.0:
+        while pool and not free(pool[0][3], pool[0][4]):
+            heapq.heappop(pool)
+        if pool:
+            i, j = heapq.heappop(pool)[3:]
+        else:
+            # No pair is free once one side is fully matched; stopping here
+            # spares the sort in the common case.
+            if len(used_left) == len(left) or len(used_right) == len(right):
                 break
-        i, j = pick
+            if ranking is None:
+                ranking = _ranked_pairs(scores)
+            while cursor < len(ranking) and not free(*ranking[cursor]):
+                cursor += 1
+            if cursor == len(ranking):
+                break
+            i, j = ranking[cursor]
+            if values[i][j] <= 0.0:
+                break
         matched.append((i, j))
         used_left.add(i)
         used_right.add(j)
-        pool.discard((i, j))
         expand(i, j)
 
     return frozenset((left[i], right[j]) for i, j in matched)

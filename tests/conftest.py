@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fsmcompare import ModelSet, Nfa, Workspace
+from fsmcompare import DiffParams, Matching, ModelSet, Nfa, ScoreTable, Workspace
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -119,6 +119,142 @@ def oracle_accepts_with_insertions(machine: Nfa, fillers, trace) -> bool:
                 seen.add(move)
                 stack.append(move)
     return False
+
+
+def score(table: ScoreTable, p: str, q: str) -> float:
+    """The score of state pair (p, q), looked up by name."""
+    return table.values[table.left.index(p)][table.right.index(q)]
+
+
+def _oracle_label_maps(machine: Nfa):
+    out: dict[str, set[str]] = {s: set() for s in machine.states}
+    inc: dict[str, set[str]] = {s: set() for s in machine.states}
+    for src, event, dst in machine.transitions:
+        out[src].add(event)
+        inc[dst].add(event)
+    return out, inc
+
+
+def _oracle_edge_maps(machine: Nfa, states: tuple[str, ...]):
+    idx = {s: i for i, s in enumerate(states)}
+    succ: dict[tuple[int, str], list[int]] = {}
+    pred: dict[tuple[int, str], list[int]] = {}
+    for src, event, dst in sorted(machine.transitions):
+        succ.setdefault((idx[src], event), []).append(idx[dst])
+        pred.setdefault((idx[dst], event), []).append(idx[src])
+    return succ, pred
+
+
+def _oracle_jaccard(a: set[str], b: set[str]) -> float:
+    if not a and not b:
+        return 1.0
+    return len(a & b) / len(a | b)
+
+
+def oracle_global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
+    """Dense score iteration: every pair, every step, nested-list tables.
+
+    The float expressions and their evaluation order are the library's
+    contract, so results must compare equal with ``==``, not approximately.
+    """
+    left = tuple(sorted(a.states))
+    right = tuple(sorted(b.states))
+    out_a, in_a = _oracle_label_maps(a)
+    out_b, in_b = _oracle_label_maps(b)
+    succ_a, pred_a = _oracle_edge_maps(a, left)
+    succ_b, pred_b = _oracle_edge_maps(b, right)
+    s0 = [
+        [
+            0.5 * (_oracle_jaccard(out_a[p], out_b[q]) + _oracle_jaccard(in_a[p], in_b[q]))
+            for q in right
+        ]
+        for p in left
+    ]
+
+    def groups(i, j, edges_p, edges_q, labels):
+        """Per shared event, the neighbour pairs whose best score counts; None if none."""
+        return [
+            [(pi, qi) for pi in edges_p[(i, e)] for qi in edges_q[(j, e)]] for e in sorted(labels)
+        ] or None
+
+    succ_groups = [
+        [groups(i, j, succ_a, succ_b, out_a[p] & out_b[q]) for j, q in enumerate(right)]
+        for i, p in enumerate(left)
+    ]
+    pred_groups = [
+        [groups(i, j, pred_a, pred_b, in_a[p] & in_b[q]) for j, q in enumerate(right)]
+        for i, p in enumerate(left)
+    ]
+    k = params.attenuation
+    current = [row[:] for row in s0]
+    for _ in range(params.max_iterations):
+        delta = 0.0
+        nxt = []
+        for i in range(len(left)):
+            row = []
+            for j in range(len(right)):
+                averages = []
+                for side in (succ_groups[i][j], pred_groups[i][j]):
+                    if side is None:
+                        averages.append(s0[i][j])
+                    else:
+                        best = [max(current[pi][qi] for pi, qi in g) for g in side]
+                        averages.append(sum(best) / len(side))
+                value = (1.0 - k) * s0[i][j] + k * 0.5 * (averages[0] + averages[1])
+                delta = max(delta, abs(value - current[i][j]))
+                row.append(value)
+            nxt.append(row)
+        current = nxt
+        if delta <= params.convergence_epsilon:
+            break
+    return ScoreTable(left, right, tuple(tuple(row) for row in current))
+
+
+def oracle_compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) -> Matching:
+    """Landmark growth that rescans the whole pool, and every pair on fallback."""
+    left, right = scores.left, scores.right
+    lidx = {s: i for i, s in enumerate(left)}
+    ridx = {s: j for j, s in enumerate(right)}
+    out_a, in_a = _oracle_label_maps(a)
+    out_b, in_b = _oracle_label_maps(b)
+    succ_a, pred_a = _oracle_edge_maps(a, left)
+    succ_b, pred_b = _oracle_edge_maps(b, right)
+    values = scores.values
+    matched = sorted((lidx[p], ridx[q]) for p, q in landmarks)
+    used_left = {i for i, _ in matched}
+    used_right = {j for _, j in matched}
+    pool: set[tuple[int, int]] = set()
+
+    def expand(i: int, j: int) -> None:
+        p, q = left[i], right[j]
+        for event in out_a[p] & out_b[q]:
+            pool.update((pi, qi) for pi in succ_a[(i, event)] for qi in succ_b[(j, event)])
+        for event in in_a[p] & in_b[q]:
+            pool.update((pi, qi) for pi in pred_a[(i, event)] for qi in pred_b[(j, event)])
+
+    def rank(ij):
+        return (-values[ij[0]][ij[1]], left[ij[0]], right[ij[1]])
+
+    def best(candidates):
+        free = [(i, j) for i, j in candidates if i not in used_left and j not in used_right]
+        return min(free, key=rank, default=None)
+
+    for i, j in matched:
+        expand(i, j)
+    all_pairs = [(i, j) for i in range(len(left)) for j in range(len(right))]
+    while True:
+        pick = best(pool)
+        if pick is None:
+            pick = best(all_pairs)
+            if pick is None or values[pick[0]][pick[1]] <= 0.0:
+                break
+        i, j = pick
+        matched.append((i, j))
+        used_left.add(i)
+        used_right.add(j)
+        pool.discard((i, j))
+        expand(i, j)
+    return frozenset((left[i], right[j]) for i, j in matched)
 
 
 def random_nfa(

@@ -24,6 +24,19 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
+def run_in_subprocess(hash_seed: str, *args) -> bytes:
+    """Run the CLI in a fresh interpreter under the given PYTHONHASHSEED; return stdout.
+
+    String hashing is randomized per interpreter, so only separate processes
+    can show set or dict order leaking into the outputs.
+    """
+    src = str(Path(fsmcompare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "fsmcompare.cli", *map(str, args)]
+    return subprocess.run(command, env=env, check=True, capture_output=True).stdout
+
+
 class TestCompare:
     def test_all_levels_outputs(self, running_example_dir, tmp_path):
         out = tmp_path / "out"
@@ -141,17 +154,10 @@ class TestCompare:
         assert trees[0] == trees[1]
 
     def test_outputs_do_not_depend_on_hash_seed(self, running_example_dir, tmp_path):
-        # String hashing is randomized per interpreter, so only separate
-        # processes can show set or dict order leaking into the outputs.
-        src = str(Path(fsmcompare.__file__).resolve().parents[1])
         trees = []
         for seed in ("0", "1"):
             out = tmp_path / f"hash{seed}"
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            command = [sys.executable, "-m", "fsmcompare.cli", "compare"]
-            command += ["--input", str(running_example_dir), "--output", str(out)]
-            subprocess.run(command, env=env, check=True, capture_output=True)
+            run_in_subprocess(seed, "compare", "--input", running_example_dir, "--output", out)
             trees.append(tree_bytes(out))
         assert trees[0] and trees[0] == trees[1]
 
@@ -177,6 +183,23 @@ class TestDiff:
         assert result.output.splitlines()[0] == (
             "added=4 removed=0 added_states=4 removed_states=0"
         )
+
+    def test_output_does_not_depend_on_hash_seed(self, tmp_path):
+        # Two symmetric branches: the branch states' pairs tie on score, so
+        # only the name order decides the matching.
+        branches = ["nfa v1", "state s0 initial", "state s1", "state s2", "state s3 accepting"]
+        branches += ["trans s0 a s1", "trans s0 a s2", "trans s1 b s3", "trans s2 b s3"]
+        left, right = tmp_path / "left.nfa", tmp_path / "right.nfa"
+        left.write_text("\n".join(branches) + "\n")
+        right.write_text("\n".join(branches + ["trans s3 c s0"]) + "\n")
+        outputs = [run_in_subprocess(seed, "diff", left, right) for seed in ("0", "1")]
+        assert outputs[0].startswith(b"added=1 removed=0") and outputs[0] == outputs[1]
+
+    def test_nan_landmark_ratio_is_a_bad_parameter(self, fig2_dir):
+        pair = (fig2_dir / "source.nfa", fig2_dir / "target.nfa")
+        result = run("diff", *pair, "--landmark-ratio", "nan")
+        assert result.exit_code == 2
+        assert "landmark_ratio" in result.output
 
     def test_parse_failure_exits_one(self, tmp_path, fig2_dir):
         bad = tmp_path / "bad.nfa"

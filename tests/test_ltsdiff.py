@@ -1,5 +1,6 @@
 """Structural comparison tests: scores, landmarks, matching, diff machines."""
 
+import math
 import random
 
 import pytest
@@ -17,7 +18,14 @@ from fsmcompare import (
     select_landmarks,
 )
 
-from conftest import fig2_machines, random_nfa, running_example_machines
+from conftest import (
+    fig2_machines,
+    oracle_compute_matching,
+    oracle_global_scores,
+    random_nfa,
+    running_example_machines,
+    score,
+)
 
 MACHINES = running_example_machines()
 E1 = MACHINES["S1"]["E1"]
@@ -56,17 +64,17 @@ def assert_projections(machine, a, b):
 class TestLocalScores:
     def test_identical_label_sets_score_one(self):
         scores = local_scores(E1, E1)
-        assert scores.score("s1", "s1") == 1.0
+        assert score(scores, "s1", "s1") == 1.0
 
     def test_disjoint_out_vacuous_in(self):
         a = Nfa.build(transitions=[("p", "a", "q")], initial=["p"])
         b = Nfa.build(transitions=[("x", "b", "y")], initial=["x"])
-        assert local_scores(a, b).score("p", "x") == 0.5
+        assert score(local_scores(a, b), "p", "x") == 0.5
 
     def test_fig2_initial_states(self):
         # out {a} vs {a} is 1, in {d} vs {e} is 0, mean 0.5
         source, target = fig2_machines()
-        assert local_scores(source, target).score("s1", "s1") == 0.5
+        assert score(local_scores(source, target), "s1", "s1") == 0.5
 
 
 class TestGlobalScores:
@@ -87,8 +95,8 @@ class TestGlobalScores:
     def test_fig2_shared_cycle_outscores_removed_state(self):
         source, target = fig2_machines()
         scores = global_scores(source, target, DiffParams())
-        shared = [scores.score(p, q) for p, q in [("s1", "s1"), ("s2", "s2"), ("s3", "s3")]]
-        cross = [scores.score("s4", q) for q in sorted(target.states)]
+        shared = [score(scores, p, q) for p, q in [("s1", "s1"), ("s2", "s2"), ("s3", "s3")]]
+        cross = [score(scores, "s4", q) for q in sorted(target.states)]
         assert min(shared) > max(cross)
 
     def test_symmetry_is_exact(self):
@@ -122,6 +130,105 @@ class TestGlobalScores:
             b = random_nfa(rng, max_states=6)
             scores = global_scores(a, b, DiffParams())
             assert all(0.0 <= v <= 1.0 for row in scores.values for v in row)
+
+
+def event_rich_nfa(rng: random.Random, max_states: int = 8) -> Nfa:
+    """Most states have most of eight events, a few with two targets, so
+    pairs share several events and summation order shows in the low bits.
+    About a third of the states have no outgoing transitions."""
+    states = [f"s{i}" for i in range(rng.randint(1, max_states))]
+    transitions = set()
+    for state in states:
+        density = rng.choice([0.0, 0.6, 0.6])
+        for event in "abcdefgh":
+            if rng.random() < density:
+                for _ in range(rng.choice([1, 1, 1, 2])):
+                    transitions.add((state, event, rng.choice(states)))
+    return Nfa.build(
+        transitions=transitions,
+        initial=states[:1],
+        accepting=states[: len(states) // 3],
+        states=states,
+    )
+
+
+def oracle_pairs(seed: int, count: int):
+    """Seeded pairs, alternately from random_nfa and event_rich_nfa; every
+    third pair compares a machine with itself, where scores tie."""
+    rng = random.Random(seed)
+    for n in range(count):
+        make = event_rich_nfa if n % 2 else random_nfa
+        a, b = make(rng), make(rng)
+        yield (a, a) if n % 3 == 0 else (a, b)
+
+
+def has_lone_state(machine):
+    touched = {s for src, _, dst in machine.transitions for s in (src, dst)}
+    return bool(machine.states - touched)
+
+
+def has_multi_target(machine):
+    targets = {}
+    for src, event, dst in machine.transitions:
+        targets.setdefault((src, event), set()).add(dst)
+    return any(len(t) > 1 for t in targets.values())
+
+
+class TestScoresAgainstDenseOracle:
+    """The sparse iteration must give exactly the dense iteration's floats."""
+
+    def test_pair_sample_covers_lone_states_and_multi_member_groups(self):
+        machines = [m for pair in oracle_pairs(41, 60) for m in pair]
+        assert any(has_lone_state(m) for m in machines)
+        assert any(has_multi_target(m) for m in machines)
+
+    @pytest.mark.parametrize("attenuation", [1e-12, 0.3, 0.5, 0.9])
+    def test_converged_tables_are_equal(self, attenuation):
+        params = DiffParams(attenuation=attenuation)
+        for a, b in oracle_pairs(41, 60):
+            assert global_scores(a, b, params) == oracle_global_scores(a, b, params)
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
+    def test_truncated_iterations_are_equal(self, steps):
+        for attenuation in (0.3, 0.5):
+            params = DiffParams(attenuation, convergence_epsilon=0.0, max_iterations=steps)
+            for a, b in oracle_pairs(43, 30):
+                assert global_scores(a, b, params) == oracle_global_scores(a, b, params)
+
+    def test_empty_machine(self):
+        params = DiffParams(attenuation=0.3)
+        for a, b in [(Nfa.empty(), E1), (E1, Nfa.empty()), (Nfa.empty(), Nfa.empty())]:
+            assert global_scores(a, b, params) == oracle_global_scores(a, b, params)
+
+    def test_running_example_pairs(self):
+        machines = [m for models in MACHINES.values() for m in models.values()]
+        for a in machines:
+            for b in machines:
+                assert global_scores(a, b, DiffParams()) == oracle_global_scores(a, b, DiffParams())
+
+
+class TestMatchingAgainstScanOracle:
+    def test_grown_from_selected_landmarks(self):
+        params = DiffParams()
+        for a, b in oracle_pairs(47, 80):
+            scores = global_scores(a, b, params)
+            landmarks = select_landmarks(scores, a, b, params)
+            assert compute_matching(a, b, scores, landmarks) == oracle_compute_matching(
+                a, b, scores, landmarks
+            )
+
+    def test_grown_from_arbitrary_landmarks(self):
+        # No landmarks starts on the fallback; random ones start anywhere.
+        rng = random.Random(53)
+        params = DiffParams(attenuation=0.9)
+        for a, b in oracle_pairs(53, 80):
+            scores = global_scores(a, b, params)
+            rights = rng.sample(sorted(b.states), rng.randint(0, min(len(a.states), len(b.states))))
+            landmarks = frozenset(zip(rng.sample(sorted(a.states), len(rights)), rights))
+            for seeds in (frozenset(), landmarks):
+                assert compute_matching(a, b, scores, seeds) == oracle_compute_matching(
+                    a, b, scores, seeds
+                )
 
 
 class TestSelectLandmarks:
@@ -279,3 +386,20 @@ class TestDiffPipeline:
             DiffParams(landmark_fraction=0.0)
         with pytest.raises(ValueError):
             DiffParams(max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("convergence_epsilon", math.nan),
+            ("landmark_ratio", math.nan),
+            ("landmark_ratio", math.inf),
+            ("attenuation", math.nan),
+            ("landmark_fraction", math.nan),
+        ],
+    )
+    def test_diff_params_reject_nan_and_infinite_values(self, field, value):
+        with pytest.raises(ValueError):
+            DiffParams(**{field: value})
+
+    def test_diff_params_accept_boundary_values(self):
+        assert DiffParams(convergence_epsilon=0.0, landmark_ratio=1.0).landmark_ratio == 1.0
