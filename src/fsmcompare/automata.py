@@ -9,6 +9,7 @@ one would expect.
 from __future__ import annotations
 
 import functools
+import operator
 import unicodedata
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
@@ -17,6 +18,10 @@ Trace = tuple[str, ...]
 
 #: Default search-tree cap for bounded_language.
 DEFAULT_ENUMERATION_CAP = 100_000
+
+#: Results kept by minimize's least-recently-used cache, so that a long-lived
+#: process does not keep every machine it has seen.
+MINIMIZE_CACHE_SIZE = 1024
 
 
 class EnumerationCapExceeded(ValueError):
@@ -221,24 +226,98 @@ def determinize(machine: Nfa) -> Nfa:
 
 
 def _canonical(events: list[str], rows: list[list[int]], accepting: set[int]) -> CanonicalDfa:
-    """Minimal canonical form of a complete DFA table with initial row 0.
+    """Minimal canonical form of a complete DFA table, every row reachable from row 0.
 
-    Merges language-equivalent rows by partition refinement, then renumbers
-    breadth-first over the (lexicographically sorted) events.
+    Rows from which no accepting row can be reached form one dead block.
+    Hopcroft's algorithm refines the live rows over live-to-live transitions
+    only: the dead block is never a splitter, so the completion sink's large
+    preimage is never scanned. The blocks are then renumbered breadth-first
+    over the (lexicographically sorted) events.
     """
     n = len(rows)
-    block = [1 if i in accepting else 0 for i in range(n)]
-    while True:
-        signatures: dict[tuple, int] = {}
-        refined = [0] * n
-        for i in range(n):
-            key = (block[i], tuple(block[t] for t in rows[i]))
-            if key not in signatures:
-                signatures[key] = len(signatures)
-            refined[i] = signatures[key]
-        if refined == block:
-            break
-        block = refined
+    width = len(events)
+    # A rejecting row that loops on every event, such as the completion sink,
+    # is dead, so transitions into it are left out of the reverse lists.
+    trap = [s not in accepting and row.count(s) == width for s, row in enumerate(rows)]
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for s, row in enumerate(rows):
+        for k, t in enumerate(row):
+            if not trap[t]:
+                into[t].append((k, s))
+    # Co-reachability. Every source of a transition into a live row is live,
+    # so the reverse lists of live rows hold live-to-live transitions only.
+    live = [False] * n
+    stack = list(accepting)
+    for s in stack:
+        live[s] = True
+    while stack:
+        for _, s in into[stack.pop()]:
+            if not live[s]:
+                live[s] = True
+                stack.append(s)
+
+    # Refinable partition of the live rows: block b holds elems[first[b]:end[b]],
+    # and elems[first[b]:mid[b]] are its rows marked by the current splitter.
+    block = [-1] * n  # -1 is the dead block
+    elems: list[int] = []
+    first: list[int] = []
+    end: list[int] = []
+    for members in (
+        [s for s in range(n) if live[s] and s in accepting],
+        [s for s in range(n) if live[s] and s not in accepting],
+    ):
+        if members:
+            for s in members:
+                block[s] = len(first)
+            first.append(len(elems))
+            elems += members
+            end.append(len(elems))
+    mid = first[:]
+    where = [0] * n
+    for p, s in enumerate(elems):
+        where[s] = p
+
+    # Each split makes the smaller half a new block and queues it. The larger
+    # half keeps the parent's id, so it stays queued when the parent was.
+    pending = list(range(len(first)))
+    while pending:
+        c = pending.pop()
+        sources: dict[int, list[int]] = {}
+        for t in elems[first[c] : end[c]]:
+            for k, s in into[t]:
+                sources.setdefault(k, []).append(s)
+        for hit in sources.values():
+            touched = []
+            for s in hit:
+                b = block[s]
+                m = mid[b]
+                if m == first[b]:
+                    touched.append(b)
+                p = where[s]
+                other = elems[m]
+                elems[p] = other
+                where[other] = p
+                elems[m] = s
+                where[s] = m
+                mid[b] = m + 1
+            for b in touched:
+                f, m, e = first[b], mid[b], end[b]
+                mid[b] = f
+                if m == e:
+                    continue
+                new = len(first)
+                if m - f <= e - m:
+                    first.append(f)
+                    end.append(m)
+                    first[b] = mid[b] = m
+                else:
+                    first.append(m)
+                    end.append(e)
+                    end[b] = m
+                mid.append(first[new])
+                for s in elems[first[new] : end[new]]:
+                    block[s] = new
+                pending.append(new)
 
     representative: dict[int, int] = {}
     for i, b in enumerate(block):
@@ -266,14 +345,15 @@ def _canonical(events: list[str], rows: list[list[int]], accepting: set[int]) ->
     return CanonicalDfa(tuple(events), trans, acc, sink)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=MINIMIZE_CACHE_SIZE)
 def minimize(machine: Nfa) -> CanonicalDfa:
     """Canonical minimal complete DFA for the machine's language.
 
-    Determinizes, merges language-equivalent states by partition refinement,
-    and renumbers breadth-first over lexicographically sorted events. The
-    result is a canonical form: equal values exactly for equal languages over
-    the machine's alphabet.
+    Determinizes, merges language-equivalent states with Hopcroft's algorithm
+    over the live transitions, and renumbers breadth-first over
+    lexicographically sorted events. The result is a canonical form: equal
+    values exactly for equal languages over the machine's alphabet. The most
+    recent ``MINIMIZE_CACHE_SIZE`` results are cached.
     """
     return _canonical(*_subset_table(machine))
 
@@ -371,13 +451,12 @@ def language_equivalent(a: Nfa, b: Nfa) -> bool:
 def language_included(a: Nfa, b: Nfa) -> bool:
     """True iff every trace accepted by ``a`` is accepted by ``b``.
 
-    Computed as emptiness of ``a`` intersected with the complement of the
-    determinized (complete) form of ``b``, over the union alphabet.
+    Decided over the union of the two alphabets via canonical minimal DFAs:
+    ``a`` is included in ``b`` iff intersecting it with ``b`` leaves it as is.
     """
     sigma = a.alphabet | b.alphabet
-    det_b = determinize(with_alphabet(b, sigma))
-    complement = replace(det_b, accepting=det_b.states - det_b.accepting)
-    return not has_behavior(intersection(with_alphabet(a, sigma), complement))
+    min_a = minimize(with_alphabet(a, sigma))
+    return canonical_product(min_a, minimize(with_alphabet(b, sigma)), operator.and_) == min_a
 
 
 def hide_events(machine: Nfa, hidden: Iterable[str]) -> Nfa:

@@ -307,10 +307,21 @@ def global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
     return ScoreTable(left, right, _rows(flat, len(left), len(right)))
 
 
-def _ranked_pairs(scores: ScoreTable) -> list[tuple[int, int]]:
-    pairs = [(i, j) for i in range(len(scores.left)) for j in range(len(scores.right))]
-    pairs.sort(key=lambda ij: (-scores.values[ij[0]][ij[1]], scores.left[ij[0]], scores.right[ij[1]]))
-    return pairs
+def _ranked_pairs(scores: ScoreTable, count: int | None = None) -> list[tuple[int, int]]:
+    """The first ``count`` index pairs, or all: higher score first, then state names.
+
+    Names are unique, so the order is total, and taking the first ``count``
+    needs no sort of every pair.
+    """
+    values, left, right = scores.values, scores.left, scores.right
+
+    def rank(ij: tuple[int, int]) -> tuple[float, str, str]:
+        return (-values[ij[0]][ij[1]], left[ij[0]], right[ij[1]])
+
+    pairs = ((i, j) for i in range(len(left)) for j in range(len(right)))
+    if count is None:
+        return sorted(pairs, key=rank)
+    return heapq.nsmallest(count, pairs, key=rank)
 
 
 def select_landmarks(scores: ScoreTable, a: Nfa, b: Nfa, params: DiffParams) -> Matching:
@@ -320,12 +331,11 @@ def select_landmarks(scores: ScoreTable, a: Nfa, b: Nfa, params: DiffParams) -> 
     when no pair qualifies.
     """
     values = scores.values
-    ranked = _ranked_pairs(scores)
     n_top = math.ceil(params.landmark_fraction * min(len(scores.left), len(scores.right)))
     selected: list[tuple[int, int]] = []
     used_left: set[int] = set()
     used_right: set[int] = set()
-    for i, j in ranked[:n_top]:
+    for i, j in _ranked_pairs(scores, n_top):
         score = values[i][j]
         if score <= 0.0:
             continue

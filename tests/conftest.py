@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fsmcompare import DiffParams, Matching, ModelSet, Nfa, ScoreTable, Workspace
+from fsmcompare import CanonicalDfa, DiffParams, Matching, ModelSet, Nfa, ScoreTable, Workspace
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -119,6 +119,52 @@ def oracle_accepts_with_insertions(machine: Nfa, fillers, trace) -> bool:
                 seen.add(move)
                 stack.append(move)
     return False
+
+
+def oracle_canonical(events: list[str], rows: list[list[int]], accepting: set[int]) -> CanonicalDfa:
+    """Moore refinement: re-signature every row over every event until stable.
+
+    Takes the same complete, reachable table as ``automata._canonical`` and
+    renumbers the same way, so results must compare equal with ``==``.
+    """
+    n = len(rows)
+    block = [1 if i in accepting else 0 for i in range(n)]
+    while True:
+        signatures: dict[tuple, int] = {}
+        refined = [0] * n
+        for i in range(n):
+            key = (block[i], tuple(block[t] for t in rows[i]))
+            if key not in signatures:
+                signatures[key] = len(signatures)
+            refined[i] = signatures[key]
+        if refined == block:
+            break
+        block = refined
+
+    representative: dict[int, int] = {}
+    for i, b in enumerate(block):
+        representative.setdefault(b, i)
+
+    number: dict[int, int] = {block[0]: 0}
+    bfs = [block[0]]
+    qi = 0
+    while qi < len(bfs):
+        b = bfs[qi]
+        qi += 1
+        for k in range(len(events)):
+            nb = block[rows[representative[b]][k]]
+            if nb not in number:
+                number[nb] = len(bfs)
+                bfs.append(nb)
+    trans = tuple(
+        tuple(number[block[rows[representative[b]][k]]] for k in range(len(events))) for b in bfs
+    )
+    acc = frozenset(number[block[i]] for i in accepting)
+    sink = next(
+        (i for i in range(len(bfs)) if i not in acc and all(t == i for t in trans[i])),
+        None,
+    )
+    return CanonicalDfa(tuple(events), trans, acc, sink)
 
 
 def score(table: ScoreTable, p: str, q: str) -> float:

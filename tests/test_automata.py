@@ -1,6 +1,9 @@
 """Language-level algorithm tests against brute-force enumeration oracles."""
 
+import operator
 import random
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -11,6 +14,7 @@ from fsmcompare import (
     Nfa,
     accepts,
     bounded_language,
+    build_pta,
     determinize,
     has_behavior,
     hide_events,
@@ -21,11 +25,14 @@ from fsmcompare import (
     union,
     with_alphabet,
 )
+from fsmcompare import automata
+from fsmcompare.automata import _canonical, _subset_table, canonical_product
 
 from conftest import (
     OracleBudgetExceeded,
     fig2_machines,
     oracle_accepts_with_insertions,
+    oracle_canonical,
     oracle_compare,
     oracle_language,
     random_nfa,
@@ -196,12 +203,123 @@ class TestMinimize:
             a_only, b_only = oracle_compare(a, b, 12)
             assert same == (not a_only and not b_only)
 
+    def test_cache_is_bounded(self):
+        assert minimize.cache_info().maxsize is not None
+
     def test_pumping_bound_for_behavior(self):
         rng = random.Random(5)
         for _ in range(60):
             machine = random_nfa(rng, max_states=6, max_events=3)
             bound = minimize(machine).num_states
             assert has_behavior(machine) == bool(bounded_language(machine, bound))
+
+
+def random_table(rng: random.Random, max_rows: int = 12, max_events: int = 3):
+    """(events, rows) of a random complete DFA table, every row reachable from row 0."""
+    k = rng.randint(0, max_events)
+    n = rng.randint(1, max_rows)
+    raw = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+    index = {0: 0}
+    order = [0]
+    for r in order:  # grows while it is walked
+        for t in raw[r]:
+            if t not in index:
+                index[t] = len(order)
+                order.append(t)
+    return [f"e{i}" for i in range(k)], [[index[t] for t in raw[r]] for r in order]
+
+
+def dead_rows(rows, accepting) -> int:
+    """How many rows reach no accepting row, by a forward search from each."""
+    count = 0
+    for start in range(len(rows)):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for t in rows[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        count += not seen & set(accepting)
+    return count
+
+
+def with_trap(rng: random.Random, machine: Nfa) -> Nfa:
+    """Add a non-accepting state that loops on every event and some edges into it."""
+    events = sorted(machine.alphabet)
+    trap = {("trap", e, "trap") for e in events}
+    trap |= {(s, rng.choice(events), "trap") for s in sorted(machine.states) if rng.random() < 0.5}
+    return replace(
+        machine,
+        states=machine.states | {"trap"},
+        transitions=machine.transitions | trap,
+    )
+
+
+class TestCanonicalAgainstMoore:
+    """Hopcroft refinement must give exactly the Moore oracle's canonical DFA."""
+
+    def test_random_nfas_with_dead_nonempty_subsets(self):
+        rng = random.Random(61)
+        with_dead_subsets = 0
+        for _ in range(300):
+            machine = with_trap(rng, random_nfa(rng, max_states=8, max_events=4))
+            table = _subset_table(machine)
+            with_dead_subsets += dead_rows(*table[1:]) > 1
+            assert _canonical(*table) == oracle_canonical(*table)
+        assert with_dead_subsets > 100
+
+    def test_random_tables_with_none_some_or_all_rows_accepting(self):
+        rng = random.Random(67)
+        for _ in range(300):
+            events, rows = random_table(rng)
+            some = {i for i in range(len(rows)) if rng.random() < 0.3}
+            for accepting in (set(), some, set(range(len(rows)))):
+                table = (events, rows, accepting)
+                assert _canonical(*table) == oracle_canonical(*table)
+
+    def test_empty_alphabet_and_empty_machine(self):
+        for table in (([], [[]], set()), ([], [[]], {0}), _subset_table(Nfa.empty())):
+            assert _canonical(*table) == oracle_canonical(*table)
+
+    def test_prefix_trees_of_random_logs(self):
+        rng = random.Random(71)
+        for _ in range(100):
+            events = "abcdef"[: rng.randint(1, 6)]
+            traces = [
+                tuple(rng.choice(events) for _ in range(rng.randint(0, 12)))
+                for _ in range(rng.randint(1, 30))
+            ]
+            table = _subset_table(build_pta(traces))
+            assert _canonical(*table) == oracle_canonical(*table)
+
+    def test_product_tables_of_random_canonical_dfas(self, monkeypatch):
+        checked = []
+
+        def checked_canonical(events, rows, accepting):
+            got = _canonical(events, rows, accepting)
+            assert got == oracle_canonical(events, rows, accepting)
+            checked.append(got)
+            return got
+
+        rng = random.Random(73)
+        operands = [minimize(with_alphabet(random_nfa(rng), "abcd")) for _ in range(30)]
+        monkeypatch.setattr(automata, "_canonical", checked_canonical)
+        for a, b in zip(operands, operands[1:] + operands[:1]):
+            for accept in (operator.and_, operator.or_, lambda x, y: x and not y):
+                canonical_product(a, b, accept)
+        assert len(checked) == 90
+
+    def test_long_trace_prefix_tree_minimizes_in_well_under_a_second(self):
+        # Moore refinement takes one round per event of the trace here.
+        rng = random.Random(79)
+        pta = build_pta([tuple(rng.choice("abcdefgh") for _ in range(5000))])
+        start = time.process_time()
+        canonical = minimize(pta)
+        elapsed = time.process_time() - start
+        assert canonical.num_states == 5002  # 5,001 tree nodes and the sink
+        assert canonical.sink is not None and len(canonical.accepting) == 1
+        assert elapsed < 1.0
 
 
 class TestBooleanOperations:
@@ -253,6 +371,35 @@ class TestEquivalenceAndInclusion:
     def test_empty_included_in_anything(self):
         assert language_included(Nfa.empty(), E1)
         assert language_included(Nfa.empty(), Nfa.empty())
+
+    def test_inclusion_matches_complement_construction(self):
+        # The reference decides a <= b as emptiness of a intersected with the
+        # complement of b's complete subset automaton, over the union alphabet.
+        def complement_included(a, b):
+            sigma = a.alphabet | b.alphabet
+            det_b = determinize(with_alphabet(b, sigma))
+            complement = replace(det_b, accepting=det_b.states - det_b.accepting)
+            return not has_behavior(intersection(with_alphabet(a, sigma), complement))
+
+        rng = random.Random(83)
+        renamed = {"a": "a", "b": "x", "c": "y", "d": "d"}
+        outcomes = set()
+        for _ in range(200):
+            a = random_nfa(rng, max_states=6, max_events=4)
+            b = random_nfa(rng, max_states=6, max_events=4)
+            if rng.random() < 0.3:
+                b = Nfa.build(
+                    transitions=[(s, renamed[e], t) for s, e, t in b.transitions],
+                    initial=b.initial,
+                    accepting=b.accepting,
+                    states=b.states,
+                    alphabet=[renamed[e] for e in b.alphabet],
+                )
+            for x, y in ((a, b), (b, a), (a, Nfa.empty()), (Nfa.empty(), a), (a, union(a, b))):
+                included = language_included(x, y)
+                assert included == complement_included(x, y)
+                outcomes.add(included)
+        assert outcomes == {False, True}
 
     def test_partial_order_laws_on_samples(self):
         machines = [E1, E2_A, E2_B, E2_C, E3_A, E4_A, Nfa.empty(), union(E2_A, E2_B)]

@@ -9,6 +9,7 @@ from fsmcompare import (
     Change,
     DiffParams,
     Nfa,
+    ScoreTable,
     build_diff,
     compute_matching,
     diff,
@@ -17,6 +18,7 @@ from fsmcompare import (
     local_scores,
     select_landmarks,
 )
+from fsmcompare.ltsdiff import _ranked_pairs
 
 from conftest import (
     fig2_machines,
@@ -231,7 +233,33 @@ class TestMatchingAgainstScanOracle:
                 )
 
 
+def tied_score_table(rng: random.Random) -> ScoreTable:
+    """Few distinct values, so most ranks are decided by names; the names are
+    shuffled, so name order is not index order."""
+    n, m = rng.randint(0, 9), rng.randint(0, 9)
+    left = tuple(rng.sample([f"p{i}" for i in range(20)], n))
+    right = tuple(rng.sample([f"q{i}" for i in range(20)], m))
+    levels = (0.0, 0.25, 0.5, 1.0, rng.random())
+    return ScoreTable(left, right, tuple(tuple(rng.choice(levels) for _ in right) for _ in left))
+
+
 class TestSelectLandmarks:
+    def test_ranked_pairs_and_their_prefixes_follow_score_then_names(self):
+        rng = random.Random(59)
+        tables = [tied_score_table(rng) for _ in range(200)]
+        tables += [global_scores(a, b, DiffParams()) for a, b in oracle_pairs(59, 40)]
+        for scores in tables:
+            left, right, values = scores.left, scores.right, scores.values
+            keyed = sorted(
+                (-values[i][j], left[i], right[j], (i, j))
+                for i in range(len(left))
+                for j in range(len(right))
+            )
+            ranked = [ij for *_, ij in keyed]
+            assert _ranked_pairs(scores) == ranked
+            for count in {0, 1, 2, len(ranked) // 4, len(ranked), len(ranked) + 1}:
+                assert _ranked_pairs(scores, count) == ranked[:count]
+
     def test_identical_two_state_line_selects_both_diagonal_pairs(self):
         line = Nfa.build(transitions=[("p", "x", "q")], initial=["p"], accepting=["q"])
         scores = global_scores(line, line, DiffParams(landmark_fraction=1.0))
