@@ -108,16 +108,18 @@ class CanonicalDfa:
 
     def to_nfa(self) -> Nfa:
         """Convert back to an Nfa, dropping the completion sink."""
-        keep = [i for i in range(self.num_states) if i != self.sink]
+        sink = self.sink
+        names = [f"q{i}" for i in range(self.num_states)]
         trans = frozenset(
-            (f"q{i}", event, f"q{j}")
-            for i in keep
-            for event, j in zip(self.alphabet, self.transitions[i])
-            if j != self.sink
+            (names[i], event, names[j])
+            for i, row in enumerate(self.transitions)
+            if i != sink
+            for event, j in zip(self.alphabet, row)
+            if j != sink
         )
-        states = frozenset(f"q{i}" for i in keep)
-        initial = frozenset() if self.sink == 0 else frozenset({"q0"})
-        accepting = frozenset(f"q{i}" for i in self.accepting)
+        states = frozenset(name for i, name in enumerate(names) if i != sink)
+        initial = frozenset() if sink == 0 else frozenset({"q0"})
+        accepting = frozenset(names[i] for i in self.accepting)
         return Nfa(states, frozenset(self.alphabet), trans, initial, accepting)
 
 
@@ -172,37 +174,66 @@ def has_behavior(machine: Nfa) -> bool:
     return False
 
 
-def _subset_table(machine: Nfa) -> tuple[list[str], list[list[int]], set[int]]:
-    """Subset construction; returns (events, transition rows, accepting ids).
+#: A sparse DFA table: row ``i`` lists its ``(event index, row)`` pairs in
+#: event order. An event missing from a row leads to a dead state, one from
+#: which no accepting row can be reached.
+Rows = list[list[tuple[int, int]]]
 
-    Row order is breadth-first discovery from the initial subset with events
-    in lexicographic order; the empty subset doubles as the completion sink.
+
+def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int], int | None]:
+    """Subset construction; returns (events, sparse rows, accepting ids, empty row).
+
+    Rows are numbered breadth-first from the initial subset with events in
+    lexicographic order. Transitions to the empty subset are left out, but
+    it keeps the row number where it is first reached: filling each missing
+    event with that row (None if never reached) gives the complete table.
     """
     events = sorted(machine.alphabet)
-    succ = _successors(machine)
+    column = {event: k for k, event in enumerate(events)}
+    succ: dict = {}
+    for src, event, dst in machine.transitions:
+        succ.setdefault(src, {}).setdefault(column[event], set()).add(dst)
+    # Each state's event-ordered (event index, subset) pairs, converted in
+    # place so that the sets are freed as it goes.
+    for state, by_event in succ.items():
+        succ[state] = [(k, frozenset(by_event[k])) for k in sorted(by_event)]
+    width = len(events)
     start = frozenset(machine.initial)
     index: dict[frozenset[str], int] = {start: 0}
     order: list[frozenset[str]] = [start]
-    rows: list[list[int]] = []
-    qi = 0
-    while qi < len(order):
-        subset = order[qi]
-        qi += 1
-        row = []
-        for event in events:
-            nxt: set[str] = set()
+    empty = None if start else 0
+    rows: Rows = []
+    for subset in order:  # grows while it is walked
+        if len(subset) == 1:
+            (state,) = subset
+            pairs = succ.get(state, ())
+        else:
+            merged: dict[int, list[frozenset[str]]] = {}
             for state in subset:
-                nxt |= succ.get((state, event), set())
-            frozen = frozenset(nxt)
-            j = index.get(frozen)
+                for k, targets in succ.get(state, ()):
+                    merged.setdefault(k, []).append(targets)
+            pairs = [
+                (k, parts[0] if len(parts) == 1 else frozenset().union(*parts))
+                for k, parts in sorted(merged.items())
+            ]
+        # The first row that misses an event numbers the empty subset in that
+        # event's place among its discoveries; k > len(row) means a gap before k.
+        row = []
+        for k, targets in pairs:
+            if k > len(row) and empty is None:
+                empty = len(order)
+                order.append(frozenset())
+            j = index.get(targets)
             if j is None:
-                j = len(order)
-                index[frozen] = j
-                order.append(frozen)
-            row.append(j)
+                j = index[targets] = len(order)
+                order.append(targets)
+            row.append((k, j))
+        if len(row) < width and empty is None:
+            empty = len(order)
+            order.append(frozenset())
         rows.append(row)
     accepting = {i for i, subset in enumerate(order) if subset & machine.accepting}
-    return events, rows, accepting
+    return events, rows, accepting, empty
 
 
 def determinize(machine: Nfa) -> Nfa:
@@ -211,37 +242,48 @@ def determinize(machine: Nfa) -> Nfa:
     Only subset states reachable from the initial subset are materialized;
     the empty subset serves as the sink when some transition is missing.
     """
-    events, rows, accepting = _subset_table(machine)
-    trans = frozenset(
-        (f"d{i}", event, f"d{row[k]}") for i, row in enumerate(rows) for k, event in enumerate(events)
-    )
-    states = frozenset(f"d{i}" for i in range(len(rows)))
+    events, rows, accepting, empty = _subset_table(machine)
+    names = [f"d{i}" for i in range(len(rows))]
+    trans = set()
+    for name, row in zip(names, rows):
+        targets = dict(row)
+        trans.update((name, event, names[targets.get(k, empty)]) for k, event in enumerate(events))
     return Nfa(
-        states,
+        frozenset(names),
         machine.alphabet,
-        trans,
+        frozenset(trans),
         frozenset({"d0"}),
-        frozenset(f"d{i}" for i in accepting),
+        frozenset(names[i] for i in accepting),
     )
 
 
-def _canonical(events: list[str], rows: list[list[int]], accepting: set[int]) -> CanonicalDfa:
-    """Minimal canonical form of a complete DFA table, every row reachable from row 0.
+def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalDfa:
+    """Minimal canonical form of a sparse DFA table (see ``Rows``).
 
-    Rows from which no accepting row can be reached form one dead block.
-    Hopcroft's algorithm refines the live rows over live-to-live transitions
-    only: the dead block is never a splitter, so the completion sink's large
-    preimage is never scanned. The blocks are then renumbered breadth-first
-    over the (lexicographically sorted) events.
+    Precondition: a missing event leads to a dead state, and every row is
+    reachable from row 0 once each missing event is read as a transition
+    to every dead row. Rows from which no accepting row can be reached
+    form one dead block. Hopcroft's algorithm refines the live rows over
+    live-to-live transitions only: the dead block is never a splitter, so
+    the work follows the transitions present, not rows times events. The
+    blocks are then renumbered breadth-first over the (lexicographically
+    sorted) events.
     """
     n = len(rows)
     width = len(events)
-    # A rejecting row that loops on every event, such as the completion sink,
-    # is dead, so transitions into it are left out of the reverse lists.
-    trap = [s not in accepting and row.count(s) == width for s, row in enumerate(rows)]
+    # A rejecting row whose present transitions all loop, such as the empty
+    # subset, is dead, so transitions into it are left out of the reverse lists.
+    trap = [False] * n
+    for s, row in enumerate(rows):
+        if s not in accepting:
+            for _, t in row:
+                if t != s:
+                    break
+            else:
+                trap[s] = True
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s, row in enumerate(rows):
-        for k, t in enumerate(row):
+        for k, t in row:
             if not trap[t]:
                 into[t].append((k, s))
     # Co-reachability. Every source of a transition into a live row is live,
@@ -319,43 +361,41 @@ def _canonical(events: list[str], rows: list[list[int]], accepting: set[int]) ->
                     block[s] = new
                 pending.append(new)
 
-    representative: dict[int, int] = {}
-    for i, b in enumerate(block):
-        representative.setdefault(b, i)
-
-    number: dict[int, int] = {block[0]: 0}
+    # Breadth-first renumbering. Lists indexed by block have one extra slot at
+    # the end for the dead block, which index -1 reaches: a missing event leads
+    # there, and the dead block is numbered when it is first reached.
+    number = [-1] * (len(first) + 1)
+    number[block[0]] = 0
     bfs = [block[0]]
-    qi = 0
-    while qi < len(bfs):
-        b = bfs[qi]
-        qi += 1
-        for k in range(len(events)):
-            nb = block[rows[representative[b]][k]]
-            if nb not in number:
-                number[nb] = len(bfs)
-                bfs.append(nb)
-    trans = tuple(
-        tuple(number[block[rows[representative[b]][k]]] for k in range(len(events))) for b in bfs
-    )
+    trans = []
+    for b in bfs:  # grows while it is walked
+        targets = [-1] * width
+        if b >= 0:
+            for k, t in rows[elems[first[b]]]:
+                targets[k] = block[t]
+        for c in targets:
+            if number[c] < 0:
+                number[c] = len(bfs)
+                bfs.append(c)
+        trans.append(tuple([number[c] for c in targets]))
     acc = frozenset(number[block[i]] for i in accepting)
-    sink = next(
-        (i for i in range(len(bfs)) if i not in acc and all(t == i for t in trans[i])),
-        None,
-    )
-    return CanonicalDfa(tuple(events), trans, acc, sink)
+    sink = number[-1] if number[-1] >= 0 else None
+    return CanonicalDfa(tuple(events), tuple(trans), acc, sink)
 
 
 @functools.lru_cache(maxsize=MINIMIZE_CACHE_SIZE)
 def minimize(machine: Nfa) -> CanonicalDfa:
     """Canonical minimal complete DFA for the machine's language.
 
-    Determinizes, merges language-equivalent states with Hopcroft's algorithm
-    over the live transitions, and renumbers breadth-first over
-    lexicographically sorted events. The result is a canonical form: equal
-    values exactly for equal languages over the machine's alphabet. The most
-    recent ``MINIMIZE_CACHE_SIZE`` results are cached.
+    Determinizes into a sparse table (see ``Rows``), merges
+    language-equivalent states with Hopcroft's algorithm over the live
+    transitions, and renumbers breadth-first over lexicographically sorted
+    events. The result is a canonical form: equal values exactly for equal
+    languages over the machine's alphabet. The most recent
+    ``MINIMIZE_CACHE_SIZE`` results are cached.
     """
-    return _canonical(*_subset_table(machine))
+    events, rows, accepting, _ = _subset_table(machine)
+    return _canonical(events, rows, accepting)
 
 
 def canonical_product(
@@ -365,21 +405,29 @@ def canonical_product(
 
     ``accept`` decides a product state from the acceptance of its two
     components: ``operator.and_`` gives the intersection of the languages,
-    ``operator.or_`` their union.
+    ``operator.or_`` their union. The table handed to ``_canonical`` is
+    sparse: a transition to a pair known to be dead is left out.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("canonical product needs aligned alphabets")
+    # A pair is known dead when one component is its machine's sink and no
+    # acceptance of the other component makes it accept, or when both are.
+    dead_a = a.sink if not (accept(False, False) or accept(False, True)) else None
+    dead_b = b.sink if not (accept(False, False) or accept(True, False)) else None
+    dead_both = (a.sink, b.sink) if not accept(False, False) else None
     index: dict[tuple[int, int], int] = {(0, 0): 0}
     order = [(0, 0)]
-    rows: list[list[int]] = []
+    rows: Rows = []
     for p, q in order:  # grows while it is walked
         row = []
-        for pair in zip(a.transitions[p], b.transitions[q]):
+        for k, pair in enumerate(zip(a.transitions[p], b.transitions[q])):
+            if pair[0] == dead_a or pair[1] == dead_b or pair == dead_both:
+                continue
             j = index.get(pair)
             if j is None:
                 j = index[pair] = len(order)
                 order.append(pair)
-            row.append(j)
+            row.append((k, j))
         rows.append(row)
     accepting = {
         i for i, (p, q) in enumerate(order) if accept(p in a.accepting, q in b.accepting)

@@ -11,13 +11,13 @@ from pathlib import Path
 
 import click
 
-from .automata import minimize
 from .ingest import (
     HidingConfig,
     NfaParseError,
     WorkspaceLoadError,
     build_pta,
     load_workspace,
+    minimal_pta,
     parse_log,
     parse_nfa,
     write_nfa,
@@ -190,9 +190,8 @@ def cmd_logs2nfa(log_file: str, output: str, do_minimize: bool) -> None:
     except OSError as exc:
         click.echo(f"{log_file}: {exc}", err=True)
         sys.exit(1)
-    machine = build_pta(parse_log(text))
-    if do_minimize:
-        machine = minimize(machine).to_nfa()
+    traces = parse_log(text)
+    machine = minimal_pta(traces).to_nfa() if do_minimize else build_pta(traces)
     _write(Path(output), write_nfa(machine))
 
 

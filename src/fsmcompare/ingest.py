@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .automata import Nfa, Trace, hide_events
+from .automata import CanonicalDfa, Nfa, Rows, Trace, _canonical, hide_events
 from .model_sets import ModelSet, Workspace
 
 _HEADER = ("nfa", "v1")
@@ -164,17 +164,17 @@ def parse_log(text: str) -> list[Trace]:
     return [tuple(line.split()) for line in text.splitlines()]
 
 
-def build_pta(traces: list[Trace]) -> Nfa:
-    """Prefix-tree acceptor accepting exactly the given trace set.
+def _prefix_tree(traces: list[Trace]) -> tuple[list[str], Rows, set[int]]:
+    """The prefix tree of the traces as a sparse table (see ``automata.Rows``).
 
-    State numbering follows a breadth-first walk of the tree with events in
-    lexicographic order, so the result does not depend on input order.
+    Returns (sorted events, rows, accepting rows). Rows are numbered by a
+    breadth-first walk of the tree with events in lexicographic order, so
+    the table does not depend on input order. Row 0 is the root, present
+    even when there are no traces.
     """
-    if not traces:
-        return Nfa.empty()
     # Tree nodes are ints in insertion order; children[node] maps event -> node.
     children: list[dict[str, int]] = [{}]
-    accepting_nodes: set[int] = set()
+    ends: set[int] = set()
     for trace in traces:
         node = 0
         for event in trace:
@@ -183,28 +183,49 @@ def build_pta(traces: list[Trace]) -> Nfa:
                 nxt = children[node][event] = len(children)
                 children.append({})
             node = nxt
-        accepting_nodes.add(node)
+        ends.add(node)
 
-    names = [""] * len(children)
-    names[0] = "s0"
-    order = [0]
+    events = sorted({e for kids in children for e in kids})
+    column = {event: k for k, event in enumerate(events)}
+    order = [0]  # the tree node of each row
+    row_of = [0] * len(children)
+    rows: Rows = []
     for node in order:  # grows while it is walked
-        for event in sorted(children[node]):
-            child = children[node][event]
-            names[child] = f"s{len(order)}"
+        row = []
+        for event, child in sorted(children[node].items()):
+            row_of[child] = len(order)
+            row.append((column[event], len(order)))
             order.append(child)
-    transitions = frozenset(
-        (names[parent], event, names[child])
-        for parent, kids in enumerate(children)
-        for event, child in kids.items()
-    )
+        rows.append(row)
+    return events, rows, {row_of[node] for node in ends}
+
+
+def build_pta(traces: list[Trace]) -> Nfa:
+    """Prefix-tree acceptor accepting exactly the given trace set.
+
+    State ``s<i>`` is row ``i`` of the prefix tree's breadth-first table, with
+    events in lexicographic order, so the result does not depend on input order.
+    """
+    if not traces:
+        return Nfa.empty()
+    events, rows, accepting = _prefix_tree(traces)
+    names = [f"s{i}" for i in range(len(rows))]
     return Nfa(
         frozenset(names),
-        frozenset(e for kids in children for e in kids),
-        transitions,
+        frozenset(events),
+        frozenset((names[i], events[k], names[j]) for i, row in enumerate(rows) for k, j in row),
         frozenset({"s0"}),
-        frozenset(names[node] for node in accepting_nodes),
+        frozenset(names[i] for i in accepting),
     )
+
+
+def minimal_pta(traces: list[Trace]) -> CanonicalDfa:
+    """Canonical minimal DFA of the trace set; equal to ``minimize(build_pta(traces))``.
+
+    Reduces the prefix tree's table directly, with no named machine and no
+    subset construction in between.
+    """
+    return _canonical(*_prefix_tree(traces))
 
 
 def load_workspace(root: Path | str, hiding: HidingConfig | None = None) -> Workspace:

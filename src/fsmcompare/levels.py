@@ -20,7 +20,6 @@ from .automata import (
     CanonicalDfa,
     Nfa,
     canonical_product,
-    has_behavior,
     minimize,
     with_alphabet,
 )
@@ -376,11 +375,10 @@ def _entity_partition(
     classes: list[tuple[CanonicalDfa, list[str]]] = []
     absent: list[str] = []
     for ms in workspace.model_sets:
-        machine = ms.models[entity]
-        if not has_behavior(machine):
+        key = minimize(with_alphabet(ms.models[entity], sigma))
+        if not key.accepting:
             absent.append(ms.name)
             continue
-        key = minimize(with_alphabet(machine, sigma))
         for existing, group in classes:
             if existing == key:
                 group.append(ms.name)

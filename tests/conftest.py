@@ -121,6 +121,54 @@ def oracle_accepts_with_insertions(machine: Nfa, fillers, trace) -> bool:
     return False
 
 
+def oracle_subset_table(machine: Nfa) -> tuple[list[str], list[list[int]], set[int]]:
+    """Complete subset construction: (events, rows, accepting ids).
+
+    Rows are numbered in breadth-first discovery order from the initial
+    subset, events in lexicographic order, and every event of every row has
+    a target: the empty subset is a row like any other.
+    """
+    events = sorted(machine.alphabet)
+    succ = _adjacency(machine)
+    start = frozenset(machine.initial)
+    index: dict[frozenset[str], int] = {start: 0}
+    order: list[frozenset[str]] = [start]
+    rows: list[list[int]] = []
+    for subset in order:  # grows while it is walked
+        row = []
+        for event in events:
+            nxt: set[str] = set()
+            for state in subset:
+                nxt |= succ.get((state, event), set())
+            frozen = frozenset(nxt)
+            j = index.get(frozen)
+            if j is None:
+                j = index[frozen] = len(order)
+                order.append(frozen)
+            row.append(j)
+        rows.append(row)
+    accepting = {i for i, subset in enumerate(order) if subset & machine.accepting}
+    return events, rows, accepting
+
+
+def complete_table(events, rows, accepting, dead=None):
+    """A sparse table (``automata.Rows``) as the complete table ``oracle_canonical`` takes.
+
+    Missing events lead to row ``dead``. Without one, they lead to a new
+    rejecting last row that loops on every event, added only when some
+    event is missing.
+    """
+    width = len(events)
+    if dead is None and any(len(row) < width for row in rows):
+        dead = len(rows)
+        rows = [*rows, []]
+    complete = []
+    for row in rows:
+        targets = dict(row)
+        complete.append([targets.get(k, dead) for k in range(width)])
+    return list(events), complete, set(accepting)
+
+
 def oracle_canonical(events: list[str], rows: list[list[int]], accepting: set[int]) -> CanonicalDfa:
     """Moore refinement: re-signature every row over every event until stable.
 

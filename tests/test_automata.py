@@ -21,6 +21,7 @@ from fsmcompare import (
     intersection,
     language_equivalent,
     language_included,
+    minimal_pta,
     minimize,
     union,
     with_alphabet,
@@ -30,11 +31,13 @@ from fsmcompare.automata import _canonical, _subset_table, canonical_product
 
 from conftest import (
     OracleBudgetExceeded,
+    complete_table,
     fig2_machines,
     oracle_accepts_with_insertions,
     oracle_canonical,
     oracle_compare,
     oracle_language,
+    oracle_subset_table,
     random_nfa,
     running_example_machines,
 )
@@ -214,23 +217,35 @@ class TestMinimize:
             assert has_behavior(machine) == bool(bounded_language(machine, bound))
 
 
-def random_table(rng: random.Random, max_rows: int = 12, max_events: int = 3):
-    """(events, rows) of a random complete DFA table, every row reachable from row 0."""
+def random_table(
+    rng: random.Random, max_rows: int = 12, max_events: int = 3, presence=1.0, loops=0.0
+):
+    """(events, sparse rows) of a random DFA table, every row reachable from row 0.
+
+    Each event of each row is present with probability ``presence``; with
+    ``loops`` > 0, that share of rows keeps only self-loops on its present events.
+    """
     k = rng.randint(0, max_events)
     n = rng.randint(1, max_rows)
-    raw = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+    raw = [
+        [(e, rng.randrange(n)) for e in range(k) if presence == 1.0 or rng.random() < presence]
+        for _ in range(n)
+    ]
+    for r in range(n):
+        if loops and rng.random() < loops:
+            raw[r] = [(e, r) for e, _ in raw[r]]
     index = {0: 0}
     order = [0]
     for r in order:  # grows while it is walked
-        for t in raw[r]:
+        for _, t in raw[r]:
             if t not in index:
                 index[t] = len(order)
                 order.append(t)
-    return [f"e{i}" for i in range(k)], [[index[t] for t in raw[r]] for r in order]
+    return [f"e{i}" for i in range(k)], [[(e, index[t]) for e, t in raw[r]] for r in order]
 
 
 def dead_rows(rows, accepting) -> int:
-    """How many rows reach no accepting row, by a forward search from each."""
+    """How many rows of a complete table reach no accepting row, by a forward search."""
     count = 0
     for start in range(len(rows)):
         seen = {start}
@@ -256,6 +271,72 @@ def with_trap(rng: random.Random, machine: Nfa) -> Nfa:
     )
 
 
+def seeded_nfas(seed: int, count: int):
+    """Random NFAs, some with a trap state, no initial state or no events, then Nfa.empty()."""
+    rng = random.Random(seed)
+    for i in range(count):
+        machine = random_nfa(rng, max_states=8, max_events=4)
+        if i % 3 == 0:
+            machine = with_trap(rng, machine)
+        if i % 7 == 0:
+            machine = replace(machine, initial=frozenset())
+        if i % 11 == 0:
+            machine = Nfa.build(
+                initial=machine.initial, accepting=machine.accepting, states=machine.states
+            )
+        yield machine
+    yield Nfa.empty()
+
+
+def complete_product(a, b, accept):
+    """The complete product table of two canonical DFAs, every pair reachable from (0, 0)."""
+    index = {(0, 0): 0}
+    order = [(0, 0)]
+    rows = []
+    for p, q in order:  # grows while it is walked
+        row = []
+        for pair in zip(a.transitions[p], b.transitions[q]):
+            if pair not in index:
+                index[pair] = len(order)
+                order.append(pair)
+            row.append(index[pair])
+        rows.append(row)
+    accepting = {i for i, (p, q) in enumerate(order) if accept(p in a.accepting, q in b.accepting)}
+    return list(a.alphabet), rows, accepting
+
+
+class TestSubsetTableAgainstOracle:
+    """The sparse subset table is the complete one with the empty subset's edges left out."""
+
+    def test_completing_with_the_empty_subsets_row_gives_the_oracle_table(self):
+        numbered_mid_row = 0
+        for machine in seeded_nfas(83, 400):
+            table = _subset_table(machine)
+            expected = oracle_subset_table(machine)
+            assert complete_table(*table) == expected
+            empty, rows = table[3], expected[1]
+            # Does the row that first reaches the empty subset discover more after it?
+            first = next((row for row in rows if empty in row), [])
+            numbered_mid_row += empty + 1 in first[first.index(empty) :] if first else 0
+        assert numbered_mid_row > 50
+
+    def test_determinize_equals_the_machine_of_the_oracle_table(self):
+        for machine in seeded_nfas(89, 200):
+            events, rows, accepting = oracle_subset_table(machine)
+            expected = Nfa(
+                frozenset(f"d{i}" for i in range(len(rows))),
+                machine.alphabet,
+                frozenset(
+                    (f"d{i}", event, f"d{t}")
+                    for i, row in enumerate(rows)
+                    for event, t in zip(events, row)
+                ),
+                frozenset({"d0"}),
+                frozenset(f"d{i}" for i in accepting),
+            )
+            assert determinize(machine) == expected
+
+
 class TestCanonicalAgainstMoore:
     """Hopcroft refinement must give exactly the Moore oracle's canonical DFA."""
 
@@ -264,9 +345,10 @@ class TestCanonicalAgainstMoore:
         with_dead_subsets = 0
         for _ in range(300):
             machine = with_trap(rng, random_nfa(rng, max_states=8, max_events=4))
-            table = _subset_table(machine)
-            with_dead_subsets += dead_rows(*table[1:]) > 1
-            assert _canonical(*table) == oracle_canonical(*table)
+            events, rows, accepting, _ = table = _subset_table(machine)
+            complete = complete_table(*table)
+            with_dead_subsets += dead_rows(*complete[1:]) > 1
+            assert _canonical(events, rows, accepting) == oracle_canonical(*complete)
         assert with_dead_subsets > 100
 
     def test_random_tables_with_none_some_or_all_rows_accepting(self):
@@ -276,11 +358,27 @@ class TestCanonicalAgainstMoore:
             some = {i for i in range(len(rows)) if rng.random() < 0.3}
             for accepting in (set(), some, set(range(len(rows)))):
                 table = (events, rows, accepting)
-                assert _canonical(*table) == oracle_canonical(*table)
+                assert _canonical(*table) == oracle_canonical(*complete_table(*table))
+
+    def test_random_partial_tables_with_self_loop_rows(self):
+        rng = random.Random(97)
+        rejecting_loops = accepting_loops = 0
+        for _ in range(400):
+            events, rows = random_table(rng, presence=rng.choice([0.3, 0.6, 0.9]), loops=0.25)
+            loops = {r for r, row in enumerate(rows) if row and all(t == r for _, t in row)}
+            some = {i for i in range(len(rows)) if rng.random() < 0.3}
+            for accepting in (set(), some, set(range(len(rows)))):
+                rejecting_loops += bool(loops - accepting)
+                accepting_loops += bool(loops & accepting)
+                table = (events, rows, accepting)
+                assert _canonical(*table) == oracle_canonical(*complete_table(*table))
+        assert rejecting_loops > 100 and accepting_loops > 100
 
     def test_empty_alphabet_and_empty_machine(self):
-        for table in (([], [[]], set()), ([], [[]], {0}), _subset_table(Nfa.empty())):
-            assert _canonical(*table) == oracle_canonical(*table)
+        events, rows, accepting, empty = _subset_table(Nfa.empty())
+        assert (rows, empty) == ([[]], 0)
+        for table in (([], [[]], set()), ([], [[]], {0}), (events, rows, accepting)):
+            assert _canonical(*table) == oracle_canonical(*complete_table(*table))
 
     def test_prefix_trees_of_random_logs(self):
         rng = random.Random(71)
@@ -290,15 +388,17 @@ class TestCanonicalAgainstMoore:
                 tuple(rng.choice(events) for _ in range(rng.randint(0, 12)))
                 for _ in range(rng.randint(1, 30))
             ]
-            table = _subset_table(build_pta(traces))
-            assert _canonical(*table) == oracle_canonical(*table)
+            expected = oracle_canonical(*oracle_subset_table(build_pta(traces)))
+            events, rows, accepting, _ = _subset_table(build_pta(traces))
+            assert _canonical(events, rows, accepting) == expected
+            assert minimal_pta(traces) == expected
 
     def test_product_tables_of_random_canonical_dfas(self, monkeypatch):
         checked = []
 
         def checked_canonical(events, rows, accepting):
             got = _canonical(events, rows, accepting)
-            assert got == oracle_canonical(events, rows, accepting)
+            assert got == oracle_canonical(*complete_table(events, rows, accepting))
             checked.append(got)
             return got
 
@@ -309,6 +409,26 @@ class TestCanonicalAgainstMoore:
             for accept in (operator.and_, operator.or_, lambda x, y: x and not y):
                 canonical_product(a, b, accept)
         assert len(checked) == 90
+
+    def test_products_equal_the_complete_product_table(self):
+        rng = random.Random(103)
+        operands = [minimize(with_alphabet(random_nfa(rng), "abcd")) for _ in range(40)]
+        operands += [minimize(with_alphabet(Nfa.empty(), "abcd"))]
+        operands += [minimize(Nfa.build([("s", e, "s") for e in "abcd"], ["s"], ["s"]))]
+        accepts_by_name = {
+            "and": operator.and_,
+            "or": operator.or_,
+            "difference": lambda x, y: x and not y,
+            "not x": lambda x, y: not x,
+            "xor": operator.ne,
+            "true": lambda x, y: True,
+            "false": lambda x, y: False,
+        }
+        for i, a in enumerate(operands):
+            for b in operands[i:]:
+                for accept in accepts_by_name.values():
+                    expected = oracle_canonical(*complete_product(a, b, accept))
+                    assert canonical_product(a, b, accept) == expected
 
     def test_long_trace_prefix_tree_minimizes_in_well_under_a_second(self):
         # Moore refinement takes one round per event of the trace here.

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,23 @@ class TestLogs2Nfa:
         reduced = parse_nfa(small.read_text())
         assert len(reduced.states) < len(full.states)
         assert bounded_language(reduced, 4) == bounded_language(full, 4)
+
+    def test_minimized_output_does_not_depend_on_hash_seed(self, tmp_path):
+        rng = random.Random(7)
+        events = [f"ev{i}" for i in range(12)]
+        log = tmp_path / "trace.log"
+        log.write_text(
+            "".join(
+                " ".join(rng.choice(events) for _ in range(rng.randint(0, 8))) + "\n"
+                for _ in range(60)
+            )
+        )
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"out{seed}.nfa"
+            run_in_subprocess(seed, "logs2nfa", log, out, "--minimize")
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\ntrans ") > 50 and outputs[0] == outputs[1]
 
     def test_unreadable_input_exits_one(self, tmp_path):
         result = run("logs2nfa", tmp_path / "missing.log", tmp_path / "out.nfa")

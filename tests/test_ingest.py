@@ -14,6 +14,8 @@ from fsmcompare import (
     has_behavior,
     language_equivalent,
     load_workspace,
+    minimal_pta,
+    minimize,
     parse_log,
     parse_nfa,
     write_nfa,
@@ -165,6 +167,32 @@ class TestBuildPta:
     def test_input_order_does_not_matter(self):
         traces = [("a", "b"), ("c",), ("a",)]
         assert build_pta(traces) == build_pta(list(reversed(traces)))
+
+
+class TestMinimalPta:
+    """The direct route from traces to the minimal DFA must match minimize(build_pta(...))."""
+
+    def test_edge_cases(self):
+        for traces in ([], [()], [(), ()], [("a",), ("a",)], [("b", "a"), ("a",), ("b", "a")]):
+            assert minimal_pta(traces) == minimize(build_pta(traces))
+
+    def test_seeded_logs(self):
+        rng = random.Random(101)
+        for _ in range(200):
+            events = "abcdefgh"[: rng.randint(1, 8)]
+            traces = [
+                tuple(rng.choice(events) for _ in range(rng.randint(0, 10)))
+                for _ in range(rng.randint(0, 40))
+            ]
+            traces += rng.sample(traces, len(traces) // 3)  # duplicates
+            assert minimal_pta(traces) == minimize(build_pta(traces))
+
+    def test_long_trace(self):
+        rng = random.Random(79)
+        traces = [tuple(rng.choice("abcdefgh") for _ in range(5000))]
+        canonical = minimal_pta(traces)
+        assert canonical.num_states == 5002  # 5,001 tree nodes and the sink
+        assert canonical == minimize(build_pta(traces))
 
 
 class TestHidingConfig:
