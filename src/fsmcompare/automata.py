@@ -8,7 +8,6 @@ one would expect.
 
 from __future__ import annotations
 
-import functools
 import operator
 import unicodedata
 from dataclasses import dataclass, replace
@@ -18,10 +17,6 @@ Trace = tuple[str, ...]
 
 #: Default search-tree cap for bounded_language.
 DEFAULT_ENUMERATION_CAP = 100_000
-
-#: Results kept by minimize's least-recently-used cache, so that a long-lived
-#: process does not keep every machine it has seen.
-MINIMIZE_CACHE_SIZE = 1024
 
 
 class EnumerationCapExceeded(ValueError):
@@ -383,7 +378,6 @@ def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalD
     return CanonicalDfa(tuple(events), tuple(trans), acc, sink)
 
 
-@functools.lru_cache(maxsize=MINIMIZE_CACHE_SIZE)
 def minimize(machine: Nfa) -> CanonicalDfa:
     """Canonical minimal complete DFA for the machine's language.
 
@@ -391,8 +385,8 @@ def minimize(machine: Nfa) -> CanonicalDfa:
     language-equivalent states with Hopcroft's algorithm over the live
     transitions, and renumbers breadth-first over lexicographically sorted
     events. The result is a canonical form: equal values exactly for equal
-    languages over the machine's alphabet. The most recent
-    ``MINIMIZE_CACHE_SIZE`` results are cached.
+    languages over the machine's alphabet. Nothing is cached: the levels
+    minimize each distinct model once per run into their language tables.
     """
     events, rows, accepting, _ = _subset_table(machine)
     return _canonical(events, rows, accepting)

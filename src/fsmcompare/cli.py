@@ -75,7 +75,9 @@ def main() -> None:
 @click.option("--attenuation", default=0.5, show_default=True)
 @click.option("--landmark-fraction", default=0.25, show_default=True)
 @click.option("--landmark-ratio", default=1.5, show_default=True)
-@click.option("--node-cap", default=DEFAULT_NODE_CAP, show_default=True)
+@click.option(
+    "--node-cap", default=DEFAULT_NODE_CAP, show_default=True, type=click.IntRange(min=1)
+)
 @click.option("--entity", default=None, help="Restrict levels 5/6 to one entity.")
 @click.option("--from", "from_variant", default=None, help="Level-6 source variant.")
 @click.option("--to", "to_variant", default=None, help="Level-6 target variant.")

@@ -4,17 +4,21 @@ Levels 1-3 compare whole model sets: behavior variants, the variant lattice
 completed under union/intersection, and the pairwise difference matrix.
 Levels 4-6 do the same per entity, ending in annotated structural diffs.
 
-Both lattices are completed by one closure over interned languages: each
-distinct language of an entity is a small int with memoized meet
-(intersection) and join (union). A level-2 node is a vector of such ints,
-one per entity; a level-5 node is a vector of length one.
+Every level reads the per-entity models through one language table per
+entity, built over the entity's workspace alphabet when the entity is first
+used: each distinct model is minimized once into it and becomes a small int,
+so equal ints mean equal languages. ``build_bundle`` shares one dict of these
+tables across the levels of a run (the ``languages`` keyword); a level called
+alone builds its own. Both lattices are completed by one closure over these
+ints with memoized meet (intersection) and join (union). A level-2 node is a
+vector of such ints, one per entity; a level-5 node is a vector of length one.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .automata import (
     CanonicalDfa,
@@ -58,11 +62,14 @@ class VariantPartition:
 
     ``entity`` is None for the model-set scope. ``absent`` lists members whose
     model has no behavior (entity scope only); they receive no letter.
+    ``workspace`` is the workspace level 1 read the classes from, whose
+    entity alphabets ``level2`` closes over; it takes no part in equality.
     """
 
     entity: str | None
     classes: tuple[VariantClass, ...]
     absent: tuple[str, ...] = ()
+    workspace: Workspace | None = field(default=None, compare=False, repr=False)
 
     def label_of(self, member: str) -> str:
         for cls in self.classes:
@@ -98,7 +105,7 @@ class LatticeEdge:
     removed_transitions: int | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lattice:
     """Variant nodes closed under union/intersection, with cover edges.
 
@@ -142,46 +149,6 @@ def heat_class(value: int, max_value: int) -> int:
     return min(4, (5 * value) // max_value)
 
 
-def _entity_alphabet(workspace: Workspace, entity: str) -> frozenset[str]:
-    return frozenset().union(*(ms.models[entity].alphabet for ms in workspace.model_sets))
-
-
-def _entity_keys(workspace: Workspace) -> dict[str, dict[str, CanonicalDfa]]:
-    """Canonical per-entity language keys, aligned on the entity's alphabet."""
-    ctx = {e: _entity_alphabet(workspace, e) for e in workspace.entities}
-    keys: dict[str, dict[str, CanonicalDfa]] = {}
-    for ms in workspace.model_sets:
-        keys[ms.name] = {
-            e: minimize(with_alphabet(ms.models[e], ctx[e])) for e in workspace.entities
-        }
-    return keys
-
-
-def level1(workspace: Workspace) -> VariantPartition:
-    """Model set behavior variants, lettered by first occurrence."""
-    keys = _entity_keys(workspace)
-    classes: list[tuple[tuple, list[str]]] = []
-    for ms in workspace.model_sets:
-        key = tuple(keys[ms.name][e] for e in workspace.entities)
-        for existing, members in classes:
-            if existing == key:
-                members.append(ms.name)
-                break
-        else:
-            classes.append((key, [ms.name]))
-    return VariantPartition(
-        entity=None,
-        classes=tuple(
-            VariantClass(
-                variant_letters(i),
-                tuple(members),
-                workspace.model_set(members[0]),
-            )
-            for i, (_, members) in enumerate(classes)
-        ),
-    )
-
-
 _MEET, _JOIN = operator.and_, operator.or_
 
 
@@ -189,18 +156,24 @@ class _Languages:
     """The distinct languages of one entity, interned as small ints.
 
     Each int holds its canonical DFA over the entity's alphabet, so equal
-    ints mean equal languages. Meet and join are canonical DFA products,
-    computed once per unordered pair; ``x <= y`` iff ``meet(x, y) == x``.
+    ints mean equal languages. Each distinct machine is minimized once, and
+    meet and join are canonical DFA products, computed once per unordered
+    pair; ``x <= y`` iff ``meet(x, y) == x``.
     """
 
     def __init__(self, alphabet: frozenset[str]) -> None:
         self.alphabet = alphabet
         self.dfas: list[CanonicalDfa] = []
         self._ids: dict[CanonicalDfa, int] = {}
+        self._machines: dict[Nfa, int] = {}
         self._memo: dict[tuple, int] = {}
 
     def intern(self, machine: Nfa) -> int:
-        return self._intern(minimize(with_alphabet(machine, self.alphabet)))
+        x = self._machines.get(machine)
+        if x is None:
+            dfa = minimize(with_alphabet(machine, self.alphabet))
+            x = self._machines[machine] = self._intern(dfa)
+        return x
 
     def _intern(self, dfa: CanonicalDfa) -> int:
         x = self._ids.get(dfa)
@@ -226,6 +199,50 @@ class _Languages:
 
     def nonempty(self, x: int) -> bool:
         return bool(self.dfas[x].accepting)
+
+
+def _table(workspace: Workspace, languages: dict[str, _Languages], entity: str) -> _Languages:
+    """The entity's table in ``languages``, added on first use over its workspace alphabet."""
+    if entity not in languages:
+        models = (ms.models[entity] for ms in workspace.model_sets)
+        languages[entity] = _Languages(frozenset().union(*(m.alphabet for m in models)))
+    return languages[entity]
+
+
+def _ids(workspace: Workspace, languages: dict[str, _Languages], entity: str) -> list[int]:
+    """The language of each model set's model of ``entity``, in model-set order."""
+    lang = _table(workspace, languages, entity)
+    return [lang.intern(ms.models[entity]) for ms in workspace.model_sets]
+
+
+def _classes(workspace: Workspace, keys: list, representatives: list) -> tuple[VariantClass, ...]:
+    """Model sets grouped by equal key in first-occurrence order; None keys are left out.
+
+    Keys and representatives are given per model set; a class is represented
+    by its first member's.
+    """
+    groups: dict[object, list[int]] = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    names = [ms.name for ms in workspace.model_sets]
+    return tuple(
+        VariantClass(variant_letters(n), tuple(names[i] for i in group), representatives[group[0]])
+        for n, group in enumerate(groups.values())
+    )
+
+
+def level1(workspace: Workspace, *, languages: dict | None = None) -> VariantPartition:
+    """Model set behavior variants, lettered by first occurrence.
+
+    ``languages``, here and at the other levels, is a run's dict of language
+    tables (see the module docstring).
+    """
+    languages = {} if languages is None else languages
+    columns = [_ids(workspace, languages, e) for e in workspace.entities]
+    keys = [tuple(column[i] for column in columns) for i in range(len(workspace.model_sets))]
+    classes = _classes(workspace, keys, workspace.model_sets)
+    return VariantPartition(None, classes, workspace=workspace)
 
 
 def _fifo_pairs(nodes: list):
@@ -309,20 +326,21 @@ def _nodes(partition: VariantPartition, payloads: list, sizes: list[int]) -> tup
     return nodes, dict(zip(labels, payloads))
 
 
-def level2(partition: VariantPartition, *, node_cap: int = DEFAULT_NODE_CAP) -> Lattice:
+def level2(
+    partition: VariantPartition, *, node_cap: int = DEFAULT_NODE_CAP, languages: dict | None = None
+) -> Lattice:
     """Complete the model-set variant order into a lattice.
 
     Nodes are labeled with the number of entities that have behavior; cover
-    edges with (changed, newly_present) entity counts.
+    edges with (changed, newly_present) entity counts. Computed nodes are
+    over the entity alphabets of the workspace the partition was read from.
     """
-    if partition.entity is not None:
+    if partition.entity is not None or partition.workspace is None:
         raise ValueError("level2 expects the model-set scope partition of level1")
     reps: list[ModelSet] = [cls.representative for cls in partition.classes]
     entities = reps[0].entities() if reps else ()
-    languages = [
-        _Languages(frozenset().union(*(rep.models[e].alphabet for rep in reps)))
-        for e in entities
-    ]
+    shared = {} if languages is None else languages
+    languages = [_table(partition.workspace, shared, e) for e in entities]
     observed = [
         tuple(lang.intern(rep.models[e]) for lang, e in zip(languages, entities)) for rep in reps
     ]
@@ -353,79 +371,51 @@ def level2(partition: VariantPartition, *, node_cap: int = DEFAULT_NODE_CAP) -> 
     return Lattice(None, tuple(nodes), tuple(edges), payloads_by_label)
 
 
-def level3(workspace: Workspace) -> DiffMatrix:
+def level3(workspace: Workspace, *, languages: dict | None = None) -> DiffMatrix:
     """Counts of entities with different behavior, for every model-set pair."""
-    keys = _entity_keys(workspace)
+    languages = {} if languages is None else languages
+    columns = [_ids(workspace, languages, e) for e in workspace.entities]
     names = tuple(ms.name for ms in workspace.model_sets)
-    cells = []
-    for i, si in enumerate(names):
-        row = []
-        for sj in names[i + 1 :]:
-            row.append(sum(1 for e in workspace.entities if keys[si][e] != keys[sj][e]))
-        cells.append(tuple(row))
+    cells = tuple(
+        tuple(sum(column[i] != column[j] for column in columns) for j in range(i + 1, len(names)))
+        for i in range(len(names))
+    )
     max_value = max((v for row in cells for v in row), default=0)
     heat = tuple(tuple(heat_class(v, max_value) for v in row) for row in cells)
-    return DiffMatrix(names, tuple(cells), heat)
+    return DiffMatrix(names, cells, heat)
 
 
-def _entity_partition(
-    workspace: Workspace, entity: str, sigma: frozenset[str]
-) -> VariantPartition:
-    """One entity's level-4 partition; ``sigma`` is the entity's alphabet."""
-    classes: list[tuple[CanonicalDfa, list[str]]] = []
-    absent: list[str] = []
-    for ms in workspace.model_sets:
-        key = minimize(with_alphabet(ms.models[entity], sigma))
-        if not key.accepting:
-            absent.append(ms.name)
-            continue
-        for existing, group in classes:
-            if existing == key:
-                group.append(ms.name)
-                break
-        else:
-            classes.append((key, [ms.name]))
-    return VariantPartition(
-        entity=entity,
-        classes=tuple(
-            VariantClass(
-                variant_letters(i),
-                tuple(group),
-                workspace.model_set(group[0]).models[entity],
-            )
-            for i, (_, group) in enumerate(classes)
-        ),
-        absent=tuple(absent),
-    )
+def _entity_partition(workspace: Workspace, entity: str, languages: dict) -> VariantPartition:
+    """One entity's level-4 partition, read from its table in ``languages``."""
+    ids = _ids(workspace, languages, entity)
+    keys = [x if languages[entity].nonempty(x) else None for x in ids]
+    absent = tuple(ms.name for ms, key in zip(workspace.model_sets, keys) if key is None)
+    models = [ms.models[entity] for ms in workspace.model_sets]
+    return VariantPartition(entity, _classes(workspace, keys, models), absent)
 
 
-def level4(workspace: Workspace) -> dict[str, VariantPartition]:
+def level4(workspace: Workspace, *, languages: dict | None = None) -> dict[str, VariantPartition]:
     """Per-entity model variants; models without behavior are marked absent."""
-    return {
-        e: _entity_partition(workspace, e, _entity_alphabet(workspace, e))
-        for e in workspace.entities
-    }
+    languages = {} if languages is None else languages
+    return {e: _entity_partition(workspace, e, languages) for e in workspace.entities}
 
 
 def _entity_lattice(
-    workspace: Workspace, entity: str, partition: VariantPartition | None, node_cap: int
-) -> Lattice:
-    """The entity's level-5 nodes, payloads and cover edges; edges unlabeled."""
+    workspace: Workspace, entity: str, node_cap: int, languages: dict | None
+) -> tuple[list[LatticeNode], dict[str, Nfa], list[tuple[str, str]]]:
+    """The entity's level-5 nodes, payloads by label, and cover edges as label pairs."""
     if entity not in workspace.entities:
         raise KeyError(entity)
-    sigma = _entity_alphabet(workspace, entity)
-    if partition is None:
-        partition = _entity_partition(workspace, entity, sigma)
-    lang = _Languages(sigma)
+    languages = {} if languages is None else languages
+    partition = _entity_partition(workspace, entity, languages)
+    lang = languages[entity]
     observed = [(lang.intern(cls.representative),) for cls in partition.classes]
     vectors = _close(observed, [lang], node_cap)
     payloads = [cls.representative for cls in partition.classes]
     payloads += [lang.dfas[x].to_nfa() for (x,) in vectors[len(payloads) :]]
     nodes, payloads_by_label = _nodes(partition, payloads, [len(p.transitions) for p in payloads])
-    edges = [
-        LatticeEdge(nodes[i].variant, nodes[j].variant) for i, j in _cover_edges(vectors, [lang])
-    ]
-    return Lattice(entity, tuple(nodes), tuple(edges), payloads_by_label)
+    covers = [(nodes[i].variant, nodes[j].variant) for i, j in _cover_edges(vectors, [lang])]
+    return nodes, payloads_by_label, covers
 
 
 def level5(
@@ -434,31 +424,29 @@ def level5(
     params: DiffParams | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    partition: VariantPartition | None = None,
+    languages: dict | None = None,
 ) -> Lattice:
     """Entity model variant lattice with structural edge labels.
 
     Nodes are labeled with the transition count of their representative;
     edges with the added/removed transition counts of the structural diff
     between the lower and upper representatives, which ``diffs`` keeps.
-    ``partition`` is the entity's level-4 partition when the caller has it.
     """
     params = params or DiffParams()
-    lattice = _entity_lattice(workspace, entity, partition, node_cap)
+    nodes, payloads, covers = _entity_lattice(workspace, entity, node_cap, languages)
+    diffs = {(a, b): diff(payloads[a], payloads[b], params) for a, b in covers}
     edges = []
-    for edge in lattice.edges:
-        machine = diff(lattice.payloads[edge.lower], lattice.payloads[edge.upper], params)
-        lattice.diffs[(edge.lower, edge.upper)] = machine
+    for (lower, upper), machine in diffs.items():
         stats = diff_stats(machine)
         edges.append(
-            replace(
-                edge,
+            LatticeEdge(
+                lower,
+                upper,
                 added_transitions=stats.added_transitions,
                 removed_transitions=stats.removed_transitions,
             )
         )
-    lattice.edges = tuple(edges)
-    return lattice
+    return Lattice(entity, tuple(nodes), tuple(edges), payloads, diffs)
 
 
 def level6(
@@ -470,6 +458,7 @@ def level6(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
     lattice: Lattice | None = None,
+    languages: dict | None = None,
 ) -> DiffMachine:
     """Structural diff between two level-5 variants of one entity.
 
@@ -478,11 +467,13 @@ def level6(
     """
     params = params or DiffParams()
     if lattice is None:
-        lattice = _entity_lattice(workspace, entity, None, node_cap)
+        payloads, diffs = _entity_lattice(workspace, entity, node_cap, languages)[1], {}
+    else:
+        payloads, diffs = lattice.payloads, lattice.diffs
     try:
-        source = lattice.payloads[from_variant]
-        target = lattice.payloads[to_variant]
+        source = payloads[from_variant]
+        target = payloads[to_variant]
     except KeyError as exc:
         raise KeyError(f"variant {exc.args[0]!r} does not exist at entity {entity!r}") from exc
-    machine = lattice.diffs.get((from_variant, to_variant))
+    machine = diffs.get((from_variant, to_variant))
     return machine if machine is not None else diff(source, target, params)

@@ -52,18 +52,6 @@ class Workspace:
         raise KeyError(name)
 
 
-def complete_mapping(
-    partial: Mapping[str, Nfa], entities: tuple[str, ...] | frozenset[str], name: str = ""
-) -> ModelSet:
-    """Extend a partial mapping to a total one using the empty machine."""
-    entity_set = set(entities)
-    unknown = set(partial) - entity_set
-    if unknown:
-        raise ValueError(f"unknown entities in mapping: {sorted(unknown)}")
-    models = {e: partial.get(e, Nfa.empty()) for e in entity_set}
-    return ModelSet(name, models)
-
-
 def _check_same_entities(s1: ModelSet, s2: ModelSet) -> tuple[str, ...]:
     e1, e2 = s1.entities(), s2.entities()
     if e1 != e2:

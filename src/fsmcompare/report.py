@@ -38,7 +38,7 @@ class Level6Entry:
     machine: DiffMachine
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReportBundle:
     """Everything one comparison run produced, ready for serialization."""
 
@@ -67,65 +67,63 @@ def build_bundle(
 
     Levels 5 and 6 cover the selected entity, or every entity with at least
     two variants when none is selected. Level 6 emits the diff for each
-    level-5 cover edge unless a specific variant pair is requested.
+    level-5 cover edge unless a specific variant pair is requested. All
+    levels share one dict of language tables, so each distinct model of an
+    entity is minimized once in the run.
     """
     params = params or DiffParams()
     wanted = set(levels)
-    bundle = ReportBundle(
-        meta=dict(meta or {}),
-        model_set_names=tuple(ms.name for ms in workspace.model_sets),
-    )
+    languages: dict = {}
 
-    partition = level1(workspace) if wanted & {1, 2} else None
-    if 1 in wanted:
-        bundle.level1 = partition
-    if 2 in wanted:
-        bundle.level2 = level2(partition, node_cap=node_cap)
-    if 3 in wanted:
-        bundle.level3 = level3(workspace)
+    partition = level1(workspace, languages=languages) if wanted & {1, 2} else None
+    lattice2 = level2(partition, node_cap=node_cap, languages=languages) if 2 in wanted else None
+    matrix = level3(workspace, languages=languages) if 3 in wanted else None
 
     targeted = entity is not None and from_variant is not None and to_variant is not None
     # A targeted level-6 query needs neither level 4 nor the edge diffs.
-    per_entity = level4(workspace) if 4 in wanted or (entity is None and wanted & {5, 6}) else None
-    if 4 in wanted:
-        bundle.level4 = per_entity
+    per_entity = None
+    if 4 in wanted or (entity is None and wanted & {5, 6}):
+        per_entity = level4(workspace, languages=languages)
+    lattices: dict = {}
+    entries: list[Level6Entry] = []
     if wanted & {5, 6}:
         if entity is not None:
             selected = [entity]
         else:
             selected = [e for e in workspace.entities if len(per_entity[e].classes) >= 2]
-        lattices = {}
         if 5 in wanted or not targeted:
             lattices = {
-                e: level5(
-                    workspace, e, params, node_cap=node_cap, partition=(per_entity or {}).get(e)
-                )
+                e: level5(workspace, e, params, node_cap=node_cap, languages=languages)
                 for e in selected
             }
-        if 5 in wanted:
-            bundle.level5 = lattices
-        if 6 in wanted:
-            entries: list[Level6Entry] = []
-            if targeted:
-                machine = level6(
-                    workspace,
-                    entity,
-                    from_variant,
-                    to_variant,
-                    params,
-                    node_cap=node_cap,
-                    lattice=lattices.get(entity),
-                )
-                entries.append(Level6Entry(entity, from_variant, to_variant, machine))
-            else:
-                # One entry per cover edge, reusing the diffs behind its label.
-                for e in selected:
-                    lattice = lattices[e]
-                    for edge in lattice.edges:
-                        machine = lattice.diffs[(edge.lower, edge.upper)]
-                        entries.append(Level6Entry(e, edge.lower, edge.upper, machine))
-            bundle.level6 = tuple(entries)
-    return bundle
+        if 6 in wanted and targeted:
+            machine = level6(
+                workspace,
+                entity,
+                from_variant,
+                to_variant,
+                params,
+                node_cap=node_cap,
+                lattice=lattices.get(entity),
+                languages=languages,
+            )
+            entries.append(Level6Entry(entity, from_variant, to_variant, machine))
+        elif 6 in wanted:
+            # One entry per cover edge, reusing the diffs behind its label.
+            for e in selected:
+                for edge in lattices[e].edges:
+                    machine = lattices[e].diffs[(edge.lower, edge.upper)]
+                    entries.append(Level6Entry(e, edge.lower, edge.upper, machine))
+    return ReportBundle(
+        meta=dict(meta or {}),
+        model_set_names=tuple(ms.name for ms in workspace.model_sets),
+        level1=partition if 1 in wanted else None,
+        level2=lattice2,
+        level3=matrix,
+        level4=per_entity if 4 in wanted else None,
+        level5=lattices if 5 in wanted else None,
+        level6=tuple(entries) if 6 in wanted else None,
+    )
 
 
 def default_meta(

@@ -377,6 +377,26 @@ def random_nfa(
     )
 
 
+def random_workspace(rng, n_sets=4, n_entities=4, max_states=5):
+    """Random sets of small sparse machines; alphabets differ between sets."""
+    entities = tuple(f"e{i}" for i in range(rng.randint(1, n_entities)))
+    sets = []
+    for i in range(rng.randint(1, n_sets)):
+        models = {e: random_nfa(rng, max_states=max_states, max_events=2) for e in entities}
+        sets.append(ModelSet(f"m{i}", models))
+    return Workspace(entities, tuple(sets))
+
+
+def dense_workspace(rng, n_sets, n_entities):
+    """Denser machines than random_workspace, so closures compute nodes."""
+    entities = tuple(f"e{i}" for i in range(n_entities))
+    sets = []
+    for i in range(n_sets):
+        models = {e: random_nfa(rng, max_states=4, max_events=2, density=2.0) for e in entities}
+        sets.append(ModelSet(f"m{i}", models))
+    return Workspace(entities, tuple(sets))
+
+
 def _cycle(*steps):
     return Nfa.build(transitions=list(steps), initial=["s1"], accepting=["s1"])
 

@@ -206,9 +206,6 @@ class TestMinimize:
             a_only, b_only = oracle_compare(a, b, 12)
             assert same == (not a_only and not b_only)
 
-    def test_cache_is_bounded(self):
-        assert minimize.cache_info().maxsize is not None
-
     def test_pumping_bound_for_behavior(self):
         rng = random.Random(5)
         for _ in range(60):

@@ -88,6 +88,17 @@ class TestCompare:
         assert result.exit_code == 2
         assert "node cap" in result.output
 
+    def test_node_cap_below_one_is_a_bad_parameter(self, running_example_dir, tmp_path):
+        for cap in ("0", "-3"):
+            out = tmp_path / f"out{cap}"
+            result = run(
+                "compare", "--input", running_example_dir, "--output", out, "--node-cap", cap
+            )
+            assert result.exit_code == 2
+            assert "Invalid value for '--node-cap'" in result.output
+            assert "node cap of" not in result.output
+            assert not out.exists()
+
     def test_entity_and_variant_selection(self, running_example_dir, tmp_path):
         out = tmp_path / "out"
         result = run(

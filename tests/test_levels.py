@@ -10,6 +10,7 @@ from fsmcompare import (
     DiffParams,
     LatticeCapExceeded,
     ModelSet,
+    Nfa,
     Workspace,
     diff_entity_counts,
     diff_stats,
@@ -33,16 +34,7 @@ from fsmcompare import (
     with_alphabet,
 )
 
-from conftest import random_nfa
-
-
-def random_workspace(rng, n_sets=4, n_entities=4, max_states=5):
-    entities = tuple(f"e{i}" for i in range(rng.randint(1, n_entities)))
-    sets = []
-    for i in range(rng.randint(1, n_sets)):
-        models = {e: random_nfa(rng, max_states=max_states, max_events=2) for e in entities}
-        sets.append(ModelSet(f"m{i}", models))
-    return Workspace(entities, tuple(sets))
+from conftest import dense_workspace, random_workspace
 
 
 class TestVariantLetters:
@@ -365,14 +357,23 @@ def naive_lattice(observed, meet, join, included, node_cap):
     return kinds, payloads, edges
 
 
-def dense_workspace(rng, n_sets, n_entities):
-    """Denser machines than random_workspace, so closures compute nodes."""
-    entities = tuple(f"e{i}" for i in range(n_entities))
-    sets = []
-    for i in range(n_sets):
-        models = {e: random_nfa(rng, max_states=4, max_events=2, density=2.0) for e in entities}
-        sets.append(ModelSet(f"m{i}", models))
-    return Workspace(entities, tuple(sets))
+def entity_alphabet(ws, entity):
+    return frozenset().union(*(ms.models[entity].alphabet for ms in ws.model_sets))
+
+
+def unused_event_workspace():
+    """m0 and m1 have the same languages, but m1's e0 declares the unused event z.
+
+    Level 1 puts them in one class with m0 as its representative, so the
+    representatives' alphabets leave z out while the workspace's has it.
+    """
+    ab = [("s0", "a", "s1"), ("s1", "b", "s0")]
+    e0 = Nfa.build(ab, initial=["s0"], accepting=["s0"])
+    e0_z = Nfa.build(ab, initial=["s0"], accepting=["s0"], alphabet=["a", "b", "z"])
+    a_star = Nfa.build([("s0", "a", "s0")], initial=["s0"], accepting=["s0"])
+    e1 = Nfa.build([("s0", "c", "s0")], initial=["s0"], accepting=["s0"])
+    models = [{"e0": e0, "e1": e1}, {"e0": e0_z, "e1": e1}, {"e0": a_star, "e1": e1}]
+    return Workspace(("e0", "e1"), tuple(ModelSet(f"m{i}", m) for i, m in enumerate(models)))
 
 
 def assert_same_cap(build, naive, observed_count, node_count):
@@ -388,8 +389,8 @@ def assert_same_cap(build, naive, observed_count, node_count):
 class TestClosureAgainstNaiveOracle:
     def test_level2_matches_naive_closure(self):
         rng = random.Random(59)
-        for _ in range(15):
-            ws = dense_workspace(rng, n_sets=4, n_entities=2)
+        workspaces = [dense_workspace(rng, n_sets=4, n_entities=2) for _ in range(15)]
+        for ws in workspaces + [unused_event_workspace()]:
             partition = level1(ws)
             reps = [cls.representative for cls in partition.classes]
 
@@ -416,13 +417,17 @@ class TestClosureAgainstNaiveOracle:
             assert_same_cap(
                 lambda cap: level2(partition, node_cap=cap), naive, len(reps), len(payloads)
             )
+            # Computed payloads are over each entity's workspace alphabet.
+            for node in lattice.nodes[len(reps) :]:
+                for e, machine in lattice.payloads[node.variant].models.items():
+                    assert machine.alphabet == entity_alphabet(ws, e)
 
     def test_level5_matches_naive_closure(self):
         rng = random.Random(61)
         for _ in range(15):
             ws = dense_workspace(rng, n_sets=5, n_entities=2)
             for entity in ws.entities:
-                sigma = frozenset().union(*(ms.models[entity].alphabet for ms in ws.model_sets))
+                sigma = entity_alphabet(ws, entity)
                 reps = [cls.representative for cls in level4(ws)[entity].classes]
 
                 def naive(cap):

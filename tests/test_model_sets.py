@@ -8,7 +8,6 @@ from fsmcompare import (
     ModelSet,
     Nfa,
     Workspace,
-    complete_mapping,
     diff_entity_counts,
     language_included,
     model_set_equivalent,
@@ -24,25 +23,6 @@ MACHINES = running_example_machines()
 
 def model_set(name):
     return ModelSet(name, MACHINES[name])
-
-
-class TestCompleteMapping:
-    def test_unmapped_entity_gets_empty_machine(self):
-        partial = {e: m for e, m in MACHINES["S4"].items() if e != "E4"}
-        ms = complete_mapping(partial, ("E1", "E2", "E3", "E4"), name="S4")
-        assert ms.models["E4"] == Nfa.empty()
-
-    def test_total_mapping_is_unchanged(self):
-        ms = complete_mapping(MACHINES["S1"], ("E1", "E2", "E3", "E4"))
-        assert ms.models == MACHINES["S1"]
-
-    def test_empty_partial(self):
-        ms = complete_mapping({}, ("E1",))
-        assert ms.models == {"E1": Nfa.empty()}
-
-    def test_rejects_unknown_entities(self):
-        with pytest.raises(ValueError):
-            complete_mapping({"E9": Nfa.empty()}, ("E1",))
 
 
 class TestLiftedComparisons:
@@ -81,7 +61,7 @@ class TestUnionIntersection:
 
     def test_intersection_with_all_empty(self):
         entities = ("E1", "E2", "E3", "E4")
-        bottom = complete_mapping({}, entities, name="none")
+        bottom = ModelSet("none", {e: Nfa.empty() for e in entities})
         result = model_set_intersection(model_set("S1"), bottom)
         assert model_set_equivalent(result, bottom)
 

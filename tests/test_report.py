@@ -1,9 +1,25 @@
 """Serialization tests: JSON stability, DOT structure and grammar, CSV layout."""
 
 import json
+import random
 import re
 
-from fsmcompare import Change, DiffParams, build_bundle, diff, level3, level4, to_json
+from fsmcompare import (
+    Change,
+    DiffParams,
+    ModelSet,
+    Workspace,
+    build_bundle,
+    diff,
+    level1,
+    level2,
+    level3,
+    level4,
+    level5,
+    level6,
+    minimize,
+    to_json,
+)
 from fsmcompare.report import (
     default_meta,
     diff_to_dot,
@@ -12,7 +28,7 @@ from fsmcompare.report import (
     matrix_to_csv,
 )
 
-from conftest import fig2_machines
+from conftest import fig2_machines, random_workspace, running_example_machines
 
 _TOKEN = re.compile(
     r'\s*(?:("(?:[^"\\]|\\.)*")|(->)|([{}\[\]=,;])|([A-Za-z0-9_.]+))'
@@ -225,3 +241,48 @@ class TestBuildBundle:
         calls.clear()
         build_bundle(running_example, levels=(6,), entity="E2", from_variant="D", to_variant="A")
         assert len(calls) == 1
+
+    def test_each_distinct_model_is_minimized_once(self, running_example, monkeypatch):
+        import fsmcompare.levels
+
+        calls = []
+
+        def counting_minimize(machine):
+            calls.append(machine)
+            return minimize(machine)
+
+        def distinct_models(ws, entities):
+            return {(e, ms.models[e]) for ms in ws.model_sets for e in entities}
+
+        monkeypatch.setattr(fsmcompare.levels, "minimize", counting_minimize)
+        # S5's models are equal to S1's, built anew.
+        copy = ModelSet("S5", running_example_machines()["S1"])
+        shared = Workspace(running_example.entities, running_example.model_sets + (copy,))
+        every = (1, 2, 3, 4, 5, 6)
+        for ws in (running_example, shared):
+            calls.clear()
+            build_bundle(ws, levels=every)
+            assert len(calls) == len(distinct_models(ws, ws.entities))
+        assert len(distinct_models(shared, shared.entities)) == len(
+            distinct_models(running_example, running_example.entities)
+        )
+
+        # A targeted query interns only its entity's models, and shares them.
+        query = {"entity": "E2", "from_variant": "D", "to_variant": "A"}
+        for levels, entities in (((6,), ("E2",)), ((1, 4, 6), running_example.entities)):
+            calls.clear()
+            build_bundle(running_example, levels=levels, **query)
+            assert len(calls) == len(distinct_models(running_example, entities))
+
+    def test_standalone_levels_equal_bundled_levels(self, running_example):
+        rng = random.Random(67)
+        for ws in [running_example] + [random_workspace(rng) for _ in range(20)]:
+            bundle = build_bundle(ws, levels=(1, 2, 3, 4, 5, 6))
+            assert level1(ws) == bundle.level1
+            assert level2(level1(ws)) == bundle.level2
+            assert level3(ws) == bundle.level3
+            assert level4(ws) == bundle.level4
+            assert {e: level5(ws, e) for e in bundle.level5} == bundle.level5
+            for entry in bundle.level6:
+                machine = level6(ws, entry.entity, entry.from_variant, entry.to_variant)
+                assert machine == entry.machine
