@@ -15,20 +15,16 @@ from typing import Callable, Iterable
 
 Trace = tuple[str, ...]
 
-#: Default search-tree cap for bounded_language.
-DEFAULT_ENUMERATION_CAP = 100_000
-
-
-class EnumerationCapExceeded(ValueError):
-    """Raised when bounded_language would explore more prefixes than allowed."""
-
 
 def _check_event_name(name: str) -> None:
+    # Names must survive a .nfa round trip, where "#" starts a comment.
     if not name:
         raise ValueError("event name must be non-empty")
     for ch in name:
-        if ch.isspace() or unicodedata.category(ch) == "Cc":
-            raise ValueError(f"event name {name!r} contains whitespace or control characters")
+        if ch == "#" or ch.isspace() or unicodedata.category(ch) == "Cc":
+            raise ValueError(
+                f"event name {name!r} contains whitespace, a control character or '#'"
+            )
 
 
 @dataclass(frozen=True)
@@ -126,62 +122,18 @@ def with_alphabet(machine: Nfa, events: Iterable[str]) -> Nfa:
     return replace(machine, alphabet=extended)
 
 
-def _successors(machine: Nfa) -> dict[tuple[str, str], set[str]]:
-    succ: dict[tuple[str, str], set[str]] = {}
-    for src, event, dst in machine.transitions:
-        succ.setdefault((src, event), set()).add(dst)
-    return succ
-
-
-def accepts(machine: Nfa, trace: Trace) -> bool:
-    """True iff some run over the trace starts initial and ends accepting.
-
-    Events absent from the alphabet simply have no transitions, so traces
-    mentioning unknown events are rejected via stuck runs.
-    """
-    succ = _successors(machine)
-    current = set(machine.initial)
-    for event in trace:
-        nxt: set[str] = set()
-        for state in current:
-            nxt |= succ.get((state, event), set())
-        current = nxt
-        if not current:
-            return False
-    return bool(current & machine.accepting)
-
-
-def has_behavior(machine: Nfa) -> bool:
-    """True iff the machine's language is non-empty."""
-    succ: dict[str, set[str]] = {}
-    for src, _, dst in machine.transitions:
-        succ.setdefault(src, set()).add(dst)
-    seen = set(machine.initial)
-    stack = list(machine.initial)
-    while stack:
-        state = stack.pop()
-        if state in machine.accepting:
-            return True
-        for nxt in succ.get(state, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
 #: A sparse DFA table: row ``i`` lists its ``(event index, row)`` pairs in
 #: event order. An event missing from a row leads to a dead state, one from
 #: which no accepting row can be reached.
 Rows = list[list[tuple[int, int]]]
 
 
-def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int], int | None]:
-    """Subset construction; returns (events, sparse rows, accepting ids, empty row).
+def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int]]:
+    """Subset construction; returns (events, sparse rows, accepting ids).
 
     Rows are numbered breadth-first from the initial subset with events in
-    lexicographic order. Transitions to the empty subset are left out, but
-    it keeps the row number where it is first reached: filling each missing
-    event with that row (None if never reached) gives the complete table.
+    lexicographic order. Transitions to the empty subset are left out, so
+    it has a row only when it is the initial subset.
     """
     events = sorted(machine.alphabet)
     column = {event: k for k, event in enumerate(events)}
@@ -192,11 +144,9 @@ def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int], int | None]:
     # place so that the sets are freed as it goes.
     for state, by_event in succ.items():
         succ[state] = [(k, frozenset(by_event[k])) for k in sorted(by_event)]
-    width = len(events)
     start = frozenset(machine.initial)
     index: dict[frozenset[str], int] = {start: 0}
     order: list[frozenset[str]] = [start]
-    empty = None if start else 0
     rows: Rows = []
     for subset in order:  # grows while it is walked
         if len(subset) == 1:
@@ -211,45 +161,16 @@ def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int], int | None]:
                 (k, parts[0] if len(parts) == 1 else frozenset().union(*parts))
                 for k, parts in sorted(merged.items())
             ]
-        # The first row that misses an event numbers the empty subset in that
-        # event's place among its discoveries; k > len(row) means a gap before k.
         row = []
         for k, targets in pairs:
-            if k > len(row) and empty is None:
-                empty = len(order)
-                order.append(frozenset())
             j = index.get(targets)
             if j is None:
                 j = index[targets] = len(order)
                 order.append(targets)
             row.append((k, j))
-        if len(row) < width and empty is None:
-            empty = len(order)
-            order.append(frozenset())
         rows.append(row)
     accepting = {i for i, subset in enumerate(order) if subset & machine.accepting}
-    return events, rows, accepting, empty
-
-
-def determinize(machine: Nfa) -> Nfa:
-    """Deterministic, complete machine with the same language.
-
-    Only subset states reachable from the initial subset are materialized;
-    the empty subset serves as the sink when some transition is missing.
-    """
-    events, rows, accepting, empty = _subset_table(machine)
-    names = [f"d{i}" for i in range(len(rows))]
-    trans = set()
-    for name, row in zip(names, rows):
-        targets = dict(row)
-        trans.update((name, event, names[targets.get(k, empty)]) for k, event in enumerate(events))
-    return Nfa(
-        frozenset(names),
-        machine.alphabet,
-        frozenset(trans),
-        frozenset({"d0"}),
-        frozenset(names[i] for i in accepting),
-    )
+    return events, rows, accepting
 
 
 def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalDfa:
@@ -388,8 +309,7 @@ def minimize(machine: Nfa) -> CanonicalDfa:
     languages over the machine's alphabet. Nothing is cached: the levels
     minimize each distinct model once per run into their language tables.
     """
-    events, rows, accepting, _ = _subset_table(machine)
-    return _canonical(events, rows, accepting)
+    return _canonical(*_subset_table(machine))
 
 
 def canonical_product(
@@ -427,58 +347,6 @@ def canonical_product(
         i for i, (p, q) in enumerate(order) if accept(p in a.accepting, q in b.accepting)
     }
     return _canonical(list(a.alphabet), rows, accepting)
-
-
-def union(a: Nfa, b: Nfa) -> Nfa:
-    """Disjoint union; accepts exactly the traces accepted by either machine."""
-    trans = {(f"l:{s}", e, f"l:{t}") for s, e, t in a.transitions}
-    trans |= {(f"r:{s}", e, f"r:{t}") for s, e, t in b.transitions}
-    states = {f"l:{s}" for s in a.states} | {f"r:{s}" for s in b.states}
-    initial = {f"l:{s}" for s in a.initial} | {f"r:{s}" for s in b.initial}
-    accepting = {f"l:{s}" for s in a.accepting} | {f"r:{s}" for s in b.accepting}
-    return Nfa(
-        frozenset(states),
-        a.alphabet | b.alphabet,
-        frozenset(trans),
-        frozenset(initial),
-        frozenset(accepting),
-    )
-
-
-def intersection(a: Nfa, b: Nfa) -> Nfa:
-    """Reachable product construction over the union alphabet."""
-    succ_a = _successors(a)
-    succ_b = _successors(b)
-    shared = sorted(a.alphabet & b.alphabet)
-    start_pairs = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
-    index: dict[tuple[str, str], str] = {}
-    order: list[tuple[str, str]] = []
-    for pair in start_pairs:
-        if pair not in index:
-            index[pair] = f"p{len(order)}"
-            order.append(pair)
-    trans: set[tuple[str, str, str]] = set()
-    qi = 0
-    while qi < len(order):
-        p, q = order[qi]
-        qi += 1
-        for event in shared:
-            targets = sorted(
-                (pt, qt)
-                for pt in succ_a.get((p, event), ())
-                for qt in succ_b.get((q, event), ())
-            )
-            for pair in targets:
-                if pair not in index:
-                    index[pair] = f"p{len(order)}"
-                    order.append(pair)
-                trans.add((index[(p, q)], event, index[pair]))
-    states = frozenset(index.values())
-    initial = frozenset(index[pair] for pair in start_pairs)
-    accepting = frozenset(
-        name for (p, q), name in index.items() if p in a.accepting and q in b.accepting
-    )
-    return Nfa(states, a.alphabet | b.alphabet, frozenset(trans), initial, accepting)
 
 
 def language_equivalent(a: Nfa, b: Nfa) -> bool:
@@ -546,38 +414,3 @@ def hide_events(machine: Nfa, hidden: Iterable[str]) -> Nfa:
         machine.initial,
         accepting,
     )
-
-
-def bounded_language(
-    machine: Nfa, max_len: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> frozenset[Trace]:
-    """All accepted traces of length at most ``max_len``, by exhaustive search.
-
-    The search tree is pruned at prefixes no run survives; if it still grows
-    past ``cap`` nodes the enumeration is rejected instead of blowing up.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    events = sorted(machine.alphabet)
-    succ = _successors(machine)
-    out: set[Trace] = set()
-    explored = 0
-    stack: list[tuple[Trace, frozenset[str]]] = [((), frozenset(machine.initial))]
-    while stack:
-        trace, subset = stack.pop()
-        explored += 1
-        if explored > cap:
-            raise EnumerationCapExceeded(
-                f"bounded language enumeration exceeds cap of {cap} prefixes"
-            )
-        if subset & machine.accepting:
-            out.add(trace)
-        if len(trace) == max_len:
-            continue
-        for event in reversed(events):
-            nxt: set[str] = set()
-            for state in subset:
-                nxt |= succ.get((state, event), set())
-            if nxt:
-                stack.append((trace + (event,), frozenset(nxt)))
-    return frozenset(out)

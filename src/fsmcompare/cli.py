@@ -1,7 +1,7 @@
 """Command-line front door: compare, diff, logs2nfa, validate.
 
-Exit codes: 0 on success, 1 on input parse or layout errors, 2 when lattice
-completion hits the node cap.
+Exit codes: 0 on success, 1 on input parse or layout errors, 2 when an
+option value is refused or lattice completion hits the node cap.
 """
 
 from __future__ import annotations
@@ -193,7 +193,11 @@ def cmd_logs2nfa(log_file: str, output: str, do_minimize: bool) -> None:
         click.echo(f"{log_file}: {exc}", err=True)
         sys.exit(1)
     traces = parse_log(text)
-    machine = minimal_pta(traces).to_nfa() if do_minimize else build_pta(traces)
+    try:
+        machine = minimal_pta(traces).to_nfa() if do_minimize else build_pta(traces)
+    except ValueError as exc:  # an event name the .nfa format cannot hold
+        click.echo(f"{log_file}: {exc}", err=True)
+        sys.exit(1)
     _write(Path(output), write_nfa(machine))
 
 

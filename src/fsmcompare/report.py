@@ -337,14 +337,6 @@ def diff_to_dot(machine: DiffMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(obj: Lattice | DiffMachine) -> str:
-    if isinstance(obj, Lattice):
-        return lattice_to_dot(obj)
-    if isinstance(obj, DiffMachine):
-        return diff_to_dot(obj)
-    raise TypeError(f"cannot render {type(obj).__name__} as DOT")
-
-
 def matrix_to_csv(matrix: DiffMatrix) -> str:
     """Header of model-set names; diagonal ``=``; lower triangle left empty."""
     buffer = io.StringIO()
@@ -367,13 +359,3 @@ def level4_to_csv(partitions: dict[str, VariantPartition], model_sets: tuple[str
         partition = partitions[entity]
         writer.writerow([partition.label_of(name) for name in model_sets])
     return buffer.getvalue()
-
-
-def to_csv(obj, model_sets: tuple[str, ...] | None = None) -> str:
-    if isinstance(obj, DiffMatrix):
-        return matrix_to_csv(obj)
-    if isinstance(obj, dict):
-        if model_sets is None:
-            raise ValueError("model set order is required for level-4 tables")
-        return level4_to_csv(obj, model_sets)
-    raise TypeError(f"cannot render {type(obj).__name__} as CSV")

@@ -2,7 +2,11 @@
 
 The oracles deliberately re-implement trace enumeration on the raw
 transition relation so they stay independent of the library's
-determinize/minimize/product code paths.
+minimize/product code paths. The NFA and model-set operations here
+(``union``, ``intersection``, ``determinize``, ``has_behavior`` and the
+lifted ``model_set_*`` operators) are not part of the library: tests use
+them as references for the pipeline's canonical-DFA algebra or to build
+inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +16,17 @@ from pathlib import Path
 
 import pytest
 
-from fsmcompare import CanonicalDfa, DiffParams, Matching, ModelSet, Nfa, ScoreTable, Workspace
+from fsmcompare import (
+    CanonicalDfa,
+    DiffParams,
+    Matching,
+    ModelSet,
+    Nfa,
+    ScoreTable,
+    Workspace,
+    language_equivalent,
+    language_included,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -149,6 +163,124 @@ def oracle_subset_table(machine: Nfa) -> tuple[list[str], list[list[int]], set[i
         rows.append(row)
     accepting = {i for i, subset in enumerate(order) if subset & machine.accepting}
     return events, rows, accepting
+
+
+def determinize(machine: Nfa) -> Nfa:
+    """The deterministic, complete machine of ``oracle_subset_table``; row i is state d<i>."""
+    events, rows, accepting = oracle_subset_table(machine)
+    names = [f"d{i}" for i in range(len(rows))]
+    return Nfa(
+        frozenset(names),
+        machine.alphabet,
+        frozenset(
+            (names[i], event, names[t]) for i, row in enumerate(rows) for event, t in zip(events, row)
+        ),
+        frozenset({"d0"}),
+        frozenset(names[i] for i in accepting),
+    )
+
+
+def has_behavior(machine: Nfa) -> bool:
+    """True iff some accepting state is reachable from an initial one."""
+    succ: dict[str, set[str]] = {}
+    for src, _, dst in machine.transitions:
+        succ.setdefault(src, set()).add(dst)
+    seen = set(machine.initial)
+    stack = list(machine.initial)
+    while stack:
+        state = stack.pop()
+        if state in machine.accepting:
+            return True
+        for nxt in succ.get(state, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def union(a: Nfa, b: Nfa) -> Nfa:
+    """Disjoint union; accepts exactly the traces accepted by either machine."""
+    trans = {(f"l:{s}", e, f"l:{t}") for s, e, t in a.transitions}
+    trans |= {(f"r:{s}", e, f"r:{t}") for s, e, t in b.transitions}
+    states = {f"l:{s}" for s in a.states} | {f"r:{s}" for s in b.states}
+    initial = {f"l:{s}" for s in a.initial} | {f"r:{s}" for s in b.initial}
+    accepting = {f"l:{s}" for s in a.accepting} | {f"r:{s}" for s in b.accepting}
+    return Nfa(
+        frozenset(states),
+        a.alphabet | b.alphabet,
+        frozenset(trans),
+        frozenset(initial),
+        frozenset(accepting),
+    )
+
+
+def intersection(a: Nfa, b: Nfa) -> Nfa:
+    """Reachable product construction over the union alphabet."""
+    succ_a = _adjacency(a)
+    succ_b = _adjacency(b)
+    shared = sorted(a.alphabet & b.alphabet)
+    start_pairs = [(p, q) for p in sorted(a.initial) for q in sorted(b.initial)]
+    index = {pair: f"p{i}" for i, pair in enumerate(start_pairs)}
+    order = list(index)
+    trans: set[tuple[str, str, str]] = set()
+    for p, q in order:  # grows while it is walked
+        for event in shared:
+            for pair in sorted(
+                (pt, qt) for pt in succ_a.get((p, event), ()) for qt in succ_b.get((q, event), ())
+            ):
+                if pair not in index:
+                    index[pair] = f"p{len(order)}"
+                    order.append(pair)
+                trans.add((index[(p, q)], event, index[pair]))
+    accepting = frozenset(
+        name for (p, q), name in index.items() if p in a.accepting and q in b.accepting
+    )
+    return Nfa(
+        frozenset(index.values()),
+        a.alphabet | b.alphabet,
+        frozenset(trans),
+        frozenset(index[pair] for pair in start_pairs),
+        accepting,
+    )
+
+
+def _same_entities(s1: ModelSet, s2: ModelSet) -> tuple[str, ...]:
+    if s1.entities() != s2.entities():
+        raise ValueError(f"entity sets differ: {s1.entities()} vs {s2.entities()}")
+    return s1.entities()
+
+
+def model_set_equivalent(s1: ModelSet, s2: ModelSet) -> bool:
+    """Language equivalence at every entity."""
+    return all(language_equivalent(s1.models[e], s2.models[e]) for e in _same_entities(s1, s2))
+
+
+def model_set_included(s1: ModelSet, s2: ModelSet) -> bool:
+    """Language inclusion at every entity."""
+    return all(language_included(s1.models[e], s2.models[e]) for e in _same_entities(s1, s2))
+
+
+def model_set_union(s1: ModelSet, s2: ModelSet) -> ModelSet:
+    models = {e: union(s1.models[e], s2.models[e]) for e in _same_entities(s1, s2)}
+    return ModelSet(f"union({s1.name},{s2.name})", models)
+
+
+def model_set_intersection(s1: ModelSet, s2: ModelSet) -> ModelSet:
+    models = {e: intersection(s1.models[e], s2.models[e]) for e in _same_entities(s1, s2)}
+    return ModelSet(f"intersection({s1.name},{s2.name})", models)
+
+
+def diff_entity_counts(s1: ModelSet, s2: ModelSet) -> tuple[int, int]:
+    """(changed, newly_present): entities whose non-empty languages differ,
+    and entities with behavior only in ``s2``."""
+    changed = newly_present = 0
+    for e in _same_entities(s1, s2):
+        b1, b2 = has_behavior(s1.models[e]), has_behavior(s2.models[e])
+        if b1 and b2 and not language_equivalent(s1.models[e], s2.models[e]):
+            changed += 1
+        elif not b1 and b2:
+            newly_present += 1
+    return changed, newly_present
 
 
 def complete_table(events, rows, accepting, dead=None):

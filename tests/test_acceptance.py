@@ -8,6 +8,7 @@ pair actually tested).
 
 import functools
 import json
+import operator
 import random
 import time
 
@@ -18,12 +19,10 @@ from fsmcompare import (
     DiffParams,
     ModelSet,
     Workspace,
-    determinize,
     diff,
     diff_stats,
     global_scores,
     hide_events,
-    intersection,
     language_equivalent,
     language_included,
     level1,
@@ -32,17 +31,19 @@ from fsmcompare import (
     level4,
     level5,
     minimize,
-    union,
     with_alphabet,
 )
+from fsmcompare.automata import canonical_product
 from fsmcompare.cli import main
 
 from conftest import (
     OracleBudgetExceeded,
+    determinize,
     oracle_accepts_with_insertions,
     oracle_compare,
     oracle_language,
     random_nfa,
+    union,
 )
 from test_cli import tree_bytes
 from test_ltsdiff import assert_projections
@@ -178,16 +179,18 @@ def test_acceptance_7_oracle_equivalence():
         else:
             b = random_nfa(rng, max_states=8, max_events=4)
         sigma = a.alphabet | b.alphabet
-        bound = (
-            minimize(with_alphabet(a, sigma)).num_states
-            * minimize(with_alphabet(b, sigma)).num_states
-        )
+        dfa_a = minimize(with_alphabet(a, sigma))
+        dfa_b = minimize(with_alphabet(b, sigma))
+        bound = dfa_a.num_states * dfa_b.num_states
+        # The pipeline's boolean operations: canonical products under or/and.
+        joined = canonical_product(dfa_a, dfa_b, operator.or_).to_nfa()
+        met = canonical_product(dfa_a, dfa_b, operator.and_).to_nfa()
         try:
             a_only, b_only = oracle_compare(a, b, bound, budget=300_000)
             la = oracle_language(a, 10, alphabet=sigma, budget=300_000)
             lb = oracle_language(b, 10, alphabet=sigma, budget=300_000)
-            l_union = oracle_language(union(a, b), 10, budget=300_000)
-            l_inter = oracle_language(intersection(a, b), 10, budget=300_000)
+            l_union = oracle_language(joined, 10, budget=300_000)
+            l_inter = oracle_language(met, 10, budget=300_000)
             hidden = {e for e in sigma if rng.random() < 0.3}
             projected = hide_events(a, hidden)
             l_proj = oracle_language(projected, 6, budget=300_000)

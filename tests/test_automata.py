@@ -10,20 +10,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fsmcompare import (
-    EnumerationCapExceeded,
+    CanonicalDfa,
     Nfa,
-    accepts,
-    bounded_language,
     build_pta,
-    determinize,
-    has_behavior,
     hide_events,
-    intersection,
     language_equivalent,
     language_included,
     minimal_pta,
     minimize,
-    union,
     with_alphabet,
 )
 from fsmcompare import automata
@@ -32,7 +26,10 @@ from fsmcompare.automata import _canonical, _subset_table, canonical_product
 from conftest import (
     OracleBudgetExceeded,
     complete_table,
+    determinize,
     fig2_machines,
+    has_behavior,
+    intersection,
     oracle_accepts_with_insertions,
     oracle_canonical,
     oracle_compare,
@@ -40,6 +37,7 @@ from conftest import (
     oracle_subset_table,
     random_nfa,
     running_example_machines,
+    union,
 )
 
 MACHINES = running_example_machines()
@@ -50,6 +48,18 @@ E2_C = MACHINES["S4"]["E2"]
 E3_A = MACHINES["S1"]["E3"]
 E4_A = MACHINES["S1"]["E4"]
 E4_B = MACHINES["S2"]["E4"]
+
+
+def accepted(machine: Nfa, trace) -> bool:
+    """Does the canonical DFA of the machine accept the trace?"""
+    return trace in oracle_language(minimize(machine).to_nfa(), len(trace))
+
+
+def product(a: Nfa, b: Nfa, accept) -> CanonicalDfa:
+    """The pipeline's boolean operation: both machines minimized over the union alphabet."""
+    sigma = a.alphabet | b.alphabet
+    dfa_a, dfa_b = minimize(with_alphabet(a, sigma)), minimize(with_alphabet(b, sigma))
+    return canonical_product(dfa_a, dfa_b, accept)
 
 
 @st.composite
@@ -100,83 +110,32 @@ class TestNfaConstruction:
 
 class TestAccepts:
     def test_fig3_e1_cycle(self):
-        assert accepts(E1, ("a", "b", "c", "d"))
+        assert accepted(E1, ("a", "b", "c", "d"))
 
     def test_empty_trace_accepted_when_initial_is_accepting(self):
-        assert accepts(E1, ())
+        assert accepted(E1, ())
 
     def test_partial_cycle_rejected(self):
-        assert not accepts(E1, ("a", "b"))
+        assert not accepted(E1, ("a", "b"))
 
     def test_unknown_events_reject_via_stuck_runs(self):
-        assert not accepts(E1, ("z",))
+        assert not accepted(E1, ("z",))
 
 
 class TestHasBehavior:
+    """Emptiness as level 4 reads it: a canonical DFA without accepting states."""
+
     def test_empty_machine_has_none(self):
-        assert not has_behavior(Nfa.empty())
+        assert not minimize(Nfa.empty()).accepting
 
     def test_initial_accepting_state(self):
-        assert has_behavior(E1)
+        assert minimize(E1).accepting
 
     def test_unreachable_accepting_state(self):
         machine = Nfa.build(
             transitions=[("a", "x", "a")], initial=["a"], accepting=["b"], states=["a", "b"]
         )
-        assert not has_behavior(machine)
-
-
-class TestBoundedLanguage:
-    def test_empty_machine(self):
-        assert bounded_language(Nfa.empty(), 5) == frozenset()
-
-    def test_fig3_e1_only_full_cycles(self):
-        assert bounded_language(E1, 4) == frozenset({(), ("a", "b", "c", "d")})
-
-    def test_fig3_e3_two_cycle(self):
-        expected = frozenset({(), ("b", "f"), ("b", "f", "b", "f")})
-        assert bounded_language(E3_A, 4) == expected
-
-    def test_cap_guard(self):
-        full = Nfa.build(
-            transitions=[("s", e, "s") for e in "abcd"], initial=["s"], accepting=["s"]
-        )
-        with pytest.raises(EnumerationCapExceeded):
-            bounded_language(full, 30, cap=1000)
-
-    def test_agrees_with_independent_enumeration(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            machine = random_nfa(rng, max_states=5, max_events=3)
-            assert bounded_language(machine, 6) == oracle_language(machine, 6)
-
-
-class TestDeterminize:
-    def test_idempotent_on_complete_dfa(self):
-        det = determinize(E1)
-        again = determinize(det)
-        assert bounded_language(det, 8) == bounded_language(again, 8)
-
-    def test_result_is_deterministic_and_complete(self):
-        det = determinize(E4_B)
-        by_source = {}
-        for src, event, dst in det.transitions:
-            assert (src, event) not in by_source
-            by_source[(src, event)] = dst
-        for state in det.states:
-            for event in det.alphabet:
-                assert (state, event) in by_source
-        assert len(det.initial) == 1
-
-    def test_fig3_e4_branching_machine(self):
-        det = determinize(E4_B)
-        assert bounded_language(det, 10) == bounded_language(E4_A, 10)
-
-    def test_random_machines_preserve_bounded_language(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            machine = random_nfa(rng, max_states=6, max_events=3)
-            assert oracle_language(determinize(machine), 10) == oracle_language(machine, 10)
+        assert not minimize(machine).accepting
 
 
 class TestMinimize:
@@ -211,7 +170,7 @@ class TestMinimize:
         for _ in range(60):
             machine = random_nfa(rng, max_states=6, max_events=3)
             bound = minimize(machine).num_states
-            assert has_behavior(machine) == bool(bounded_language(machine, bound))
+            assert bool(minimize(machine).accepting) == bool(oracle_language(machine, bound))
 
 
 def random_table(
@@ -302,36 +261,42 @@ def complete_product(a, b, accept):
     return list(a.alphabet), rows, accepting
 
 
-class TestSubsetTableAgainstOracle:
-    """The sparse subset table is the complete one with the empty subset's edges left out."""
+def without_empty_subset(machine: Nfa):
+    """``oracle_subset_table`` less the empty subset, and the empty subset's oracle row.
 
-    def test_completing_with_the_empty_subsets_row_gives_the_oracle_table(self):
+    The empty subset's row goes unless it is the initial row, moves into it
+    are dropped and the later rows are renumbered. Its row is None when the
+    empty subset is never reached.
+    """
+    events, rows, accepting = oracle_subset_table(machine)
+    # With every state accepting the numbering stays, and only the empty subset rejects.
+    _, _, nonempty = oracle_subset_table(replace(machine, accepting=machine.states))
+    empty = next((i for i in range(len(rows)) if i not in nonempty), None)
+
+    def renumber(j):
+        return j - (empty is not None and 0 < empty < j)
+
+    sparse = [
+        [(k, renumber(t)) for k, t in enumerate(row) if t != empty]
+        for i, row in enumerate(rows)
+        if i != empty or i == 0
+    ]
+    return (events, sparse, {renumber(i) for i in accepting}), empty
+
+
+class TestSubsetTableAgainstOracle:
+    """The sparse subset table is the complete one without the empty subset."""
+
+    def test_is_the_oracle_table_without_the_empty_subset(self):
         numbered_mid_row = 0
         for machine in seeded_nfas(83, 400):
-            table = _subset_table(machine)
-            expected = oracle_subset_table(machine)
-            assert complete_table(*table) == expected
-            empty, rows = table[3], expected[1]
+            expected, empty = without_empty_subset(machine)
+            assert _subset_table(machine) == expected
             # Does the row that first reaches the empty subset discover more after it?
+            rows = oracle_subset_table(machine)[1]
             first = next((row for row in rows if empty in row), [])
             numbered_mid_row += empty + 1 in first[first.index(empty) :] if first else 0
         assert numbered_mid_row > 50
-
-    def test_determinize_equals_the_machine_of_the_oracle_table(self):
-        for machine in seeded_nfas(89, 200):
-            events, rows, accepting = oracle_subset_table(machine)
-            expected = Nfa(
-                frozenset(f"d{i}" for i in range(len(rows))),
-                machine.alphabet,
-                frozenset(
-                    (f"d{i}", event, f"d{t}")
-                    for i, row in enumerate(rows)
-                    for event, t in zip(events, row)
-                ),
-                frozenset({"d0"}),
-                frozenset(f"d{i}" for i in accepting),
-            )
-            assert determinize(machine) == expected
 
 
 class TestCanonicalAgainstMoore:
@@ -342,7 +307,7 @@ class TestCanonicalAgainstMoore:
         with_dead_subsets = 0
         for _ in range(300):
             machine = with_trap(rng, random_nfa(rng, max_states=8, max_events=4))
-            events, rows, accepting, _ = table = _subset_table(machine)
+            events, rows, accepting = table = _subset_table(machine)
             complete = complete_table(*table)
             with_dead_subsets += dead_rows(*complete[1:]) > 1
             assert _canonical(events, rows, accepting) == oracle_canonical(*complete)
@@ -372,8 +337,8 @@ class TestCanonicalAgainstMoore:
         assert rejecting_loops > 100 and accepting_loops > 100
 
     def test_empty_alphabet_and_empty_machine(self):
-        events, rows, accepting, empty = _subset_table(Nfa.empty())
-        assert (rows, empty) == ([[]], 0)
+        events, rows, accepting = _subset_table(Nfa.empty())
+        assert rows == [[]]
         for table in (([], [[]], set()), ([], [[]], {0}), (events, rows, accepting)):
             assert _canonical(*table) == oracle_canonical(*complete_table(*table))
 
@@ -386,8 +351,7 @@ class TestCanonicalAgainstMoore:
                 for _ in range(rng.randint(1, 30))
             ]
             expected = oracle_canonical(*oracle_subset_table(build_pta(traces)))
-            events, rows, accepting, _ = _subset_table(build_pta(traces))
-            assert _canonical(events, rows, accepting) == expected
+            assert _canonical(*_subset_table(build_pta(traces))) == expected
             assert minimal_pta(traces) == expected
 
     def test_product_tables_of_random_canonical_dfas(self, monkeypatch):
@@ -440,21 +404,25 @@ class TestCanonicalAgainstMoore:
 
 
 class TestBooleanOperations:
+    """Union and intersection as the lattices compute them: canonical products."""
+
     def test_union_with_self_is_identity(self):
-        assert language_equivalent(union(E1, E1), E1)
+        assert product(E1, E1, operator.or_) == minimize(E1)
 
     def test_union_with_empty_is_identity(self):
-        assert language_equivalent(union(Nfa.empty(), E1), E1)
+        assert product(Nfa.empty(), E1, operator.or_) == minimize(E1)
 
     def test_intersection_with_empty_has_no_behavior(self):
-        assert not has_behavior(intersection(E1, Nfa.empty()))
+        assert not product(E1, Nfa.empty(), operator.and_).accepting
 
     def test_intersection_with_self_is_identity(self):
-        assert language_equivalent(intersection(E1, E1), E1)
+        assert product(E1, E1, operator.and_) == minimize(E1)
 
     def test_union_alphabet_combines(self):
-        combined = union(E2_A, E2_C)
-        assert combined.alphabet == E2_A.alphabet | E2_C.alphabet
+        combined = product(E2_A, E2_C, operator.or_)
+        assert combined.to_nfa().alphabet == E2_A.alphabet | E2_C.alphabet
+        with pytest.raises(ValueError):
+            canonical_product(minimize(E2_A), minimize(E2_C), operator.or_)
 
     def test_random_pairs_match_set_operations(self):
         rng = random.Random(13)
@@ -464,8 +432,8 @@ class TestBooleanOperations:
             sigma = a.alphabet | b.alphabet
             la = oracle_language(a, 10, alphabet=sigma)
             lb = oracle_language(b, 10, alphabet=sigma)
-            assert oracle_language(union(a, b), 10) == la | lb
-            assert oracle_language(intersection(a, b), 10) == la & lb
+            assert oracle_language(product(a, b, operator.or_).to_nfa(), 10) == la | lb
+            assert oracle_language(product(a, b, operator.and_).to_nfa(), 10) == la & lb
 
 
 class TestEquivalenceAndInclusion:
@@ -530,15 +498,22 @@ class TestEquivalenceAndInclusion:
 
     def test_lattice_laws_up_to_equivalence(self):
         machines = [E1, E2_A, E2_B, E2_C, Nfa.empty()]
-        for a in machines:
-            for b in machines:
-                assert language_equivalent(union(a, b), union(b, a))
-                assert language_equivalent(intersection(a, b), intersection(b, a))
-                assert language_equivalent(union(a, intersection(a, b)), a)
-                for c in machines:
-                    assert language_equivalent(
-                        union(a, union(b, c)), union(union(a, b), c)
-                    )
+        sigma = frozenset().union(*(m.alphabet for m in machines))
+        dfas = [minimize(with_alphabet(m, sigma)) for m in machines]
+
+        def join(a, b):
+            return canonical_product(a, b, operator.or_)
+
+        def meet(a, b):
+            return canonical_product(a, b, operator.and_)
+
+        for a in dfas:
+            for b in dfas:
+                assert join(a, b) == join(b, a)
+                assert meet(a, b) == meet(b, a)
+                assert join(a, meet(a, b)) == a
+                for c in dfas:
+                    assert join(a, join(b, c)) == join(join(a, b), c)
 
 
 class TestHideEvents:
@@ -597,7 +572,7 @@ def test_union_bounded_language_property(a, b):
     sigma = a.alphabet | b.alphabet
     la = oracle_language(a, 6, alphabet=sigma)
     lb = oracle_language(b, 6, alphabet=sigma)
-    assert oracle_language(union(a, b), 6) == la | lb
+    assert oracle_language(product(a, b, operator.or_).to_nfa(), 6) == la | lb
 
 
 @settings(

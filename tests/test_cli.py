@@ -10,7 +10,10 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import fsmcompare
+from fsmcompare import parse_log, parse_nfa
 from fsmcompare.cli import main
+
+from conftest import oracle_language
 
 
 def run(*args):
@@ -36,6 +39,12 @@ def run_in_subprocess(hash_seed: str, *args) -> bytes:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     command = [sys.executable, "-m", "fsmcompare.cli", *map(str, args)]
     return subprocess.run(command, env=env, check=True, capture_output=True).stdout
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from fsmcompare import *", namespace)
+    assert fsmcompare.__all__ and all(name in namespace for name in fsmcompare.__all__)
 
 
 class TestCompare:
@@ -244,12 +253,10 @@ class TestLogs2Nfa:
         plain, small = tmp_path / "plain.nfa", tmp_path / "small.nfa"
         assert run("logs2nfa", log, plain).exit_code == 0
         assert run("logs2nfa", log, small, "--minimize").exit_code == 0
-        from fsmcompare import bounded_language, parse_nfa
-
         full = parse_nfa(plain.read_text())
         reduced = parse_nfa(small.read_text())
         assert len(reduced.states) < len(full.states)
-        assert bounded_language(reduced, 4) == bounded_language(full, 4)
+        assert oracle_language(reduced, 4) == oracle_language(full, 4) == {("a", "b"), ("c", "b")}
 
     def test_minimized_output_does_not_depend_on_hash_seed(self, tmp_path):
         rng = random.Random(7)
@@ -271,6 +278,39 @@ class TestLogs2Nfa:
     def test_unreadable_input_exits_one(self, tmp_path):
         result = run("logs2nfa", tmp_path / "missing.log", tmp_path / "out.nfa")
         assert result.exit_code == 1
+
+    def test_event_names_the_nfa_format_cannot_hold_exit_one(self, tmp_path):
+        # "#" would start a comment in the written file; control characters
+        # are refused by the machine itself.
+        for event in ("b#c", "b\x01c"):
+            log = tmp_path / "trace.log"
+            log.write_text(f"a {event} d\n")
+            for flags in ((), ("--minimize",)):
+                out = tmp_path / "out.nfa"
+                result = run("logs2nfa", log, out, *flags)
+                assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+                assert result.output.startswith(f"{log}: ") and repr(event) in result.output
+                assert not out.exists()
+
+    def test_output_passes_validate(self, tmp_path):
+        rng = random.Random(11)
+        events = ["open", "read", "write", "close", "a.b", "x-1", "\u00e9v"]
+        log = tmp_path / "trace.log"
+        log.write_text(
+            "".join(
+                " ".join(rng.choice(events) for _ in range(rng.randint(0, 6))) + "\n"
+                for _ in range(40)
+            ),
+            encoding="utf-8",
+        )
+        for flags in ((), ("--minimize",)):
+            out = tmp_path / "out.nfa"
+            assert run("logs2nfa", log, out, *flags).exit_code == 0
+            result = run("validate", out)
+            assert result.exit_code == 0, result.output
+            assert oracle_language(parse_nfa(out.read_text(encoding="utf-8")), 6) == set(
+                parse_log(log.read_text(encoding="utf-8"))
+            )
 
 
 class TestValidate:

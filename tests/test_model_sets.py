@@ -1,22 +1,25 @@
-"""Lifted comparison operators over complete entity-to-machine mappings."""
+"""Workspace invariants, and the lifted operators of the reference closure.
+
+The lifted operators live in conftest: ``test_levels`` closes model sets
+with them as the oracle for level 2, so these tests check that oracle.
+"""
 
 import random
 
 import pytest
 
-from fsmcompare import (
-    ModelSet,
-    Nfa,
-    Workspace,
+from fsmcompare import ModelSet, Nfa, Workspace
+
+from conftest import (
     diff_entity_counts,
-    language_included,
+    has_behavior,
     model_set_equivalent,
     model_set_included,
     model_set_intersection,
     model_set_union,
+    random_nfa,
+    running_example_machines,
 )
-
-from conftest import random_nfa, running_example_machines
 
 MACHINES = running_example_machines()
 
@@ -68,8 +71,6 @@ class TestUnionIntersection:
     def test_e4_forces_empty_infimum(self):
         # S4 has no E4 behavior, so any intersection with it loses E4.
         result = model_set_intersection(model_set("S3"), model_set("S4"))
-        from fsmcompare import has_behavior
-
         assert not has_behavior(result.models["E4"])
 
     def test_supremum_and_infimum_laws_on_random_workspaces(self):
