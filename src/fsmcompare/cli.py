@@ -153,7 +153,7 @@ def cmd_compare(
 def _load_machine(path: str):
     try:
         return parse_nfa(Path(path).read_text(encoding="utf-8"), path=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         click.echo(f"{path}: {exc}", err=True)
         sys.exit(1)
     except NfaParseError as exc:
@@ -189,7 +189,7 @@ def cmd_logs2nfa(log_file: str, output: str, do_minimize: bool) -> None:
     """Build a prefix-tree acceptor from an execution log."""
     try:
         text = Path(log_file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         click.echo(f"{log_file}: {exc}", err=True)
         sys.exit(1)
     traces = parse_log(text)

@@ -232,7 +232,7 @@ def load_workspace(root: Path | str, hiding: HidingConfig | None = None) -> Work
     """Load ``<root>/<model-set>/<entity>.nfa`` into a complete workspace.
 
     Missing entity files become empty machines; hiding is applied to every
-    machine before any comparison. Parse errors are aggregated per file.
+    machine before any comparison. Read and parse errors are aggregated per file.
     """
     hiding = hiding or HidingConfig()
     root = Path(root)
@@ -254,7 +254,7 @@ def load_workspace(root: Path | str, hiding: HidingConfig | None = None) -> Work
                 continue
             try:
                 text = path.read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 errors.append(f"{path}: {exc}")
                 continue
             try:

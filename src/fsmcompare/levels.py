@@ -12,6 +12,8 @@ tables across the levels of a run (the ``languages`` keyword); a level called
 alone builds its own. Both lattices are completed by one closure over these
 ints with memoized meet (intersection) and join (union). A level-2 node is a
 vector of such ints, one per entity; a level-5 node is a vector of length one.
+Each language becomes one machine per run, shared by every payload holding
+it; cover edges read inclusion from per-entity up-sets (see ``_cover_edges``).
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ class Lattice:
     entity: str | None
     nodes: tuple[LatticeNode, ...]
     edges: tuple[LatticeEdge, ...]
-    payloads: dict[str, object]  # variant label -> ModelSet or Nfa
+    # variant label -> ModelSet or Nfa; computed payloads of equal languages share one Nfa
+    payloads: dict[str, object]
     diffs: dict[tuple[str, str], DiffMachine] = field(default_factory=dict)
 
     def node(self, variant: str) -> LatticeNode:
@@ -167,6 +170,7 @@ class _Languages:
         self._ids: dict[CanonicalDfa, int] = {}
         self._machines: dict[Nfa, int] = {}
         self._memo: dict[tuple, int] = {}
+        self._nfas: dict[int, Nfa] = {}
 
     def intern(self, machine: Nfa) -> int:
         x = self._machines.get(machine)
@@ -199,6 +203,13 @@ class _Languages:
 
     def nonempty(self, x: int) -> bool:
         return bool(self.dfas[x].accepting)
+
+    def machine(self, x: int) -> Nfa:
+        """Language ``x`` as a machine, converted on first use and shared after that."""
+        nfa = self._nfas.get(x)
+        if nfa is None:
+            nfa = self._nfas[x] = self.dfas[x].to_nfa()
+        return nfa
 
 
 def _table(workspace: Workspace, languages: dict[str, _Languages], entity: str) -> _Languages:
@@ -291,16 +302,29 @@ def _cover_edges(
     """Transitive reduction of the strict componentwise inclusion order.
 
     ``above[i]`` and ``below[j]`` are bitsets of node indices; ``i -> j`` is
-    a cover edge when no node lies strictly between them.
+    a cover edge when no node lies strictly between them. Per entity, the
+    up-set (down-set) of language ``x`` is the nodes whose component includes
+    (is included in) ``x``, read from one ``included`` call per pair of the
+    entity's distinct languages; ``above[i]`` (``below[i]``) ANDs them over
+    node ``i``'s components.
     """
     n = len(nodes)
-    above = [0] * n
-    below = [0] * n
-    for i, x in enumerate(nodes):
-        for j, y in enumerate(nodes):
-            if i != j and all(lang.included(a, b) for lang, a, b in zip(languages, x, y)):
-                above[i] |= 1 << j
-                below[j] |= 1 << i
+    above = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    below = list(above)
+    for k, lang in enumerate(languages):
+        holders: dict[int, int] = {}
+        for i, node in enumerate(nodes):
+            holders[node[k]] = holders.get(node[k], 0) | 1 << i
+        up = dict.fromkeys(holders, 0)
+        down = dict.fromkeys(holders, 0)
+        for x, holds_x in holders.items():
+            for y, holds_y in holders.items():
+                if lang.included(x, y):
+                    up[x] |= holds_y
+                    down[y] |= holds_x
+        for i, node in enumerate(nodes):
+            above[i] &= up[node[k]]
+            below[i] &= down[node[k]]
     return [
         (i, j)
         for i in range(n)
@@ -349,7 +373,7 @@ def level2(
     payloads = reps + [
         ModelSet(
             variant_letters(i),
-            {e: lang.dfas[x].to_nfa() for e, lang, x in zip(entities, languages, vectors[i])},
+            {e: lang.machine(x) for e, lang, x in zip(entities, languages, vectors[i])},
         )
         for i in range(len(reps), len(vectors))
     ]
@@ -412,7 +436,7 @@ def _entity_lattice(
     observed = [(lang.intern(cls.representative),) for cls in partition.classes]
     vectors = _close(observed, [lang], node_cap)
     payloads = [cls.representative for cls in partition.classes]
-    payloads += [lang.dfas[x].to_nfa() for (x,) in vectors[len(payloads) :]]
+    payloads += [lang.machine(x) for (x,) in vectors[len(payloads) :]]
     nodes, payloads_by_label = _nodes(partition, payloads, [len(p.transitions) for p in payloads])
     covers = [(nodes[i].variant, nodes[j].variant) for i, j in _cover_edges(vectors, [lang])]
     return nodes, payloads_by_label, covers

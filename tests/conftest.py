@@ -283,6 +283,29 @@ def diff_entity_counts(s1: ModelSet, s2: ModelSet) -> tuple[int, int]:
     return changed, newly_present
 
 
+def oracle_cover_edges(nodes, languages) -> list[tuple[int, int]]:
+    """Cover edges ``(i, j)`` of closure ``nodes`` by asking every ordered node pair.
+
+    ``nodes`` are vectors of interned languages, one per table in
+    ``languages``; ``i`` lies below ``j`` when every component of ``i`` is
+    included in ``j``'s. A cover edge has no node strictly between its ends.
+    """
+    n = len(nodes)
+    above = [0] * n
+    below = [0] * n
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
+            if i != j and all(lang.included(a, b) for lang, a, b in zip(languages, x, y)):
+                above[i] |= 1 << j
+                below[j] |= 1 << i
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if above[i] >> j & 1 and not above[i] & below[j]
+    ]
+
+
 def complete_table(events, rows, accepting, dead=None):
     """A sparse table (``automata.Rows``) as the complete table ``oracle_canonical`` takes.
 
@@ -519,12 +542,20 @@ def random_workspace(rng, n_sets=4, n_entities=4, max_states=5):
     return Workspace(entities, tuple(sets))
 
 
-def dense_workspace(rng, n_sets, n_entities):
-    """Denser machines than random_workspace, so closures compute nodes."""
+def dense_workspace(rng, n_sets, n_entities, absent=0.0):
+    """Denser machines than random_workspace, so closures compute nodes.
+
+    Each model is absent (the empty machine) with probability ``absent``.
+    """
     entities = tuple(f"e{i}" for i in range(n_entities))
     sets = []
     for i in range(n_sets):
-        models = {e: random_nfa(rng, max_states=4, max_events=2, density=2.0) for e in entities}
+        models = {
+            e: Nfa.empty()
+            if absent and rng.random() < absent
+            else random_nfa(rng, max_states=4, max_events=2, density=2.0)
+            for e in entities
+        }
         sets.append(ModelSet(f"m{i}", models))
     return Workspace(entities, tuple(sets))
 

@@ -28,17 +28,38 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     }
 
 
-def run_in_subprocess(hash_seed: str, *args) -> bytes:
-    """Run the CLI in a fresh interpreter under the given PYTHONHASHSEED; return stdout.
+def cli_process(hash_seed: str, *args) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter under the given PYTHONHASHSEED.
 
     String hashing is randomized per interpreter, so only separate processes
-    can show set or dict order leaking into the outputs.
+    can show set or dict order leaking into the outputs; they also show what
+    a user sees of an uncaught exception.
     """
     src = str(Path(fsmcompare.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     command = [sys.executable, "-m", "fsmcompare.cli", *map(str, args)]
-    return subprocess.run(command, env=env, check=True, capture_output=True).stdout
+    return subprocess.run(command, env=env, capture_output=True)
+
+
+def run_in_subprocess(hash_seed: str, *args) -> bytes:
+    """The CLI's stdout from a fresh interpreter (see ``cli_process``); it must exit 0."""
+    result = cli_process(hash_seed, *args)
+    result.check_returncode()
+    return result.stdout
+
+
+def assert_undecodable_refused(path: Path, *args) -> str:
+    """The command exits 1 naming ``path``, with no traceback; returns its stderr."""
+    result = cli_process("0", *args)
+    stdout, stderr = result.stdout.decode(), result.stderr.decode()
+    assert result.returncode == 1
+    assert f"{path}: " in stderr and "codec can't decode" in stderr
+    assert "Traceback" not in stdout + stderr
+    return stderr
+
+
+UNDECODABLE_NFA = b"nfa v1\nstate s\xff\n"
 
 
 def test_star_import_binds_every_public_name():
@@ -81,6 +102,17 @@ class TestCompare:
         result = run("compare", "--input", tmp_path, "--output", tmp_path / "out")
         assert result.exit_code == 1
         assert "e.nfa" in result.output
+
+    def test_undecodable_model_exits_one(self, tmp_path):
+        root, out = tmp_path / "ws", tmp_path / "out"
+        (root / "S1").mkdir(parents=True)
+        bad = root / "S1" / "e.nfa"
+        bad.write_bytes(UNDECODABLE_NFA)
+        (root / "S1" / "f.nfa").write_bytes(b"nfa v1\nbroken\n")
+        stderr = assert_undecodable_refused(bad, "compare", "--input", root, "--output", out)
+        # The decode error is aggregated with the other files' errors.
+        assert "f.nfa" in stderr
+        assert not out.exists()
 
     def test_node_cap_exits_two(self, running_example_dir, tmp_path):
         result = run(
@@ -228,6 +260,11 @@ class TestDiff:
         result = run("diff", bad, fig2_dir / "source.nfa")
         assert result.exit_code == 1
 
+    def test_undecodable_file_exits_one(self, tmp_path, fig2_dir):
+        bad = tmp_path / "bad.nfa"
+        bad.write_bytes(UNDECODABLE_NFA)
+        assert_undecodable_refused(bad, "diff", fig2_dir / "source.nfa", bad)
+
 
 class TestLogs2Nfa:
     def test_two_line_log(self, tmp_path):
@@ -278,6 +315,13 @@ class TestLogs2Nfa:
     def test_unreadable_input_exits_one(self, tmp_path):
         result = run("logs2nfa", tmp_path / "missing.log", tmp_path / "out.nfa")
         assert result.exit_code == 1
+
+    def test_undecodable_log_exits_one(self, tmp_path):
+        log = tmp_path / "trace.log"
+        log.write_bytes(b"a \xff b\n")
+        out = tmp_path / "out.nfa"
+        assert_undecodable_refused(log, "logs2nfa", log, out)
+        assert not out.exists()
 
     def test_event_names_the_nfa_format_cannot_hold_exit_one(self, tmp_path):
         # "#" would start a comment in the written file; control characters
@@ -330,3 +374,8 @@ class TestValidate:
         path = tmp_path / "dup.nfa"
         path.write_text("nfa v1\nstate s1\nstate s1\n")
         assert run("validate", path).exit_code == 1
+
+    def test_undecodable_file_exits_one(self, tmp_path):
+        path = tmp_path / "bad.nfa"
+        path.write_bytes(UNDECODABLE_NFA)
+        assert_undecodable_refused(path, "validate", path)

@@ -27,6 +27,7 @@ from fsmcompare import (
     with_alphabet,
 )
 from fsmcompare.automata import canonical_product
+from fsmcompare.levels import DEFAULT_NODE_CAP, _close, _cover_edges, _Languages
 
 from conftest import (
     dense_workspace,
@@ -37,6 +38,7 @@ from conftest import (
     model_set_included,
     model_set_intersection,
     model_set_union,
+    oracle_cover_edges,
     random_workspace,
     union,
 )
@@ -378,6 +380,52 @@ def unused_event_workspace():
     return Workspace(("e0", "e1"), tuple(ModelSet(f"m{i}", m) for i, m in enumerate(models)))
 
 
+def dense_level2_workspaces():
+    """The 15 two-entity workspaces level 2 is checked on against the naive closure."""
+    rng = random.Random(59)
+    return [dense_workspace(rng, n_sets=4, n_entities=2) for _ in range(15)]
+
+
+def closure(ws, node_cap=DEFAULT_NODE_CAP):
+    """Level 2's closure of ``ws``: the node vectors in creation order, and the tables."""
+    languages: dict = {}
+    partition = level1(ws, languages=languages)
+    tables = [languages[e] for e in ws.entities]
+    observed = [
+        tuple(lang.intern(cls.representative.models[e]) for lang, e in zip(tables, ws.entities))
+        for cls in partition.classes
+    ]
+    return _close(observed, tables, node_cap), tables
+
+
+def many_entity_closures():
+    """Six seeded level-2 closures of 30-200 nodes over 4-8 entities, some absent."""
+    rng = random.Random(71)
+    closures = []
+    while len(closures) < 6:
+        ws = dense_workspace(rng, n_sets=5, n_entities=rng.randint(4, 8), absent=0.15)
+        if Nfa.empty() not in (m for ms in ws.model_sets for m in ms.models.values()):
+            continue
+        try:
+            nodes, tables = closure(ws, node_cap=200)
+        except LatticeCapExceeded:
+            continue
+        if len(nodes) >= 30:
+            closures.append((nodes, tables))
+    return closures
+
+
+def entity_closures(ws):
+    """Level 5's single-entity closures of ``ws``, one per entity."""
+    languages: dict = {}
+    closures = []
+    for entity, partition in level4(ws, languages=languages).items():
+        lang = languages[entity]
+        observed = [(lang.intern(cls.representative),) for cls in partition.classes]
+        closures.append((_close(observed, [lang], DEFAULT_NODE_CAP), [lang]))
+    return closures
+
+
 def assert_same_cap(build, naive, observed_count, node_count):
     """Both closures raise for a cap below the node count and not at it."""
     if node_count == observed_count:
@@ -390,9 +438,7 @@ def assert_same_cap(build, naive, observed_count, node_count):
 
 class TestClosureAgainstNaiveOracle:
     def test_level2_matches_naive_closure(self):
-        rng = random.Random(59)
-        workspaces = [dense_workspace(rng, n_sets=4, n_entities=2) for _ in range(15)]
-        for ws in workspaces + [unused_event_workspace()]:
+        for ws in dense_level2_workspaces() + [unused_event_workspace()]:
             partition = level1(ws)
             reps = [cls.representative for cls in partition.classes]
 
@@ -454,3 +500,45 @@ class TestClosureAgainstNaiveOracle:
                 assert_same_cap(
                     lambda cap: level5(ws, entity, node_cap=cap), naive, len(reps), len(payloads)
                 )
+
+
+class TestCoverEdges:
+    """Up-set cover edges against the all-pairs oracle, and the work they take."""
+
+    def test_matches_all_pairs_oracle(self, running_example):
+        closures = [closure(ws) for ws in dense_level2_workspaces()]
+        closures += many_entity_closures() + entity_closures(running_example)
+        assert [len(nodes) for nodes, _ in entity_closures(running_example)] == [1, 6, 2, 1]
+        for nodes, tables in closures:
+            assert _cover_edges(nodes, tables) == oracle_cover_edges(nodes, tables)
+
+    def test_included_at_most_once_per_pair_of_distinct_languages(self, monkeypatch):
+        closures = many_entity_closures()
+        calls = []
+        included = _Languages.included
+
+        def counting_included(self, x, y):
+            calls.append((x, y))
+            return included(self, x, y)
+
+        monkeypatch.setattr(_Languages, "included", counting_included)
+        for nodes, tables in closures:
+            calls.clear()
+            edges = _cover_edges(nodes, tables)
+            distinct = [len({node[k] for node in nodes}) for k in range(len(tables))]
+            assert edges and len(calls) <= sum(d * d for d in distinct)
+
+    def test_no_product_after_the_closure(self, running_example, monkeypatch):
+        import fsmcompare.levels
+
+        closures = many_entity_closures() + entity_closures(running_example)
+        calls = []
+
+        def counting_product(*args):
+            calls.append(args)
+            return canonical_product(*args)
+
+        monkeypatch.setattr(fsmcompare.levels, "canonical_product", counting_product)
+        for nodes, tables in closures:
+            _cover_edges(nodes, tables)
+        assert calls == []

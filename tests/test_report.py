@@ -5,6 +5,7 @@ import random
 import re
 
 from fsmcompare import (
+    CanonicalDfa,
     Change,
     DiffParams,
     ModelSet,
@@ -28,7 +29,7 @@ from fsmcompare.report import (
     matrix_to_csv,
 )
 
-from conftest import fig2_machines, random_workspace, running_example_machines
+from conftest import dense_workspace, fig2_machines, random_workspace, running_example_machines
 
 _TOKEN = re.compile(
     r'\s*(?:("(?:[^"\\]|\\.)*")|(->)|([{}\[\]=,;])|([A-Za-z0-9_.]+))'
@@ -273,6 +274,35 @@ class TestBuildBundle:
             calls.clear()
             build_bundle(running_example, levels=levels, **query)
             assert len(calls) == len(distinct_models(running_example, entities))
+
+    def test_each_language_becomes_a_machine_once(self, running_example, monkeypatch):
+        import fsmcompare.levels
+
+        tables, converted = [], []
+        to_nfa = CanonicalDfa.to_nfa
+
+        class RecordedLanguages(fsmcompare.levels._Languages):
+            def __init__(self, alphabet):
+                super().__init__(alphabet)
+                tables.append(self)
+
+        def counting_to_nfa(dfa):
+            converted.append(dfa)
+            return to_nfa(dfa)
+
+        monkeypatch.setattr(fsmcompare.levels, "_Languages", RecordedLanguages)
+        monkeypatch.setattr(CanonicalDfa, "to_nfa", counting_to_nfa)
+        seeded = dense_workspace(random.Random(73), n_sets=5, n_entities=6, absent=0.15)
+        for ws in (running_example, seeded):
+            tables.clear()
+            converted.clear()
+            bundle = build_bundle(ws, levels=(1, 2, 3, 4, 5, 6))
+            interned = [dfa for table in tables for dfa in table.dfas]
+            # At most one conversion per (entity, interned language).
+            assert len({id(dfa) for dfa in converted}) == len(converted) <= len(interned)
+            assert {id(dfa) for dfa in converted} <= {id(dfa) for dfa in interned}
+            assert len(tables) == len(ws.entities)
+            assert sum(n.kind == "computed" for n in bundle.level2.nodes) > 1
 
     def test_standalone_levels_equal_bundled_levels(self, running_example):
         rng = random.Random(67)
