@@ -9,22 +9,25 @@ one would expect.
 from __future__ import annotations
 
 import operator
-import unicodedata
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 Trace = tuple[str, ...]
 
+# Names must survive a .nfa round trip, where tokens are split at whitespace
+# and "#" starts a comment. The control characters (category Cc) are
+# U+0000-U+001F and U+007F-U+009F; ``\s`` is exactly ``str.isspace``.
+_UNWRITABLE = re.compile(r"[\s#\x00-\x1f\x7f-\x9f]")
 
-def _check_event_name(name: str) -> None:
-    # Names must survive a .nfa round trip, where "#" starts a comment.
-    if not name:
-        raise ValueError("event name must be non-empty")
-    for ch in name:
-        if ch == "#" or ch.isspace() or unicodedata.category(ch) == "Cc":
-            raise ValueError(
-                f"event name {name!r} contains whitespace, a control character or '#'"
-            )
+
+def _check_names(kind: str, names: frozenset[str]) -> None:
+    # One search covers every name; the culprit is looked for only on failure.
+    if "" in names:
+        raise ValueError(f"{kind} name must be non-empty")
+    if _UNWRITABLE.search("".join(names)):
+        name = min(n for n in names if _UNWRITABLE.search(n))
+        raise ValueError(f"{kind} name {name!r} contains whitespace, a control character or '#'")
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,8 @@ class Nfa:
     accepting: frozenset[str]
 
     def __post_init__(self) -> None:
-        for event in self.alphabet:
-            _check_event_name(event)
+        _check_names("state", self.states)
+        _check_names("event", self.alphabet)
         for src, event, dst in self.transitions:
             if src not in self.states:
                 raise ValueError(f"transition source {src!r} is not a declared state")
@@ -187,21 +190,10 @@ def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalD
     """
     n = len(rows)
     width = len(events)
-    # A rejecting row whose present transitions all loop, such as the empty
-    # subset, is dead, so transitions into it are left out of the reverse lists.
-    trap = [False] * n
-    for s, row in enumerate(rows):
-        if s not in accepting:
-            for _, t in row:
-                if t != s:
-                    break
-            else:
-                trap[s] = True
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s, row in enumerate(rows):
         for k, t in row:
-            if not trap[t]:
-                into[t].append((k, s))
+            into[t].append((k, s))
     # Co-reachability. Every source of a transition into a live row is live,
     # so the reverse lists of live rows hold live-to-live transitions only.
     live = [False] * n

@@ -50,13 +50,21 @@ def _parse_levels(spec: str) -> tuple[int, ...]:
     return levels
 
 
-def _params(attenuation: float, landmark_fraction: float, landmark_ratio: float) -> DiffParams:
+def _diff_options(command):
+    """Declare the structural-diff options, with the defaults of ``DiffParams``.
+
+    The command receives them as keyword arguments named like the fields.
+    """
+    # Click lists stacked options bottom-up, so they are added in reverse.
+    for name in ("landmark_ratio", "landmark_fraction", "attenuation"):
+        flag = "--" + name.replace("_", "-")
+        command = click.option(flag, default=getattr(DiffParams, name), show_default=True)(command)
+    return command
+
+
+def _params(options: dict[str, float]) -> DiffParams:
     try:
-        return DiffParams(
-            attenuation=attenuation,
-            landmark_fraction=landmark_fraction,
-            landmark_ratio=landmark_ratio,
-        )
+        return DiffParams(**options)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
 
@@ -72,9 +80,7 @@ def main() -> None:
 @click.option("--output", "output_dir", required=True, help="Directory for result files.")
 @click.option("--levels", default="1,2,3,4,5,6", show_default=True, help="Comma-separated levels.")
 @click.option("--hide", multiple=True, help="Event glob pattern to hide (repeatable).")
-@click.option("--attenuation", default=0.5, show_default=True)
-@click.option("--landmark-fraction", default=0.25, show_default=True)
-@click.option("--landmark-ratio", default=1.5, show_default=True)
+@_diff_options
 @click.option(
     "--node-cap", default=DEFAULT_NODE_CAP, show_default=True, type=click.IntRange(min=1)
 )
@@ -86,17 +92,15 @@ def cmd_compare(
     output_dir: str,
     levels: str,
     hide: tuple[str, ...],
-    attenuation: float,
-    landmark_fraction: float,
-    landmark_ratio: float,
     node_cap: int,
     entity: str | None,
     from_variant: str | None,
     to_variant: str | None,
+    **diff_options: float,
 ) -> None:
     """Run the requested comparison levels and write result files."""
     selected = _parse_levels(levels)
-    params = _params(attenuation, landmark_fraction, landmark_ratio)
+    params = _params(diff_options)
     if (from_variant is None) != (to_variant is None):
         raise click.BadParameter("--from and --to must be given together")
     if from_variant is not None and entity is None:
@@ -137,8 +141,7 @@ def cmd_compare(
     if bundle.level3 is not None:
         _write(out / "level3.csv", matrix_to_csv(bundle.level3))
     if bundle.level4 is not None:
-        names = tuple(ms.name for ms in workspace.model_sets)
-        _write(out / "level4.csv", level4_to_csv(bundle.level4, names))
+        _write(out / "level4.csv", level4_to_csv(bundle.level4, bundle.model_set_names))
     if bundle.level5 is not None:
         for name, lattice in bundle.level5.items():
             _write(out / "level5" / f"{name}.dot", lattice_to_dot(lattice))
@@ -164,14 +167,10 @@ def _load_machine(path: str):
 @main.command("diff")
 @click.argument("left")
 @click.argument("right")
-@click.option("--attenuation", default=0.5, show_default=True)
-@click.option("--landmark-fraction", default=0.25, show_default=True)
-@click.option("--landmark-ratio", default=1.5, show_default=True)
-def cmd_diff(
-    left: str, right: str, attenuation: float, landmark_fraction: float, landmark_ratio: float
-) -> None:
+@_diff_options
+def cmd_diff(left: str, right: str, **diff_options: float) -> None:
     """Structurally diff two .nfa files; prints stats and DOT."""
-    params = _params(attenuation, landmark_fraction, landmark_ratio)
+    params = _params(diff_options)
     machine = diff(_load_machine(left), _load_machine(right), params)
     stats = diff_stats(machine)
     click.echo(

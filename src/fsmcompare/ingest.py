@@ -56,24 +56,18 @@ class HidingConfig:
 
     patterns: tuple[str, ...] = ()
 
-    def matcher(self) -> re.Pattern | None:
+    def hidden_events(self, alphabet) -> frozenset[str]:
         if not self.patterns:
-            return None
+            return frozenset()
         alternatives = [
             "".join(".*" if ch == "*" else re.escape(ch) for ch in pattern)
             for pattern in self.patterns
         ]
-        return re.compile("|".join(f"(?:{alt})" for alt in alternatives))
-
-    def hidden_events(self, alphabet) -> frozenset[str]:
-        rx = self.matcher()
-        if rx is None:
-            return frozenset()
+        rx = re.compile("|".join(f"(?:{alt})" for alt in alternatives))
         return frozenset(e for e in alphabet if rx.fullmatch(e))
 
     def apply(self, machine: Nfa) -> Nfa:
-        hidden = self.hidden_events(machine.alphabet)
-        return hide_events(machine, hidden) if hidden else machine
+        return hide_events(machine, self.hidden_events(machine.alphabet))
 
 
 def _significant_lines(text: str):
@@ -242,7 +236,7 @@ def load_workspace(root: Path | str, hiding: HidingConfig | None = None) -> Work
     if not set_dirs:
         raise WorkspaceLoadError([f"no model sets found under {root}"])
 
-    entities = sorted({p.stem for d in set_dirs for p in d.glob("*.nfa")})
+    entities = sorted({p.stem for d in set_dirs for p in d.glob("*.nfa") if p.is_file()})
     errors: list[str] = []
     model_sets: list[ModelSet] = []
     for directory in set_dirs:

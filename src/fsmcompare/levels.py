@@ -481,23 +481,18 @@ def level6(
     params: DiffParams | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    lattice: Lattice | None = None,
     languages: dict | None = None,
 ) -> DiffMachine:
     """Structural diff between two level-5 variants of one entity.
 
-    ``lattice`` is the entity's level-5 lattice, built with the same
-    ``params``, when the caller has it; a cover edge's diff is then reused.
+    The variants are read from the entity's lattice, completed over its table
+    in ``languages``, and compared by one diff. ``build_bundle`` reuses the
+    level-5 diffs instead when no variant pair is requested.
     """
-    params = params or DiffParams()
-    if lattice is None:
-        payloads, diffs = _entity_lattice(workspace, entity, node_cap, languages)[1], {}
-    else:
-        payloads, diffs = lattice.payloads, lattice.diffs
+    payloads = _entity_lattice(workspace, entity, node_cap, languages)[1]
     try:
         source = payloads[from_variant]
         target = payloads[to_variant]
     except KeyError as exc:
         raise KeyError(f"variant {exc.args[0]!r} does not exist at entity {entity!r}") from exc
-    machine = diffs.get((from_variant, to_variant))
-    return machine if machine is not None else diff(source, target, params)
+    return diff(source, target, params or DiffParams())

@@ -447,86 +447,60 @@ def _membership_change(in_a: bool, in_b: bool) -> Change | None:
     return None
 
 
-def _state_sort_key(state: DiffState):
-    return (state.left is None, state.left or "", state.right is None, state.right or "")
-
-
-def _transition_sort_key(t: DiffTransition):
-    def k(pair):
-        l, r = pair
-        return (l is None, l or "", r is None, r or "")
-
-    return (k(t.source), t.event, k(t.target), t.change.value)
+def _key_order(key: tuple[str | None, str | None]) -> tuple:
+    """Sort key of a diff-state key: by left name, then right, a missing name last."""
+    left, right = key
+    return (left is None, left or "", right is None, right or "")
 
 
 def build_diff(a: Nfa, b: Nfa, matching: Matching) -> DiffMachine:
-    """Assemble the annotated diff machine for a given state matching."""
+    """Assemble the annotated diff machine for a given state matching.
+
+    A diff state is a matched pair, an unmatched state of ``a`` with ``None``
+    on the right, or ``None`` with an unmatched state of ``b``. ``None`` is
+    in no state set, so one membership rule marks each state's presence and
+    its initial and accepting flags.
+    """
     _check_injective(matching)
     for p, q in matching:
         if p not in a.states or q not in b.states:
             raise ValueError(f"matching pair ({p!r}, {q!r}) references unknown states")
     to_b = dict(matching)
     to_a = {q: p for p, q in matching}
-
-    def a_key(p: str) -> tuple[str | None, str | None]:
-        return (p, to_b.get(p))
-
-    def b_key(q: str) -> tuple[str | None, str | None]:
-        return (to_a.get(q), q)
-
-    states: list[DiffState] = []
-    for p, q in matching:
-        states.append(
-            DiffState(
-                p,
-                q,
-                Change.UNCHANGED,
-                _membership_change(p in a.initial, q in b.initial),
-                _membership_change(p in a.accepting, q in b.accepting),
-            )
+    keys = [
+        *matching,
+        *((p, None) for p in a.states - to_b.keys()),
+        *((None, q) for q in b.states - to_a.keys()),
+    ]
+    states = [
+        DiffState(
+            p,
+            q,
+            _membership_change(p is not None, q is not None),
+            _membership_change(p in a.initial, q in b.initial),
+            _membership_change(p in a.accepting, q in b.accepting),
         )
-    for p in a.states - to_b.keys():
-        states.append(
-            DiffState(
-                p,
-                None,
-                Change.REMOVED,
-                Change.REMOVED if p in a.initial else None,
-                Change.REMOVED if p in a.accepting else None,
-            )
-        )
-    for q in b.states - to_a.keys():
-        states.append(
-            DiffState(
-                None,
-                q,
-                Change.ADDED,
-                Change.ADDED if q in b.initial else None,
-                Change.ADDED if q in b.accepting else None,
-            )
-        )
+        for p, q in keys
+    ]
 
     transitions: list[DiffTransition] = []
     for p, event, pt in a.transitions:
-        shared = (
-            p in to_b
-            and pt in to_b
-            and (to_b[p], event, to_b[pt]) in b.transitions
-        )
-        change = Change.UNCHANGED if shared else Change.REMOVED
-        transitions.append(DiffTransition(a_key(p), event, a_key(pt), change))
+        q, qt = to_b.get(p), to_b.get(pt)
+        change = Change.UNCHANGED if (q, event, qt) in b.transitions else Change.REMOVED
+        transitions.append(DiffTransition((p, q), event, (pt, qt), change))
     for q, event, qt in b.transitions:
-        shared = (
-            q in to_a
-            and qt in to_a
-            and (to_a[q], event, to_a[qt]) in a.transitions
-        )
-        if not shared:
-            transitions.append(DiffTransition(b_key(q), event, b_key(qt), Change.ADDED))
+        p, pt = to_a.get(q), to_a.get(qt)
+        if (p, event, pt) not in a.transitions:
+            transitions.append(DiffTransition((p, q), event, (pt, qt), Change.ADDED))
 
     return DiffMachine(
-        tuple(sorted(states, key=_state_sort_key)),
-        tuple(sorted(transitions, key=_transition_sort_key)),
+        tuple(sorted(states, key=lambda s: _key_order(s.key))),
+        tuple(
+            sorted(
+                transitions,
+                key=lambda t: (_key_order(t.source), t.event, _key_order(t.target), t.change.value),
+            )
+        ),
     )
 
 

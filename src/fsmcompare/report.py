@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .levels import (
@@ -104,7 +104,6 @@ def build_bundle(
                 to_variant,
                 params,
                 node_cap=node_cap,
-                lattice=lattices.get(entity),
                 languages=languages,
             )
             entries.append(Level6Entry(entity, from_variant, to_variant, machine))
@@ -141,13 +140,7 @@ def default_meta(
         "levels": sorted(levels),
         "hide": list(hide),
         "node_cap": node_cap,
-        "params": {
-            "attenuation": params.attenuation,
-            "convergence_epsilon": params.convergence_epsilon,
-            "max_iterations": params.max_iterations,
-            "landmark_fraction": params.landmark_fraction,
-            "landmark_ratio": params.landmark_ratio,
-        },
+        "params": asdict(params),
     }
 
 
@@ -166,6 +159,13 @@ def _partition_doc(partition: VariantPartition) -> dict:
     }
 
 
+def _edge_counts(lattice: Lattice) -> tuple[tuple[str, str], ...]:
+    """The (DOT sign, ``LatticeEdge`` field) of each count on the lattice's edges."""
+    if lattice.entity is None:
+        return (("~", "changed"), ("+", "newly_present"))
+    return (("+", "added_transitions"), ("-", "removed_transitions"))
+
+
 def _lattice_doc(lattice: Lattice) -> dict:
     size_key = "behavior_count" if lattice.entity is None else "transition_count"
     nodes = [
@@ -177,16 +177,11 @@ def _lattice_doc(lattice: Lattice) -> dict:
         }
         for node in lattice.nodes
     ]
-    edges = []
-    for edge in lattice.edges:
-        doc = {"lower": edge.lower, "upper": edge.upper}
-        if lattice.entity is None:
-            doc["changed"] = edge.changed
-            doc["newly_present"] = edge.newly_present
-        else:
-            doc["added_transitions"] = edge.added_transitions
-            doc["removed_transitions"] = edge.removed_transitions
-        edges.append(doc)
+    counts = _edge_counts(lattice)
+    edges = [
+        {"lower": edge.lower, "upper": edge.upper, **{f: getattr(edge, f) for _, f in counts}}
+        for edge in lattice.edges
+    ]
     return {"nodes": nodes, "edges": edges}
 
 
@@ -279,22 +274,11 @@ def lattice_to_dot(lattice: Lattice) -> str:
         shape = "ellipse" if node.kind == "observed" else "diamond"
         label = f"{node.variant} ({node.size})"
         lines.append(f"  {_quote(node.variant)} [label={_quote(label)}, shape={shape}];")
+    counts = _edge_counts(lattice)
     for edge in lattice.edges:
-        if lattice.entity is None:
-            parts = []
-            if edge.changed:
-                parts.append(f"~{edge.changed}")
-            if edge.newly_present:
-                parts.append(f"+{edge.newly_present}")
-        else:
-            parts = []
-            if edge.added_transitions:
-                parts.append(f"+{edge.added_transitions}")
-            if edge.removed_transitions:
-                parts.append(f"-{edge.removed_transitions}")
-        lines.append(
-            f"  {_quote(edge.lower)} -> {_quote(edge.upper)} [label={_quote(' '.join(parts))}];"
-        )
+        values = [(sign, getattr(edge, f)) for sign, f in counts]
+        label = " ".join(f"{sign}{value}" for sign, value in values if value)
+        lines.append(f"  {_quote(edge.lower)} -> {_quote(edge.upper)} [label={_quote(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

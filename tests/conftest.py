@@ -18,7 +18,11 @@ import pytest
 
 from fsmcompare import (
     CanonicalDfa,
+    Change,
+    DiffMachine,
     DiffParams,
+    DiffState,
+    DiffTransition,
     Matching,
     ModelSet,
     Nfa,
@@ -504,6 +508,83 @@ def oracle_compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Match
         pool.discard((i, j))
         expand(i, j)
     return frozenset((left[i], right[j]) for i, j in matched)
+
+
+def oracle_build_diff(a: Nfa, b: Nfa, matching: Matching) -> DiffMachine:
+    """Diff machine assembly with one loop per kind of state and of transition."""
+    to_b = dict(matching)
+    to_a = {q: p for p, q in matching}
+
+    def a_key(p: str) -> tuple[str | None, str | None]:
+        return (p, to_b.get(p))
+
+    def b_key(q: str) -> tuple[str | None, str | None]:
+        return (to_a.get(q), q)
+
+    def both(in_a: bool, in_b: bool) -> Change | None:
+        if in_a and in_b:
+            return Change.UNCHANGED
+        if in_a:
+            return Change.REMOVED
+        if in_b:
+            return Change.ADDED
+        return None
+
+    states: list[DiffState] = []
+    for p, q in matching:
+        states.append(
+            DiffState(
+                p,
+                q,
+                Change.UNCHANGED,
+                both(p in a.initial, q in b.initial),
+                both(p in a.accepting, q in b.accepting),
+            )
+        )
+    for p in a.states - to_b.keys():
+        states.append(
+            DiffState(
+                p,
+                None,
+                Change.REMOVED,
+                Change.REMOVED if p in a.initial else None,
+                Change.REMOVED if p in a.accepting else None,
+            )
+        )
+    for q in b.states - to_a.keys():
+        states.append(
+            DiffState(
+                None,
+                q,
+                Change.ADDED,
+                Change.ADDED if q in b.initial else None,
+                Change.ADDED if q in b.accepting else None,
+            )
+        )
+
+    transitions: list[DiffTransition] = []
+    for p, event, pt in a.transitions:
+        shared = p in to_b and pt in to_b and (to_b[p], event, to_b[pt]) in b.transitions
+        change = Change.UNCHANGED if shared else Change.REMOVED
+        transitions.append(DiffTransition(a_key(p), event, a_key(pt), change))
+    for q, event, qt in b.transitions:
+        shared = q in to_a and qt in to_a and (to_a[q], event, to_a[qt]) in a.transitions
+        if not shared:
+            transitions.append(DiffTransition(b_key(q), event, b_key(qt), Change.ADDED))
+
+    def state_key(state: DiffState):
+        return (state.left is None, state.left or "", state.right is None, state.right or "")
+
+    def transition_key(t: DiffTransition):
+        def k(pair):
+            l, r = pair
+            return (l is None, l or "", r is None, r or "")
+
+        return (k(t.source), t.event, k(t.target), t.change.value)
+
+    return DiffMachine(
+        tuple(sorted(states, key=state_key)), tuple(sorted(transitions, key=transition_key))
+    )
 
 
 def random_nfa(

@@ -107,6 +107,11 @@ class TestNfaConstruction:
         with pytest.raises(ValueError):
             Nfa.build(transitions=[("a", "x y", "a")])
 
+    @pytest.mark.parametrize("name", ["a b", "c#d", "", "x\x01"])
+    def test_rejects_state_names_a_nfa_file_cannot_hold(self, name):
+        with pytest.raises(ValueError, match="state name"):
+            Nfa.build(states=[name])
+
 
 class TestAccepts:
     def test_fig3_e1_cycle(self):

@@ -3,14 +3,16 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import fsmcompare
-from fsmcompare import parse_log, parse_nfa
+from fsmcompare import DiffParams, parse_log, parse_nfa
 from fsmcompare.cli import main
 
 from conftest import oracle_language
@@ -66,6 +68,17 @@ def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from fsmcompare import *", namespace)
     assert fsmcompare.__all__ and all(name in namespace for name in fsmcompare.__all__)
+
+
+@pytest.mark.parametrize("command", ["compare", "diff"])
+def test_help_lists_the_diff_options_with_the_diff_params_defaults(command):
+    options = re.findall(r"--([a-z-]+) FLOAT +\[default: ([^\]]+)\]", run(command, "--help").output)
+    defaults = DiffParams()
+    assert options == [
+        ("attenuation", str(defaults.attenuation)),
+        ("landmark-fraction", str(defaults.landmark_fraction)),
+        ("landmark-ratio", str(defaults.landmark_ratio)),
+    ]
 
 
 class TestCompare:

@@ -67,6 +67,11 @@ class TestParseNfa:
         with pytest.raises(NfaParseError):
             parse_nfa("nfa v1\nfinal s1\n")
 
+    def test_control_character_in_state_name_names_the_file(self):
+        with pytest.raises(NfaParseError, match="m.nfa") as info:
+            parse_nfa("nfa v1\nstate a\x01b initial\n", path="m.nfa")
+        assert "state name" in str(info.value)
+
     def test_bad_state_flag(self):
         with pytest.raises(NfaParseError):
             parse_nfa("nfa v1\nstate s1 starting\n")
@@ -117,6 +122,26 @@ class TestWriteNfa:
         for _ in range(100):
             machine = random_nfa(rng)
             assert parse_nfa(write_nfa(machine)) == machine
+
+    def test_every_machine_with_random_state_names_round_trips(self):
+        # Names drawn from letters, punctuation, a format character and
+        # characters a file cannot hold: a machine is refused or round-trips.
+        rng = random.Random(61)
+        good, bad = "ab1_-.:\u00e9\u200d", "# \t\x01\x85\u3000"
+        weights = [4] * len(good) + [1] * len(bad)
+        written = 0
+        for _ in range(300):
+            names = [
+                "".join(rng.choices(good + bad, weights, k=rng.randint(1, 3))) for _ in range(3)
+            ]
+            try:
+                machine = Nfa.build([(names[0], "x", names[1])], [names[0]], [names[2]])
+            except ValueError:
+                assert set("".join(names)) & set(bad)
+                continue
+            written += 1
+            assert parse_nfa(write_nfa(machine)) == machine
+        assert 50 <= written <= 250
 
 
 class TestParseLog:
@@ -261,6 +286,13 @@ class TestLoadWorkspace:
         assert language_equivalent(
             ws.model_set("legacy").models["apply"], ws.model_set("new").models["apply"]
         )
+
+    def test_directory_named_like_a_model_is_no_entity(self, tmp_path):
+        for name in ("S1", "S2"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "e.nfa").write_text("nfa v1\nstate s initial accepting\n")
+        (tmp_path / "S2" / "junk.nfa").mkdir()
+        assert load_workspace(tmp_path).entities == ("e",)
 
     def test_deterministic_given_directory_content(self, running_example_dir):
         assert load_workspace(running_example_dir) == load_workspace(running_example_dir)

@@ -10,6 +10,7 @@ from fsmcompare import (
     DiffParams,
     Nfa,
     ScoreTable,
+    build_bundle,
     build_diff,
     compute_matching,
     diff,
@@ -22,6 +23,7 @@ from fsmcompare.ltsdiff import _ranked_pairs
 
 from conftest import (
     fig2_machines,
+    oracle_build_diff,
     oracle_compute_matching,
     oracle_global_scores,
     random_nfa,
@@ -352,6 +354,31 @@ class TestBuildDiff:
         source, target = fig2_machines()
         machine = build_diff(source, target, frozenset({("s1", "s1")}))
         assert_projections(machine, source, target)
+
+    def test_equals_the_oracle_on_the_running_example_level6_pairs(self, running_example):
+        bundle = build_bundle(running_example, levels=(5, 6))
+        assert bundle.level6
+        for entry in bundle.level6:
+            payloads = bundle.level5[entry.entity].payloads
+            a, b = payloads[entry.from_variant], payloads[entry.to_variant]
+            scores = global_scores(a, b, DiffParams())
+            landmarks = select_landmarks(scores, a, b, DiffParams())
+            matching = compute_matching(a, b, scores, landmarks)
+            assert build_diff(a, b, matching) == oracle_build_diff(a, b, matching) == entry.machine
+
+    def test_equals_the_oracle_on_random_matchings(self):
+        # Empty, partial and full matchings, in turn; a full one uses every
+        # state of the smaller machine.
+        rng = random.Random(43)
+        for n in range(240):
+            a = random_nfa(rng, max_states=6)
+            b = random_nfa(rng, max_states=6)
+            full = min(len(a.states), len(b.states))
+            size = (0, rng.randint(1, max(1, full - 1)), full)[n % 3]
+            left = rng.sample(sorted(a.states), size)
+            right = rng.sample(sorted(b.states), size)
+            matching = frozenset(zip(left, right))
+            assert build_diff(a, b, matching) == oracle_build_diff(a, b, matching)
 
 
 class TestDiffPipeline:

@@ -243,6 +243,12 @@ class TestBuildBundle:
         build_bundle(running_example, levels=(6,), entity="E2", from_variant="D", to_variant="A")
         assert len(calls) == 1
 
+    def test_requested_pair_diff_equals_the_level5_edge_diff(self, running_example):
+        bundle = build_bundle(
+            running_example, levels=(5, 6), entity="E2", from_variant="B", to_variant="C"
+        )
+        assert bundle.level6[0].machine == bundle.level5["E2"].diffs[("B", "C")]
+
     def test_each_distinct_model_is_minimized_once(self, running_example, monkeypatch):
         import fsmcompare.levels
 
