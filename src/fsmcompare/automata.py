@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
@@ -47,13 +48,19 @@ class Nfa:
     def __post_init__(self) -> None:
         _check_names("state", self.states)
         _check_names("event", self.alphabet)
-        for src, event, dst in self.transitions:
-            if src not in self.states:
+        states, alphabet = self.states, self.alphabet
+        bad = [
+            (src, event, dst)
+            for src, event, dst in self.transitions
+            if src not in states or dst not in states or event not in alphabet
+        ]
+        if bad:  # the smallest bad transition is named, whatever the set order
+            src, event, dst = min(bad)
+            if src not in states:
                 raise ValueError(f"transition source {src!r} is not a declared state")
-            if dst not in self.states:
+            if dst not in states:
                 raise ValueError(f"transition target {dst!r} is not a declared state")
-            if event not in self.alphabet:
-                raise ValueError(f"transition event {event!r} is not in the alphabet")
+            raise ValueError(f"transition event {event!r} is not in the alphabet")
         if not self.initial <= self.states:
             raise ValueError("initial states must be a subset of states")
         if not self.accepting <= self.states:
@@ -140,13 +147,9 @@ def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int]]:
     """
     events = sorted(machine.alphabet)
     column = {event: k for k, event in enumerate(events)}
-    succ: dict = {}
+    succ: defaultdict[str, defaultdict[int, set[str]]] = defaultdict(lambda: defaultdict(set))
     for src, event, dst in machine.transitions:
-        succ.setdefault(src, {}).setdefault(column[event], set()).add(dst)
-    # Each state's event-ordered (event index, subset) pairs, converted in
-    # place so that the sets are freed as it goes.
-    for state, by_event in succ.items():
-        succ[state] = [(k, frozenset(by_event[k])) for k in sorted(by_event)]
+        succ[src][column[event]].add(dst)
     start = frozenset(machine.initial)
     index: dict[frozenset[str], int] = {start: 0}
     order: list[frozenset[str]] = [start]
@@ -154,25 +157,22 @@ def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int]]:
     for subset in order:  # grows while it is walked
         if len(subset) == 1:
             (state,) = subset
-            pairs = succ.get(state, ())
+            by_event = succ.get(state, {})
         else:
-            merged: dict[int, list[frozenset[str]]] = {}
+            by_event = defaultdict(set)
             for state in subset:
-                for k, targets in succ.get(state, ()):
-                    merged.setdefault(k, []).append(targets)
-            pairs = [
-                (k, parts[0] if len(parts) == 1 else frozenset().union(*parts))
-                for k, parts in sorted(merged.items())
-            ]
+                for k, targets in succ.get(state, {}).items():
+                    by_event[k] |= targets
         row = []
-        for k, targets in pairs:
+        for k in sorted(by_event):
+            targets = frozenset(by_event[k])
             j = index.get(targets)
             if j is None:
                 j = index[targets] = len(order)
                 order.append(targets)
             row.append((k, j))
         rows.append(row)
-    accepting = {i for i, subset in enumerate(order) if subset & machine.accepting}
+    accepting = {i for i, subset in enumerate(order) if not subset.isdisjoint(machine.accepting)}
     return events, rows, accepting
 
 
@@ -277,15 +277,19 @@ def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalD
     bfs = [block[0]]
     trans = []
     for b in bfs:  # grows while it is walked
-        targets = [-1] * width
-        if b >= 0:
-            for k, t in rows[elems[first[b]]]:
-                targets[k] = block[t]
+        row = rows[elems[first[b]]] if b >= 0 else ()
+        targets = [block[t] for _, t in row]
+        if number[-1] < 0 and len(row) < width:
+            # The first missing event numbers the dead block in its place.
+            targets.insert(next((i for i, (k, _) in enumerate(row) if k != i), len(row)), -1)
         for c in targets:
             if number[c] < 0:
                 number[c] = len(bfs)
                 bfs.append(c)
-        trans.append(tuple([number[c] for c in targets]))
+        line = [number[-1]] * width
+        for k, t in row:
+            line[k] = number[block[t]]
+        trans.append(tuple(line))
     acc = frozenset(number[block[i]] for i in accepting)
     sink = number[-1] if number[-1] >= 0 else None
     return CanonicalDfa(tuple(events), tuple(trans), acc, sink)
@@ -372,21 +376,21 @@ def hide_events(machine: Nfa, hidden: Iterable[str]) -> Nfa:
     if not hidden_set:
         return machine
 
-    silent: dict[str, set[str]] = {}
-    visible: dict[str, set[tuple[str, str]]] = {}
+    silent: dict[str, list[str]] = {}
+    visible: dict[str, list[tuple[str, str]]] = {}
     for src, event, dst in machine.transitions:
         if event in hidden_set:
-            silent.setdefault(src, set()).add(dst)
+            silent.setdefault(src, []).append(dst)
         else:
-            visible.setdefault(src, set()).add((event, dst))
+            visible.setdefault(src, []).append((event, dst))
 
+    # Only states with a silent step need a closure; any other state is its own.
     closure: dict[str, set[str]] = {}
-    for state in machine.states:
+    for state in silent:
         seen = {state}
         stack = [state]
         while stack:
-            cur = stack.pop()
-            for nxt in silent.get(cur, ()):
+            for nxt in silent.get(stack.pop(), ()):
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -394,11 +398,13 @@ def hide_events(machine: Nfa, hidden: Iterable[str]) -> Nfa:
 
     trans: set[tuple[str, str, str]] = set()
     for state in machine.states:
-        for reached in closure[state]:
+        for reached in closure.get(state, (state,)):
             for event, dst in visible.get(reached, ()):
-                for target in closure[dst]:
+                for target in closure.get(dst, (dst,)):
                     trans.add((state, event, target))
-    accepting = frozenset(s for s in machine.states if closure[s] & machine.accepting)
+    accepting = machine.accepting.union(
+        s for s, reached in closure.items() if not machine.accepting.isdisjoint(reached)
+    )
     return Nfa(
         machine.states,
         machine.alphabet - hidden_set,

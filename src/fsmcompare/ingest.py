@@ -70,65 +70,64 @@ class HidingConfig:
         return hide_events(machine, self.hidden_events(machine.alphabet))
 
 
-def _significant_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line.split()
-
-
 def parse_nfa(text: str, path: str | None = None) -> Nfa:
     """Parse the .nfa text format; errors carry the offending line number."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise NfaParseError("missing 'nfa v1' header", path=path)
-    number, tokens = lines[0]
-    if tuple(tokens) != _HEADER:
-        raise NfaParseError(f"expected 'nfa v1' header, got {' '.join(tokens)!r}", number, path)
-
-    states: dict[str, tuple[bool, bool]] = {}
-    alphabet: set[str] = set()
+    # Transitions reuse the declared states' and events' name objects: one copy per name.
+    header = False
+    states: dict[str, tuple[str, bool, bool]] = {}
+    events: dict[str, str] = {}
     transitions: list[tuple[str, str, str, int]] = []
-    for number, tokens in lines[1:]:
-        kind, args = tokens[0], tokens[1:]
-        if kind == "state":
-            if not args:
+    for number, line in enumerate(text.splitlines(), start=1):
+        tokens = (line.split("#", 1)[0] if "#" in line else line).split()
+        if not tokens:
+            continue
+        if not header:
+            if tuple(tokens) != _HEADER:
+                got = " ".join(tokens)
+                raise NfaParseError(f"expected 'nfa v1' header, got {got!r}", number, path)
+            header = True
+        elif tokens[0] == "trans":
+            if len(tokens) != 4:
+                raise NfaParseError("trans line needs source, event and target", number, path)
+            _, src, event, dst = tokens
+            transitions.append((src, events.setdefault(event, event), dst, number))
+        elif tokens[0] == "state":
+            if len(tokens) < 2:
                 raise NfaParseError("state line needs a name", number, path)
-            name, flags = args[0], args[1:]
+            name = tokens[1]
             if name in states:
                 raise NfaParseError(f"duplicate declaration of state {name!r}", number, path)
             initial = accepting = False
-            for flag in flags:
+            for flag in tokens[2:]:
                 if flag == "initial" and not initial:
                     initial = True
                 elif flag == "accepting" and not accepting:
                     accepting = True
                 else:
                     raise NfaParseError(f"unexpected state flag {flag!r}", number, path)
-            states[name] = (initial, accepting)
-        elif kind == "trans":
-            if len(args) != 3:
-                raise NfaParseError("trans line needs source, event and target", number, path)
-            src, event, dst = args
-            alphabet.add(event)
-            transitions.append((src, event, dst, number))
-        elif kind == "alphabet":
-            alphabet.update(args)
+            states[name] = (name, initial, accepting)
+        elif tokens[0] == "alphabet":
+            for event in tokens[1:]:
+                events.setdefault(event, event)
         else:
-            raise NfaParseError(f"unknown directive {kind!r}", number, path)
+            raise NfaParseError(f"unknown directive {tokens[0]!r}", number, path)
+    if not header:
+        raise NfaParseError("missing 'nfa v1' header", path=path)
 
-    for src, _, dst, number in transitions:
-        for name in (src, dst):
-            if name not in states:
-                raise NfaParseError(f"undeclared state {name!r} in transition", number, path)
-
+    steps = []
+    for src, event, dst, number in transitions:
+        source, target = states.get(src), states.get(dst)
+        if source is None or target is None:
+            name = dst if source else src
+            raise NfaParseError(f"undeclared state {name!r} in transition", number, path)
+        steps.append((source[0], event, target[0]))
     try:
         return Nfa(
             frozenset(states),
-            frozenset(alphabet),
-            frozenset((s, e, t) for s, e, t, _ in transitions),
-            frozenset(name for name, (initial, _) in states.items() if initial),
-            frozenset(name for name, (_, accepting) in states.items() if accepting),
+            frozenset(events),
+            frozenset(steps),
+            frozenset(name for name, initial, _ in states.values() if initial),
+            frozenset(name for name, _, accepting in states.values() if accepting),
         )
     except ValueError as exc:
         raise NfaParseError(str(exc), path=path) from exc

@@ -171,6 +171,7 @@ class _Languages:
         self._machines: dict[Nfa, int] = {}
         self._memo: dict[tuple, int] = {}
         self._nfas: dict[int, Nfa] = {}
+        self.lattices: dict[int, tuple] = {}  # _entity_lattice's result by node cap
 
     def intern(self, machine: Nfa) -> int:
         x = self._machines.get(machine)
@@ -431,14 +432,17 @@ def _entity_lattice(
     if entity not in workspace.entities:
         raise KeyError(entity)
     languages = {} if languages is None else languages
+    lang = _table(workspace, languages, entity)
+    if node_cap in lang.lattices:
+        return lang.lattices[node_cap]
     partition = _entity_partition(workspace, entity, languages)
-    lang = languages[entity]
     observed = [(lang.intern(cls.representative),) for cls in partition.classes]
     vectors = _close(observed, [lang], node_cap)
     payloads = [cls.representative for cls in partition.classes]
     payloads += [lang.machine(x) for (x,) in vectors[len(payloads) :]]
     nodes, payloads_by_label = _nodes(partition, payloads, [len(p.transitions) for p in payloads])
     covers = [(nodes[i].variant, nodes[j].variant) for i, j in _cover_edges(vectors, [lang])]
+    lang.lattices[node_cap] = nodes, payloads_by_label, covers
     return nodes, payloads_by_label, covers
 
 

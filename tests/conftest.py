@@ -26,6 +26,7 @@ from fsmcompare import (
     Matching,
     ModelSet,
     Nfa,
+    NfaParseError,
     ScoreTable,
     Workspace,
     language_equivalent,
@@ -167,6 +168,121 @@ def oracle_subset_table(machine: Nfa) -> tuple[list[str], list[list[int]], set[i
         rows.append(row)
     accepting = {i for i, subset in enumerate(order) if subset & machine.accepting}
     return events, rows, accepting
+
+
+def _significant_lines(text: str):
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield number, line.split()
+
+
+def oracle_parse_nfa(text: str, path: str | None = None) -> Nfa:
+    """The .nfa parser as two passes: tokenize every line, then read the tokens.
+
+    ``ingest.parse_nfa`` reads the text in one loop; on valid text both give
+    ``==`` machines, and on invalid text both raise with the same message,
+    line and path.
+    """
+    lines = list(_significant_lines(text))
+    if not lines:
+        raise NfaParseError("missing 'nfa v1' header", path=path)
+    number, tokens = lines[0]
+    if tuple(tokens) != ("nfa", "v1"):
+        raise NfaParseError(f"expected 'nfa v1' header, got {' '.join(tokens)!r}", number, path)
+
+    states: dict[str, tuple[bool, bool]] = {}
+    alphabet: set[str] = set()
+    transitions: list[tuple[str, str, str, int]] = []
+    for number, tokens in lines[1:]:
+        kind, args = tokens[0], tokens[1:]
+        if kind == "state":
+            if not args:
+                raise NfaParseError("state line needs a name", number, path)
+            name, flags = args[0], args[1:]
+            if name in states:
+                raise NfaParseError(f"duplicate declaration of state {name!r}", number, path)
+            initial = accepting = False
+            for flag in flags:
+                if flag == "initial" and not initial:
+                    initial = True
+                elif flag == "accepting" and not accepting:
+                    accepting = True
+                else:
+                    raise NfaParseError(f"unexpected state flag {flag!r}", number, path)
+            states[name] = (initial, accepting)
+        elif kind == "trans":
+            if len(args) != 3:
+                raise NfaParseError("trans line needs source, event and target", number, path)
+            src, event, dst = args
+            alphabet.add(event)
+            transitions.append((src, event, dst, number))
+        elif kind == "alphabet":
+            alphabet.update(args)
+        else:
+            raise NfaParseError(f"unknown directive {kind!r}", number, path)
+
+    for src, _, dst, number in transitions:
+        for name in (src, dst):
+            if name not in states:
+                raise NfaParseError(f"undeclared state {name!r} in transition", number, path)
+
+    try:
+        return Nfa(
+            frozenset(states),
+            frozenset(alphabet),
+            frozenset((s, e, t) for s, e, t, _ in transitions),
+            frozenset(name for name, (initial, _) in states.items() if initial),
+            frozenset(name for name, (_, accepting) in states.items() if accepting),
+        )
+    except ValueError as exc:
+        raise NfaParseError(str(exc), path=path) from exc
+
+
+def oracle_hide_events(machine: Nfa, hidden) -> Nfa:
+    """Hiding with a silent closure for every state, closed on both sides of each step.
+
+    ``automata.hide_events`` closes only the states that have a silent step
+    and must return an ``==`` machine.
+    """
+    hidden_set = frozenset(hidden) & machine.alphabet
+    if not hidden_set:
+        return machine
+
+    silent: dict[str, set[str]] = {}
+    visible: dict[str, set[tuple[str, str]]] = {}
+    for src, event, dst in machine.transitions:
+        if event in hidden_set:
+            silent.setdefault(src, set()).add(dst)
+        else:
+            visible.setdefault(src, set()).add((event, dst))
+
+    closure: dict[str, set[str]] = {}
+    for state in machine.states:
+        seen = {state}
+        stack = [state]
+        while stack:
+            cur = stack.pop()
+            for nxt in silent.get(cur, ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        closure[state] = seen
+
+    trans: set[tuple[str, str, str]] = set()
+    for state in machine.states:
+        for reached in closure[state]:
+            for event, dst in visible.get(reached, ()):
+                for target in closure[dst]:
+                    trans.add((state, event, target))
+    accepting = frozenset(s for s in machine.states if closure[s] & machine.accepting)
+    return Nfa(
+        machine.states,
+        machine.alphabet - hidden_set,
+        frozenset(trans),
+        machine.initial,
+        accepting,
+    )
 
 
 def determinize(machine: Nfa) -> Nfa:

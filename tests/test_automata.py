@@ -1,9 +1,14 @@
 """Language-level algorithm tests against brute-force enumeration oracles."""
 
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -33,6 +38,7 @@ from conftest import (
     oracle_accepts_with_insertions,
     oracle_canonical,
     oracle_compare,
+    oracle_hide_events,
     oracle_language,
     oracle_subset_table,
     random_nfa,
@@ -98,6 +104,37 @@ class TestNfaConstruction:
                 frozenset(),
                 frozenset(),
             )
+
+    def test_names_the_smallest_bad_transition_under_every_hash_seed(self):
+        # Set order follows PYTHONHASHSEED, so each seed needs its own interpreter.
+        code = (
+            "from fsmcompare import Nfa\n"
+            "steps = frozenset({('a', 'x', 'd'), ('a', 'x', 'c'), ('a', 'x', 'b')})\n"
+            "try:\n"
+            "    Nfa(frozenset('a'), frozenset('x'), steps, frozenset(), frozenset())\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(automata.__file__).resolve().parents[1])
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            result = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            assert result.stdout == "transition target 'b' is not a declared state\n"
+
+    @pytest.mark.parametrize(
+        "steps, message",
+        [
+            ({("b", "x", "a"), ("a", "x", "z")}, "transition target 'z' is not a declared"),
+            ({("a", "y", "a"), ("b", "x", "a")}, "transition event 'y' is not in the alphabet"),
+            ({("a", "y", "z"), ("c", "x", "a")}, "transition target 'z' is not a declared"),
+        ],
+    )
+    def test_the_first_fault_of_the_smallest_transition_is_named(self, steps, message):
+        with pytest.raises(ValueError, match=message):
+            Nfa(frozenset("a"), frozenset("x"), frozenset(steps), frozenset(), frozenset())
 
     def test_rejects_initial_outside_states(self):
         with pytest.raises(ValueError):
@@ -304,6 +341,36 @@ class TestSubsetTableAgainstOracle:
         assert numbered_mid_row > 50
 
 
+    def test_hidden_machines_with_several_states_per_subset(self):
+        rng = random.Random(139)
+        several = 0
+        for _ in range(300):
+            machine = random_nfa(rng, max_states=8, max_events=4, density=rng.choice([1.0, 2.0]))
+            hidden = {e for e in machine.alphabet if rng.random() < 0.5}
+            machine = hide_events(machine, hidden)
+            assert _subset_table(machine) == without_empty_subset(machine)[0]
+            several += largest_subset(machine) > 1
+        assert several > 150
+
+
+def largest_subset(machine: Nfa) -> int:
+    """The size of the largest subset that subset construction reaches."""
+    succ: dict = {}
+    for src, event, dst in machine.transitions:
+        succ.setdefault((src, event), set()).add(dst)
+    start = frozenset(machine.initial)
+    seen = {start}
+    stack = [start]
+    while stack:
+        subset = stack.pop()
+        for event in machine.alphabet:
+            nxt = frozenset().union(*(succ.get((s, event), ()) for s in subset))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return max(map(len, seen))
+
+
 class TestCanonicalAgainstMoore:
     """Hopcroft refinement must give exactly the Moore oracle's canonical DFA."""
 
@@ -340,6 +407,24 @@ class TestCanonicalAgainstMoore:
                 table = (events, rows, accepting)
                 assert _canonical(*table) == oracle_canonical(*complete_table(*table))
         assert rejecting_loops > 100 and accepting_loops > 100
+
+    def test_dead_block_reached_first_last_or_never(self):
+        rng = random.Random(149)
+        where: Counter = Counter()
+        for _ in range(1500):
+            events, rows = random_table(rng, presence=rng.choice([0.5, 0.8, 1.0]))
+            accepting = {i for i in range(len(rows)) if rng.random() < 0.5}
+            got = _canonical(events, rows, accepting)
+            assert got == oracle_canonical(*complete_table(events, rows, accepting))
+            if got.sink is None:
+                where["never"] += 1
+            elif got.sink == 1:
+                # Numbered by a missing event ahead of a present one in row 0?
+                where["first"] += 1
+                where["first, ahead of a present event"] += bool(rows[0]) and rows[0][0][0] > 0
+            elif got.sink == got.num_states - 1 > 1:
+                where["last"] += 1
+        assert len(where) == 4 and min(where.values()) > 50
 
     def test_empty_alphabet_and_empty_machine(self):
         events, rows, accepting = _subset_table(Nfa.empty())
@@ -569,6 +654,51 @@ class TestHideEvents:
             for trace in oracle_language(machine, 6):
                 projected = tuple(e for e in trace if e not in hidden)
                 assert projected in visible
+
+
+class TestHideEventsAgainstOracle:
+    """Closing only the states with a silent step gives the all-states oracle's machine.
+
+    ``Nfa`` equality compares all five fields.
+    """
+
+    def test_random_machines(self):
+        rng = random.Random(137)
+        seen: Counter = Counter()
+        for _ in range(600):
+            machine = random_nfa(rng, max_states=8, max_events=4, density=rng.choice([1.0, 2.5]))
+            some = {e for e in machine.alphabet if rng.random() < 0.5}
+            for hidden in (some, machine.alphabet):
+                assert hide_events(machine, hidden) == oracle_hide_events(machine, hidden)
+                silent = [(s, t) for s, e, t in machine.transitions if e in hidden]
+                cycles = [s for s, t in silent if s != t and s in silent_reach(silent, t)]
+                seen["silent cycle"] += bool(cycles)
+                seen["self-loop"] += any(s == t for s, t in silent)
+                seen["out of initial"] += any(s in machine.initial for s, _ in silent)
+                seen["out of accepting"] += any(s in machine.accepting for s, _ in silent)
+            assert not hide_events(machine, machine.alphabet).alphabet
+        assert len(seen) == 4 and min(seen.values()) > 100
+
+    def test_nothing_hidden_returns_the_same_machine(self):
+        rng = random.Random(151)
+        for _ in range(50):
+            machine = random_nfa(rng)
+            for hidden in (set(), {"z"}, ["z", "y"]):
+                assert hide_events(machine, hidden) is machine
+                assert oracle_hide_events(machine, hidden) is machine
+
+
+def silent_reach(silent, state):
+    """The states reachable from ``state`` along the given (source, target) steps."""
+    seen = {state}
+    stack = [state]
+    while stack:
+        cur = stack.pop()
+        for s, t in silent:
+            if s == cur and t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """File format, prefix-tree, and workspace loading tests."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from fsmcompare import (
     write_nfa,
 )
 
-from conftest import oracle_language, random_nfa
+from conftest import oracle_language, oracle_parse_nfa, random_nfa
 
 
 class TestParseNfa:
@@ -87,6 +88,134 @@ class TestParseNfa:
     def test_any_whitespace_accepted_on_input(self):
         machine = parse_nfa("nfa v1\nstate   s1\tinitial\n")
         assert machine.initial == frozenset({"s1"})
+
+
+def parse_outcome(parse, text: str):
+    """The parsed machine, or the (message, line, path) of the parse error."""
+    try:
+        return parse(text, path="m.nfa")
+    except NfaParseError as exc:
+        return str(exc), exc.line, exc.path
+
+
+INVALID_NFA_TEXTS = [
+    "",  # missing header
+    "# only a comment\n\n   \t\n",
+    "state s1\n",  # wrong header
+    "nfa v2\n",
+    "nfa v1 extra\n",
+    "nfa v1\nfinal s1\n",  # unknown directive
+    "nfa v1\nstate s1 starting\n",  # bad flag
+    "nfa v1\nstate s1 initial accepting initial\n",  # repeated flag
+    "nfa v1\nstate s1 accepting accepting\n",
+    "nfa v1\nstate s1\nstate s2\nstate s1 initial\n",  # duplicate state
+    "nfa v1\nstate\n",  # short state line
+    "nfa v1\nstate s1\ntrans s1 a\n",  # short trans line
+    "nfa v1\nstate s1\ntrans s1 a s1 s1\n",
+    "nfa v1\nstate s1\ntrans s9 a s1\n",  # undeclared source
+    "nfa v1\nstate s1\ntrans s1 a s9\n",  # undeclared target
+    "nfa v1\ntrans s8 a s9\nstate s1\n",  # both undeclared: the source is named
+    "nfa v1\nstate s1\ntrans s1 a s9\ntrans s8 a s1\n",  # the first transition is named
+    "nfa v1\ntrans s8 a s9\nstate\n",  # a line error wins over an earlier undeclared state
+    "nfa v1\nstate a\x01b\n",  # unwritable names
+    "nfa v1\nstate s\ntrans s e\x01 s\n",
+    "nfa v1\nalphabet x\x7fy\nstate a\x01b\nstate c\x02d\n",
+]
+
+LINE_BREAKS = ["\r\n", "\x0b", "\x0c", "\x1c", "\u2028"]
+
+
+def perturbed_text(rng: random.Random, machine: Nfa) -> str:
+    """``write_nfa``'s text with shuffled lines, odd spacing, comments and blank lines."""
+    header, *body = write_nfa(machine).splitlines()
+    rng.shuffle(body)
+    lines = ["# leading comment", "", header]
+    for line in body:
+        gaps = [rng.choice([" ", "\t", "  ", " \t "]) for _ in line.split()]
+        line = "".join(gap + token for gap, token in zip(gaps, line.split()))
+        if rng.random() < 0.3:
+            line += rng.choice(["#glued", " # spaced", "\t#"])
+        lines.append(line)
+        if rng.random() < 0.2:
+            lines.append(rng.choice(["", "   ", "# comment line", "\t# trans s0 a s0"]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def corrupted_text(rng: random.Random, text: str) -> str:
+    """The text with one line dropped, repeated, cut short or given an unknown name."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    edit = rng.choice(["drop", "repeat", "cut", "rename", "flag"])
+    if edit == "drop":
+        del lines[i]
+    elif edit == "repeat":
+        lines.insert(i, lines[i])
+    elif edit == "cut":
+        lines[i] = " ".join(lines[i].split()[:-1])
+    elif edit == "rename" and len(lines[i].split()) > 1:
+        tokens = lines[i].split()
+        tokens[rng.randrange(1, len(tokens))] = "zz"
+        lines[i] = " ".join(tokens)
+    else:
+        lines[i] += " initial"
+    return "\n".join(lines)
+
+
+class TestParseNfaAgainstOracle:
+    """The one-loop parser gives the two-pass oracle's machine or error."""
+
+    @pytest.mark.parametrize("text", INVALID_NFA_TEXTS)
+    def test_every_error_kind(self, text):
+        expected = parse_outcome(oracle_parse_nfa, text)
+        assert isinstance(expected, tuple)
+        assert parse_outcome(parse_nfa, text) == expected
+
+    @pytest.mark.parametrize("newline", LINE_BREAKS)
+    def test_other_line_breaks(self, newline, running_example_dir):
+        texts = [p.read_text() for p in sorted(running_example_dir.glob("*/*.nfa"))]
+        texts += INVALID_NFA_TEXTS
+        for text in texts:
+            text = text.replace("\n", newline)
+            assert parse_outcome(parse_nfa, text) == parse_outcome(oracle_parse_nfa, text)
+
+    def test_tabs_glued_comments_and_comments_before_the_header(self):
+        text = (
+            "# first\n\t# second\n\nnfa\tv1#header\n"
+            "state\ts1\tinitial#flags\nstate s2 accepting#\n"
+            "alphabet\tb#c d\ntrans\ts1 a\ts2#x\ntrans s2 a s2 # loop\n"
+        )
+        machine = parse_nfa(text)
+        assert machine == oracle_parse_nfa(text)
+        assert machine.alphabet == frozenset({"a", "b"})
+        assert machine.transitions == frozenset({("s1", "a", "s2"), ("s2", "a", "s2")})
+
+    def test_running_example(self, running_example_dir):
+        for path in sorted(running_example_dir.glob("*/*.nfa")):
+            text = path.read_text()
+            assert parse_nfa(text) == oracle_parse_nfa(text)
+
+    def test_seeded_random_files_and_their_corruptions(self):
+        rng = random.Random(131)
+        kinds: Counter = Counter()
+        for _ in range(300):
+            text = perturbed_text(rng, random_nfa(rng, max_states=6))
+            assert parse_nfa(text) == oracle_parse_nfa(text)
+            broken = corrupted_text(rng, text)
+            expected = parse_outcome(oracle_parse_nfa, broken)
+            if isinstance(expected, tuple):
+                kinds[expected[0].split(":", 2)[2].split(" ")[1]] += 1
+            assert parse_outcome(parse_nfa, broken) == expected
+        assert len(kinds) >= 6 and sum(kinds.values()) > 100
+
+    def test_transitions_share_the_declared_name_objects(self):
+        text = "nfa v1\nstate q10 initial\nstate q11 accepting\n"
+        text += "trans q10 go q11\ntrans q11 go q10\ntrans q11 stop q11\n"
+        machine = parse_nfa(text)
+        states = {name: name for name in machine.states}
+        events = {name: name for name in machine.alphabet}
+        for src, event, dst in machine.transitions:
+            assert src is states[src] and dst is states[dst]
+            assert event is events[event]
 
 
 class TestWriteNfa:

@@ -249,6 +249,24 @@ class TestBuildBundle:
         )
         assert bundle.level6[0].machine == bundle.level5["E2"].diffs[("B", "C")]
 
+    def test_a_targeted_level5_and_level6_query_closes_the_lattice_once(
+        self, running_example, monkeypatch
+    ):
+        import fsmcompare.levels
+
+        closures = []
+        close = fsmcompare.levels._close
+
+        def counting_close(observed, languages, node_cap):
+            closures.append(observed)
+            return close(observed, languages, node_cap)
+
+        monkeypatch.setattr(fsmcompare.levels, "_close", counting_close)
+        query = {"entity": "E2", "from_variant": "B", "to_variant": "C"}
+        bundle = build_bundle(running_example, levels=(5, 6), **query)
+        assert len(closures) == 1
+        assert bundle.level6[0].machine == bundle.level5["E2"].diffs[("B", "C")]
+
     def test_each_distinct_model_is_minimized_once(self, running_example, monkeypatch):
         import fsmcompare.levels
 
