@@ -1,18 +1,18 @@
 """Finite automata and the language-level algorithms everything else builds on.
 
-Machines are immutable NFAs over named events. All binary comparisons
-(equivalence, inclusion) are decided over the union of the two machines'
-alphabets, so machines observed with different event sets compare the way
-one would expect.
+Machines are immutable NFAs over named events. ``minimize`` reduces one to
+its canonical minimal DFA, so languages are compared by comparing DFAs; the
+levels first widen every machine of an entity to one alphabet
+(``with_alphabet``), so machines observed with different event sets compare
+the way one would expect.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable
 
 Trace = tuple[str, ...]
 
@@ -121,7 +121,20 @@ class CanonicalDfa:
         states = frozenset(name for i, name in enumerate(names) if i != sink)
         initial = frozenset() if sink == 0 else frozenset({"q0"})
         accepting = frozenset(names[i] for i in self.accepting)
-        return Nfa(states, frozenset(self.alphabet), trans, initial, accepting)
+        alphabet = frozenset(self.alphabet)
+        _check_names("event", alphabet)  # a trace set's events come from outside
+        return _derived(states, alphabet, trans, initial, accepting)
+
+
+def _derived(*fields: frozenset) -> Nfa:
+    """An ``Nfa`` of the given fields, in order, without ``__post_init__``'s checks.
+
+    Only for machines derived from a checked machine or a canonical DFA, whose
+    names and transitions need no second check; public ``Nfa(...)`` keeps them all.
+    """
+    machine = object.__new__(Nfa)
+    vars(machine).update(zip(Nfa.__dataclass_fields__, fields))
+    return machine
 
 
 def with_alphabet(machine: Nfa, events: Iterable[str]) -> Nfa:
@@ -129,7 +142,9 @@ def with_alphabet(machine: Nfa, events: Iterable[str]) -> Nfa:
     extended = machine.alphabet | frozenset(events)
     if extended == machine.alphabet:
         return machine
-    return replace(machine, alphabet=extended)
+    _check_names("event", extended - machine.alphabet)
+    parts = machine.states, extended, machine.transitions, machine.initial, machine.accepting
+    return _derived(*parts)
 
 
 #: A sparse DFA table: row ``i`` lists its ``(event index, row)`` pairs in
@@ -308,61 +323,39 @@ def minimize(machine: Nfa) -> CanonicalDfa:
     return _canonical(*_subset_table(machine))
 
 
-def canonical_product(
-    a: CanonicalDfa, b: CanonicalDfa, accept: Callable[[bool, bool], bool]
-) -> CanonicalDfa:
-    """Canonical DFA of the product of two canonical DFAs over one alphabet.
+def _product_table(dfas: list[CanonicalDfa]) -> tuple[Rows, list[int]]:
+    """The reachable product of canonical DFAs over one alphabet, walked once.
 
-    ``accept`` decides a product state from the acceptance of its two
-    components: ``operator.and_`` gives the intersection of the languages,
-    ``operator.or_`` their union. The table handed to ``_canonical`` is
-    sparse: a transition to a pair known to be dead is left out.
+    Returns sparse rows (see ``Rows``) and each row's pattern: bit ``i`` is
+    set when ``dfas[i]`` accepts there. Transitions into the tuple of all
+    sinks are left out: it has pattern 0 and loops to itself, so it is dead
+    whichever patterns ``_canonical`` is given as accepting.
     """
-    if a.alphabet != b.alphabet:
-        raise ValueError("canonical product needs aligned alphabets")
-    # A pair is known dead when one component is its machine's sink and no
-    # acceptance of the other component makes it accept, or when both are.
-    dead_a = a.sink if not (accept(False, False) or accept(False, True)) else None
-    dead_b = b.sink if not (accept(False, False) or accept(True, False)) else None
-    dead_both = (a.sink, b.sink) if not accept(False, False) else None
-    index: dict[tuple[int, int], int] = {(0, 0): 0}
-    order = [(0, 0)]
+    if any(dfa.alphabet != dfas[0].alphabet for dfa in dfas):
+        raise ValueError("a product needs aligned alphabets")
+    tables = [dfa.transitions for dfa in dfas]
+    dead = tuple(dfa.sink for dfa in dfas)
+    start = (0,) * len(dfas)
+    index = {start: 0}
+    order = [start]
     rows: Rows = []
-    for p, q in order:  # grows while it is walked
+    for state in order:  # grows while it is walked
         row = []
-        for k, pair in enumerate(zip(a.transitions[p], b.transitions[q])):
-            if pair[0] == dead_a or pair[1] == dead_b or pair == dead_both:
+        for k, target in enumerate(zip(*[table[s] for table, s in zip(tables, state)])):
+            if target == dead:
                 continue
-            j = index.get(pair)
+            j = index.get(target)
             if j is None:
-                j = index[pair] = len(order)
-                order.append(pair)
+                j = index[target] = len(order)
+                order.append(target)
             row.append((k, j))
         rows.append(row)
-    accepting = {
-        i for i, (p, q) in enumerate(order) if accept(p in a.accepting, q in b.accepting)
-    }
-    return _canonical(list(a.alphabet), rows, accepting)
-
-
-def language_equivalent(a: Nfa, b: Nfa) -> bool:
-    """True iff both machines accept exactly the same language.
-
-    Decided over the union of the two alphabets via canonical minimal DFAs.
-    """
-    sigma = a.alphabet | b.alphabet
-    return minimize(with_alphabet(a, sigma)) == minimize(with_alphabet(b, sigma))
-
-
-def language_included(a: Nfa, b: Nfa) -> bool:
-    """True iff every trace accepted by ``a`` is accepted by ``b``.
-
-    Decided over the union of the two alphabets via canonical minimal DFAs:
-    ``a`` is included in ``b`` iff intersecting it with ``b`` leaves it as is.
-    """
-    sigma = a.alphabet | b.alphabet
-    min_a = minimize(with_alphabet(a, sigma))
-    return canonical_product(min_a, minimize(with_alphabet(b, sigma)), operator.and_) == min_a
+    accepting = [dfa.accepting for dfa in dfas]
+    patterns = [
+        sum(1 << i for i, (acc, s) in enumerate(zip(accepting, state)) if s in acc)
+        for state in order
+    ]
+    return rows, patterns
 
 
 def hide_events(machine: Nfa, hidden: Iterable[str]) -> Nfa:
@@ -405,10 +398,6 @@ def hide_events(machine: Nfa, hidden: Iterable[str]) -> Nfa:
     accepting = machine.accepting.union(
         s for s, reached in closure.items() if not machine.accepting.isdisjoint(reached)
     )
-    return Nfa(
-        machine.states,
-        machine.alphabet - hidden_set,
-        frozenset(trans),
-        machine.initial,
-        accepting,
+    return _derived(
+        machine.states, machine.alphabet - hidden_set, frozenset(trans), machine.initial, accepting
     )

@@ -9,11 +9,14 @@ entity, built over the entity's workspace alphabet when the entity is first
 used: each distinct model is minimized once into it and becomes a small int,
 so equal ints mean equal languages. ``build_bundle`` shares one dict of these
 tables across the levels of a run (the ``languages`` keyword); a level called
-alone builds its own. Both lattices are completed by one closure over these
-ints with memoized meet (intersection) and join (union). A level-2 node is a
-vector of such ints, one per entity; a level-5 node is a vector of length one.
-Each language becomes one machine per run, shared by every payload holding
-it; cover edges read inclusion from per-entity up-sets (see ``_cover_edges``).
+alone builds its own. Both lattices are completed by one closure over the
+Boolean regions of the observed languages, where meet, join and inclusion
+are bitset operations (see ``_Regions``); each distinct computed language
+is then reduced once from the regions' product table, which can reach the
+product of the DFAs' sizes: only the node cap bounds the closure. A level-2
+node is a vector, one component per entity; a level-5 node is a vector of
+length one. Each language becomes one machine per run, shared by every
+payload holding it; cover edges read inclusion from per-component up-sets.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from dataclasses import dataclass, field
 from .automata import (
     CanonicalDfa,
     Nfa,
-    canonical_product,
+    _canonical,
+    _product_table,
     minimize,
     with_alphabet,
 )
@@ -152,16 +156,13 @@ def heat_class(value: int, max_value: int) -> int:
     return min(4, (5 * value) // max_value)
 
 
-_MEET, _JOIN = operator.and_, operator.or_
-
-
 class _Languages:
     """The distinct languages of one entity, interned as small ints.
 
     Each int holds its canonical DFA over the entity's alphabet, so equal
-    ints mean equal languages. Each distinct machine is minimized once, and
-    meet and join are canonical DFA products, computed once per unordered
-    pair; ``x <= y`` iff ``meet(x, y) == x``.
+    ints mean equal languages. Each distinct machine is minimized once. The
+    closures add their computed languages through ``_Regions``, one DFA per
+    distinct language and closure; the table keeps no product tables.
     """
 
     def __init__(self, alphabet: frozenset[str]) -> None:
@@ -169,7 +170,6 @@ class _Languages:
         self.dfas: list[CanonicalDfa] = []
         self._ids: dict[CanonicalDfa, int] = {}
         self._machines: dict[Nfa, int] = {}
-        self._memo: dict[tuple, int] = {}
         self._nfas: dict[int, Nfa] = {}
         self.lattices: dict[int, tuple] = {}  # _entity_lattice's result by node cap
 
@@ -177,33 +177,15 @@ class _Languages:
         x = self._machines.get(machine)
         if x is None:
             dfa = minimize(with_alphabet(machine, self.alphabet))
-            x = self._machines[machine] = self._intern(dfa)
+            x = self._machines[machine] = self.intern_dfa(dfa)
         return x
 
-    def _intern(self, dfa: CanonicalDfa) -> int:
+    def intern_dfa(self, dfa: CanonicalDfa) -> int:
         x = self._ids.get(dfa)
         if x is None:
             x = self._ids[dfa] = len(self.dfas)
             self.dfas.append(dfa)
         return x
-
-    def combine(self, accept, x: int, y: int) -> int:
-        """``accept`` is ``_MEET`` or ``_JOIN``."""
-        if x == y:
-            return x
-        key = (accept, x, y) if x < y else (accept, y, x)
-        z = self._memo.get(key)
-        if z is None:
-            z = self._memo[key] = self._intern(
-                canonical_product(self.dfas[x], self.dfas[y], accept)
-            )
-        return z
-
-    def included(self, x: int, y: int) -> bool:
-        return self.combine(_MEET, x, y) == x
-
-    def nonempty(self, x: int) -> bool:
-        return bool(self.dfas[x].accepting)
 
     def machine(self, x: int) -> Nfa:
         """Language ``x`` as a machine, converted on first use and shared after that."""
@@ -211,6 +193,41 @@ class _Languages:
         if nfa is None:
             nfa = self._nfas[x] = self.dfas[x].to_nfa()
         return nfa
+
+
+class _Regions:
+    """The Venn cells ("regions") of the distinct languages in ``column``, of one table.
+
+    Each reachable state of the product of the languages' DFAs has a
+    pattern, the set of the languages that accept there; each non-zero
+    pattern is one region. Regions are disjoint and non-empty, so every
+    Boolean combination of the languages is one bitset over them: meet is
+    ``&``, join is ``|``, ``u`` is included in ``v`` iff ``u & v == u``, and
+    equal bitsets are equal languages.
+    """
+
+    def __init__(self, lang: _Languages, column: tuple[int, ...]) -> None:
+        self.lang = lang
+        xs = list(dict.fromkeys(column))
+        dfas = [lang.dfas[x] for x in xs]
+        self.events = list(dfas[0].alphabet) if dfas else []
+        self.rows, patterns = _product_table(dfas)
+        # Regions are numbered in the order the walk first reaches them.
+        region = {p: 1 << i for i, p in enumerate(dict.fromkeys(filter(None, patterns)))}
+        self.bits = [region.get(pattern, 0) for pattern in patterns]  # each row's region
+        self.bitset = {
+            x: sum(bit for pattern, bit in region.items() if pattern >> i & 1)
+            for i, x in enumerate(xs)
+        }
+        self._ids = {u: x for x, u in self.bitset.items()}
+
+    def language(self, u: int) -> int:
+        """The interned language of bitset ``u``, whose DFA is reduced from the product once."""
+        x = self._ids.get(u)
+        if x is None:
+            accepting = {s for s, bit in enumerate(self.bits) if bit & u}
+            x = self._ids[u] = self.lang.intern_dfa(_canonical(self.events, self.rows, accepting))
+        return x
 
 
 def _table(workspace: Workspace, languages: dict[str, _Languages], entity: str) -> _Languages:
@@ -270,10 +287,8 @@ def _fifo_pairs(nodes: list):
         n += 1
 
 
-def _close(
-    observed: list[tuple[int, ...]], languages: list[_Languages], node_cap: int
-) -> list[tuple[int, ...]]:
-    """Close vectors of interned languages under componentwise meet and join.
+def _close(observed: list[tuple[int, ...]], node_cap: int) -> list[tuple[int, ...]]:
+    """Close vectors of region bitsets under componentwise meet and join.
 
     Pairs are processed first-in-first-out, intersection before union, so
     computed nodes continue the letter sequence deterministically. Returns
@@ -282,50 +297,58 @@ def _close(
     nodes = list(observed)
     seen = set(nodes)
     for i, j in _fifo_pairs(nodes):
-        for accept in (_MEET, _JOIN):
-            node = tuple(
-                lang.combine(accept, x, y) for lang, x, y in zip(languages, nodes[i], nodes[j])
-            )
+        x, y = nodes[i], nodes[j]
+        for node in (tuple(map(operator.and_, x, y)), tuple(map(operator.or_, x, y))):
             if node in seen:
                 continue
             if len(nodes) >= node_cap:
-                raise LatticeCapExceeded(
-                    f"lattice completion exceeded the node cap of {node_cap}"
-                )
+                raise LatticeCapExceeded(f"lattice completion exceeded the node cap of {node_cap}")
             nodes.append(node)
             seen.add(node)
     return nodes
 
 
-def _cover_edges(
-    nodes: list[tuple[int, ...]], languages: list[_Languages]
-) -> list[tuple[int, int]]:
-    """Transitive reduction of the strict componentwise inclusion order.
+def _complete(
+    observed: list[tuple[int, ...]], languages: list[_Languages], node_cap: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The closure of vectors of interned languages, one component per table.
 
-    ``above[i]`` and ``below[j]`` are bitsets of node indices; ``i -> j`` is
-    a cover edge when no node lies strictly between them. Per entity, the
-    up-set (down-set) of language ``x`` is the nodes whose component includes
-    (is included in) ``x``, read from one ``included`` call per pair of the
-    entity's distinct languages; ``above[i]`` (``below[i]``) ANDs them over
-    node ``i``'s components.
+    Returns the nodes in creation order as interned languages and as region
+    bitsets. The regions and their product tables are dropped on return.
+    """
+    regions = [_Regions(lang, column) for lang, column in zip(languages, zip(*observed))]
+    observed_bitsets = [tuple(r.bitset[x] for r, x in zip(regions, node)) for node in observed]
+    bitsets = _close(observed_bitsets, node_cap)
+    vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]
+    return vectors, bitsets
+
+
+def _cover_edges(nodes: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """Transitive reduction of the strict componentwise inclusion order of region bitsets.
+
+    ``above[i]`` and ``below[j]`` are bitsets of node indices; ``i -> j`` is a
+    cover edge when no node lies strictly between them. Per component, the
+    up-set (down-set) of bitset ``x`` is the nodes whose component includes
+    (is included in) ``x``, read as ``x & y == x`` once per pair of distinct
+    bitsets; ``above[i]`` (``below[i]``) ANDs them over node ``i``'s components.
     """
     n = len(nodes)
     above = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
     below = list(above)
-    for k, lang in enumerate(languages):
+    for column in zip(*nodes):
         holders: dict[int, int] = {}
-        for i, node in enumerate(nodes):
-            holders[node[k]] = holders.get(node[k], 0) | 1 << i
+        for i, x in enumerate(column):
+            holders[x] = holders.get(x, 0) | 1 << i
         up = dict.fromkeys(holders, 0)
         down = dict.fromkeys(holders, 0)
         for x, holds_x in holders.items():
             for y, holds_y in holders.items():
-                if lang.included(x, y):
+                if x & y == x:
                     up[x] |= holds_y
                     down[y] |= holds_x
-        for i, node in enumerate(nodes):
-            above[i] &= up[node[k]]
-            below[i] &= down[node[k]]
+        for i, x in enumerate(column):
+            above[i] &= up[x]
+            below[i] &= down[x]
     return [
         (i, j)
         for i in range(n)
@@ -369,7 +392,7 @@ def level2(
     observed = [
         tuple(lang.intern(rep.models[e]) for lang, e in zip(languages, entities)) for rep in reps
     ]
-    vectors = _close(observed, languages, node_cap)
+    vectors, bitsets = _complete(observed, languages, node_cap)
 
     payloads = reps + [
         ModelSet(
@@ -378,15 +401,15 @@ def level2(
         )
         for i in range(len(reps), len(vectors))
     ]
-    sizes = [sum(lang.nonempty(x) for lang, x in zip(languages, v)) for v in vectors]
+    sizes = [sum(map(bool, v)) for v in bitsets]  # an empty language has no regions
     nodes, payloads_by_label = _nodes(partition, payloads, sizes)
     edges = []
-    for i, j in _cover_edges(vectors, languages):
+    for i, j in _cover_edges(bitsets):
         changed = newly_present = 0
-        for lang, x, y in zip(languages, vectors[i], vectors[j]):
-            if lang.nonempty(y) and not lang.nonempty(x):
+        for x, y in zip(bitsets[i], bitsets[j]):
+            if y and not x:
                 newly_present += 1
-            elif lang.nonempty(y) and x != y:
+            elif y and x != y:
                 changed += 1
         edges.append(
             LatticeEdge(
@@ -413,7 +436,7 @@ def level3(workspace: Workspace, *, languages: dict | None = None) -> DiffMatrix
 def _entity_partition(workspace: Workspace, entity: str, languages: dict) -> VariantPartition:
     """One entity's level-4 partition, read from its table in ``languages``."""
     ids = _ids(workspace, languages, entity)
-    keys = [x if languages[entity].nonempty(x) else None for x in ids]
+    keys = [x if languages[entity].dfas[x].accepting else None for x in ids]
     absent = tuple(ms.name for ms, key in zip(workspace.model_sets, keys) if key is None)
     models = [ms.models[entity] for ms in workspace.model_sets]
     return VariantPartition(entity, _classes(workspace, keys, models), absent)
@@ -437,11 +460,11 @@ def _entity_lattice(
         return lang.lattices[node_cap]
     partition = _entity_partition(workspace, entity, languages)
     observed = [(lang.intern(cls.representative),) for cls in partition.classes]
-    vectors = _close(observed, [lang], node_cap)
+    vectors, bitsets = _complete(observed, [lang], node_cap)
     payloads = [cls.representative for cls in partition.classes]
     payloads += [lang.machine(x) for (x,) in vectors[len(payloads) :]]
     nodes, payloads_by_label = _nodes(partition, payloads, [len(p.transitions) for p in payloads])
-    covers = [(nodes[i].variant, nodes[j].variant) for i, j in _cover_edges(vectors, [lang])]
+    covers = [(nodes[i].variant, nodes[j].variant) for i, j in _cover_edges(bitsets)]
     lang.lattices[node_cap] = nodes, payloads_by_label, covers
     return nodes, payloads_by_label, covers
 

@@ -223,12 +223,6 @@ def _rows(flat: list[float], n: int, m: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
 
 
-def local_scores(a: Nfa, b: Nfa) -> ScoreTable:
-    """Similarity from directly connected transition labels only."""
-    left, right, s0, _, _ = _pair_tables(a, b)
-    return ScoreTable(left, right, _rows(s0, len(left), len(right)))
-
-
 def global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
     """Fixed point of the damped neighborhood recurrence seeded by local scores."""
     left, right, s0, succ_groups, pred_groups = _pair_tables(a, b)

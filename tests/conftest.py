@@ -4,15 +4,18 @@ The oracles deliberately re-implement trace enumeration on the raw
 transition relation so they stay independent of the library's
 minimize/product code paths. The NFA and model-set operations here
 (``union``, ``intersection``, ``determinize``, ``has_behavior`` and the
-lifted ``model_set_*`` operators) are not part of the library: tests use
-them as references for the pipeline's canonical-DFA algebra or to build
-inputs.
+lifted ``model_set_*`` operators), the pairwise ``canonical_product`` with
+``language_equivalent`` and ``language_included``, and ``local_scores`` are
+not part of the library: tests use them as references for the pipeline's
+canonical-DFA algebra or to build inputs.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -23,15 +26,18 @@ from fsmcompare import (
     DiffParams,
     DiffState,
     DiffTransition,
+    LatticeCapExceeded,
     Matching,
     ModelSet,
     Nfa,
     NfaParseError,
     ScoreTable,
     Workspace,
-    language_equivalent,
-    language_included,
+    automata,
+    minimize,
+    with_alphabet,
 )
+from fsmcompare.ltsdiff import _pair_tables, _rows
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -403,12 +409,139 @@ def diff_entity_counts(s1: ModelSet, s2: ModelSet) -> tuple[int, int]:
     return changed, newly_present
 
 
+def canonical_product(
+    a: CanonicalDfa, b: CanonicalDfa, accept: Callable[[bool, bool], bool]
+) -> CanonicalDfa:
+    """Canonical DFA of the product of two canonical DFAs over one alphabet.
+
+    ``accept`` decides a product state from the acceptance of its two
+    components: ``operator.and_`` gives the intersection of the languages,
+    ``operator.or_`` their union. The table handed to ``automata._canonical``
+    is sparse: a transition to a pair known to be dead is left out.
+    """
+    if a.alphabet != b.alphabet:
+        raise ValueError("canonical product needs aligned alphabets")
+    # A pair is known dead when one component is its machine's sink and no
+    # acceptance of the other component makes it accept, or when both are.
+    dead_a = a.sink if not (accept(False, False) or accept(False, True)) else None
+    dead_b = b.sink if not (accept(False, False) or accept(True, False)) else None
+    dead_both = (a.sink, b.sink) if not accept(False, False) else None
+    index: dict[tuple[int, int], int] = {(0, 0): 0}
+    order = [(0, 0)]
+    rows: list[list[tuple[int, int]]] = []
+    for p, q in order:  # grows while it is walked
+        row = []
+        for k, pair in enumerate(zip(a.transitions[p], b.transitions[q])):
+            if pair[0] == dead_a or pair[1] == dead_b or pair == dead_both:
+                continue
+            j = index.get(pair)
+            if j is None:
+                j = index[pair] = len(order)
+                order.append(pair)
+            row.append((k, j))
+        rows.append(row)
+    accepting = {
+        i for i, (p, q) in enumerate(order) if accept(p in a.accepting, q in b.accepting)
+    }
+    return automata._canonical(list(a.alphabet), rows, accepting)
+
+
+def language_equivalent(a: Nfa, b: Nfa) -> bool:
+    """True iff both machines accept the same language over the union of their alphabets."""
+    sigma = a.alphabet | b.alphabet
+    return minimize(with_alphabet(a, sigma)) == minimize(with_alphabet(b, sigma))
+
+
+def language_included(a: Nfa, b: Nfa) -> bool:
+    """True iff every trace ``a`` accepts is accepted by ``b``, over the union alphabet.
+
+    ``a`` is included in ``b`` iff intersecting it with ``b`` leaves it as is.
+    """
+    sigma = a.alphabet | b.alphabet
+    min_a = minimize(with_alphabet(a, sigma))
+    return canonical_product(min_a, minimize(with_alphabet(b, sigma)), operator.and_) == min_a
+
+
+def local_scores(a: Nfa, b: Nfa) -> ScoreTable:
+    """Similarity from directly connected transition labels only: the seed of ``global_scores``."""
+    left, right, s0, _, _ = _pair_tables(a, b)
+    return ScoreTable(left, right, _rows(s0, len(left), len(right)))
+
+
+class OracleLanguages:
+    """The product closure's language table: one entity's languages as small ints.
+
+    Each distinct machine is minimized over ``alphabet``; meet and join are
+    pairwise canonical products, computed once per unordered pair, and
+    ``x <= y`` iff ``meet(x, y) == x``. ``levels._Regions`` must give the
+    same languages without any product of two DFAs.
+    """
+
+    def __init__(self, alphabet: frozenset[str]) -> None:
+        self.alphabet = alphabet
+        self.dfas: list[CanonicalDfa] = []
+        self._ids: dict[CanonicalDfa, int] = {}
+        self._memo: dict[tuple, int] = {}
+
+    def intern(self, machine: Nfa) -> int:
+        return self._intern(minimize(with_alphabet(machine, self.alphabet)))
+
+    def _intern(self, dfa: CanonicalDfa) -> int:
+        x = self._ids.get(dfa)
+        if x is None:
+            x = self._ids[dfa] = len(self.dfas)
+            self.dfas.append(dfa)
+        return x
+
+    def combine(self, accept, x: int, y: int) -> int:
+        """``accept`` is ``operator.and_`` (meet) or ``operator.or_`` (join)."""
+        if x == y:
+            return x
+        key = (accept, x, y) if x < y else (accept, y, x)
+        z = self._memo.get(key)
+        if z is None:
+            z = self._memo[key] = self._intern(
+                canonical_product(self.dfas[x], self.dfas[y], accept)
+            )
+        return z
+
+    def included(self, x: int, y: int) -> bool:
+        return self.combine(operator.and_, x, y) == x
+
+
+def oracle_close(observed, tables, node_cap: int) -> list[tuple[int, ...]]:
+    """The product closure: vectors of ``OracleLanguages`` ints under meet and join.
+
+    Pairs go first-in-first-out, meet before join; a node is new unless an
+    equal vector exists, and one node past ``node_cap`` raises.
+    """
+    nodes = list(observed)
+    seen = set(nodes)
+    qi = 0
+    pairs = [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
+    while qi < len(pairs):
+        i, j = pairs[qi]
+        qi += 1
+        for accept in (operator.and_, operator.or_):
+            node = tuple(
+                lang.combine(accept, x, y) for lang, x, y in zip(tables, nodes[i], nodes[j])
+            )
+            if node in seen:
+                continue
+            if len(nodes) >= node_cap:
+                raise LatticeCapExceeded(f"lattice completion exceeded the node cap of {node_cap}")
+            pairs.extend((k, len(nodes)) for k in range(len(nodes)))
+            nodes.append(node)
+            seen.add(node)
+    return nodes
+
+
 def oracle_cover_edges(nodes, languages) -> list[tuple[int, int]]:
     """Cover edges ``(i, j)`` of closure ``nodes`` by asking every ordered node pair.
 
-    ``nodes`` are vectors of interned languages, one per table in
-    ``languages``; ``i`` lies below ``j`` when every component of ``i`` is
-    included in ``j``'s. A cover edge has no node strictly between its ends.
+    ``nodes`` are vectors of interned languages, one per ``OracleLanguages``
+    table in ``languages``; ``i`` lies below ``j`` when every component of
+    ``i`` is included in ``j``'s. A cover edge has no node strictly between its ends.
     """
     n = len(nodes)
     above = [0] * n

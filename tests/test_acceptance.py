@@ -23,8 +23,6 @@ from fsmcompare import (
     diff_stats,
     global_scores,
     hide_events,
-    language_equivalent,
-    language_included,
     level1,
     level2,
     level3,
@@ -33,12 +31,14 @@ from fsmcompare import (
     minimize,
     with_alphabet,
 )
-from fsmcompare.automata import canonical_product
 from fsmcompare.cli import main
 
 from conftest import (
     OracleBudgetExceeded,
+    canonical_product,
     determinize,
+    language_equivalent,
+    language_included,
     oracle_accepts_with_insertions,
     oracle_compare,
     oracle_language,

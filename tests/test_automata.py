@@ -1,5 +1,6 @@
 """Language-level algorithm tests against brute-force enumeration oracles."""
 
+import functools
 import operator
 import os
 import random
@@ -19,22 +20,23 @@ from fsmcompare import (
     Nfa,
     build_pta,
     hide_events,
-    language_equivalent,
-    language_included,
     minimal_pta,
     minimize,
     with_alphabet,
 )
 from fsmcompare import automata
-from fsmcompare.automata import _canonical, _subset_table, canonical_product
+from fsmcompare.automata import _canonical, _subset_table
 
 from conftest import (
     OracleBudgetExceeded,
+    canonical_product,
     complete_table,
     determinize,
     fig2_machines,
     has_behavior,
     intersection,
+    language_equivalent,
+    language_included,
     oracle_accepts_with_insertions,
     oracle_canonical,
     oracle_compare,
@@ -461,6 +463,36 @@ class TestCanonicalAgainstMoore:
                 canonical_product(a, b, accept)
         assert len(checked) == 90
 
+    def test_d_way_product_tables(self):
+        rng = random.Random(107)
+        empty = minimize(with_alphabet(Nfa.empty(), "abcd"))
+        for _ in range(40):
+            count = rng.randint(1, 4)
+            dfas = [minimize(with_alphabet(random_nfa(rng), "abcd")) for _ in range(count)]
+            if rng.random() < 0.2:
+                dfas.append(empty)
+            rows, patterns = automata._product_table(dfas)
+            assert len(rows) == len(patterns)
+            events = list(dfas[0].alphabet)
+            for i, dfa in enumerate(dfas):
+                own = {s for s, pattern in enumerate(patterns) if pattern >> i & 1}
+                assert _canonical(events, rows, own) == dfa
+            union = functools.reduce(lambda a, b: canonical_product(a, b, operator.or_), dfas)
+            meet = functools.reduce(lambda a, b: canonical_product(a, b, operator.and_), dfas)
+            every = (1 << len(dfas)) - 1
+            anywhere = {s for s, p in enumerate(patterns) if p}
+            everywhere = {s for s, p in enumerate(patterns) if p == every}
+            assert _canonical(events, rows, anywhere) == union
+            assert _canonical(events, rows, everywhere) == meet
+            chosen = {p for p in set(patterns) if rng.random() < 0.5}
+            accepting = {s for s, p in enumerate(patterns) if p in chosen}
+            expected = oracle_canonical(*complete_table(events, rows, accepting))
+            assert _canonical(events, rows, accepting) == expected
+
+    def test_d_way_product_needs_aligned_alphabets(self):
+        with pytest.raises(ValueError):
+            automata._product_table([minimize(E2_A), minimize(E2_C)])
+
     def test_products_equal_the_complete_product_table(self):
         rng = random.Random(103)
         operands = [minimize(with_alphabet(random_nfa(rng), "abcd")) for _ in range(40)]
@@ -686,6 +718,50 @@ class TestHideEventsAgainstOracle:
             for hidden in (set(), {"z"}, ["z", "y"]):
                 assert hide_events(machine, hidden) is machine
                 assert oracle_hide_events(machine, hidden) is machine
+
+
+class TestDerivedMachines:
+    """Machines built from a checked machine's parts skip ``Nfa``'s checks.
+
+    Each must equal, and hash like, the machine ``Nfa(...)`` builds and checks
+    from the same five fields.
+    """
+
+    @staticmethod
+    def assert_checked_equal(machine):
+        checked = Nfa(
+            machine.states,
+            machine.alphabet,
+            machine.transitions,
+            machine.initial,
+            machine.accepting,
+        )
+        assert type(machine) is Nfa and machine == checked and hash(machine) == hash(checked)
+
+    def test_hidden_widened_and_converted_machines(self):
+        rng = random.Random(157)
+        for _ in range(300):
+            machine = random_nfa(rng, max_states=8, max_events=4, density=rng.choice([1.0, 2.5]))
+            hidden = {e for e in machine.alphabet if rng.random() < 0.5} or {"a"}
+            derived = [
+                hide_events(machine, hidden),
+                hide_events(machine, machine.alphabet),
+                with_alphabet(machine, "abcdxy"),
+                minimize(machine).to_nfa(),
+                minimize(with_alphabet(machine, "abcdxy")).to_nfa(),
+            ]
+            for result in derived:
+                self.assert_checked_equal(result)
+        self.assert_checked_equal(minimize(Nfa.empty()).to_nfa())
+
+    def test_outside_names_are_still_checked(self):
+        with pytest.raises(ValueError, match="event name 'b#c'"):
+            with_alphabet(E1, ["b#c"])
+        with pytest.raises(ValueError, match="event name must be non-empty"):
+            with_alphabet(E1, [""])
+        dfa = minimize(E1)
+        with pytest.raises(ValueError, match="contains whitespace, a control character"):
+            replace(dfa, alphabet=("a", "b\x01c", "c", "d")).to_nfa()
 
 
 def silent_reach(silent, state):

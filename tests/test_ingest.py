@@ -11,7 +11,6 @@ from fsmcompare import (
     NfaParseError,
     WorkspaceLoadError,
     build_pta,
-    language_equivalent,
     load_workspace,
     minimal_pta,
     minimize,
@@ -20,7 +19,7 @@ from fsmcompare import (
     write_nfa,
 )
 
-from conftest import oracle_language, oracle_parse_nfa, random_nfa
+from conftest import language_equivalent, oracle_language, oracle_parse_nfa, random_nfa
 
 
 class TestParseNfa:

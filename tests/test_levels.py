@@ -14,8 +14,6 @@ from fsmcompare import (
     Nfa,
     Workspace,
     diff_stats,
-    language_equivalent,
-    language_included,
     level1,
     level2,
     level3,
@@ -26,19 +24,26 @@ from fsmcompare import (
     variant_letters,
     with_alphabet,
 )
-from fsmcompare.automata import canonical_product
-from fsmcompare.levels import DEFAULT_NODE_CAP, _close, _cover_edges, _Languages
+import fsmcompare.automata
+import fsmcompare.levels
+from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _cover_edges, _Languages
 
 from conftest import (
+    OracleLanguages,
+    canonical_product,
     dense_workspace,
     diff_entity_counts,
     has_behavior,
     intersection,
+    language_equivalent,
+    language_included,
     model_set_equivalent,
     model_set_included,
     model_set_intersection,
     model_set_union,
+    oracle_close,
     oracle_cover_edges,
+    random_nfa,
     random_workspace,
     union,
 )
@@ -386,44 +391,55 @@ def dense_level2_workspaces():
     return [dense_workspace(rng, n_sets=4, n_entities=2) for _ in range(15)]
 
 
-def closure(ws, node_cap=DEFAULT_NODE_CAP):
-    """Level 2's closure of ``ws``: the node vectors in creation order, and the tables."""
-    languages: dict = {}
-    partition = level1(ws, languages=languages)
-    tables = [languages[e] for e in ws.entities]
-    observed = [
-        tuple(lang.intern(cls.representative.models[e]) for lang, e in zip(tables, ws.entities))
-        for cls in partition.classes
+def level2_case(ws):
+    """Level 2's input on ``ws``: the entity alphabets and the class representatives' models."""
+    partition = level1(ws)
+    alphabets = [entity_alphabet(ws, e) for e in ws.entities]
+    observed = [[cls.representative.models[e] for e in ws.entities] for cls in partition.classes]
+    return alphabets, observed
+
+
+def level5_cases(ws):
+    """Level 5's inputs on ``ws``, one per entity: its alphabet and its variants' machines."""
+    return [
+        ([entity_alphabet(ws, e)], [[cls.representative] for cls in partition.classes])
+        for e, partition in level4(ws).items()
     ]
-    return _close(observed, tables, node_cap), tables
 
 
-def many_entity_closures():
-    """Six seeded level-2 closures of 30-200 nodes over 4-8 entities, some absent."""
+def closure(case, node_cap=DEFAULT_NODE_CAP):
+    """The region closure of a case: nodes as interned languages and as bitsets, and the tables."""
+    alphabets, machines = case
+    tables = [_Languages(alphabet) for alphabet in alphabets]
+    observed = [tuple(lang.intern(m) for lang, m in zip(tables, node)) for node in machines]
+    vectors, bitsets = _complete(observed, tables, node_cap)
+    return vectors, bitsets, tables
+
+
+def product_closure(case, node_cap=DEFAULT_NODE_CAP):
+    """The same case closed by the pairwise product closure ``oracle_close``."""
+    alphabets, machines = case
+    tables = [OracleLanguages(alphabet) for alphabet in alphabets]
+    observed = [tuple(lang.intern(m) for lang, m in zip(tables, node)) for node in machines]
+    return oracle_close(observed, tables, node_cap), tables
+
+
+def many_entity_cases():
+    """Six seeded level-2 cases of 30-200 nodes over 4-8 entities, some absent."""
     rng = random.Random(71)
-    closures = []
-    while len(closures) < 6:
+    cases = []
+    while len(cases) < 6:
         ws = dense_workspace(rng, n_sets=5, n_entities=rng.randint(4, 8), absent=0.15)
         if Nfa.empty() not in (m for ms in ws.model_sets for m in ms.models.values()):
             continue
+        case = level2_case(ws)
         try:
-            nodes, tables = closure(ws, node_cap=200)
+            vectors, _, _ = closure(case, node_cap=200)
         except LatticeCapExceeded:
             continue
-        if len(nodes) >= 30:
-            closures.append((nodes, tables))
-    return closures
-
-
-def entity_closures(ws):
-    """Level 5's single-entity closures of ``ws``, one per entity."""
-    languages: dict = {}
-    closures = []
-    for entity, partition in level4(ws, languages=languages).items():
-        lang = languages[entity]
-        observed = [(lang.intern(cls.representative),) for cls in partition.classes]
-        closures.append((_close(observed, [lang], DEFAULT_NODE_CAP), [lang]))
-    return closures
+        if len(vectors) >= 30:
+            cases.append(case)
+    return cases
 
 
 def assert_same_cap(build, naive, observed_count, node_count):
@@ -503,42 +519,135 @@ class TestClosureAgainstNaiveOracle:
 
 
 class TestCoverEdges:
-    """Up-set cover edges against the all-pairs oracle, and the work they take."""
+    """Up-set cover edges against the all-pairs product oracle, and the work the closure takes."""
 
     def test_matches_all_pairs_oracle(self, running_example):
-        closures = [closure(ws) for ws in dense_level2_workspaces()]
-        closures += many_entity_closures() + entity_closures(running_example)
-        assert [len(nodes) for nodes, _ in entity_closures(running_example)] == [1, 6, 2, 1]
-        for nodes, tables in closures:
-            assert _cover_edges(nodes, tables) == oracle_cover_edges(nodes, tables)
+        cases = [level2_case(ws) for ws in dense_level2_workspaces()]
+        cases += many_entity_cases() + level5_cases(running_example)
+        assert [len(closure(c)[0]) for c in level5_cases(running_example)] == [1, 6, 2, 1]
+        for case in cases:
+            bitsets = closure(case)[1]
+            assert _cover_edges(bitsets) == oracle_cover_edges(*product_closure(case))
 
-    def test_included_at_most_once_per_pair_of_distinct_languages(self, monkeypatch):
-        closures = many_entity_closures()
-        calls = []
-        included = _Languages.included
+    def test_canonical_once_per_language_and_no_pairwise_product(
+        self, running_example, monkeypatch
+    ):
+        canonical, product_table = fsmcompare.automata._canonical, fsmcompare.levels._product_table
+        reductions, products = [], []
 
-        def counting_included(self, x, y):
-            calls.append((x, y))
-            return included(self, x, y)
+        def counting_canonical(*args):
+            reductions.append(args)
+            return canonical(*args)
 
-        monkeypatch.setattr(_Languages, "included", counting_included)
-        for nodes, tables in closures:
-            calls.clear()
-            edges = _cover_edges(nodes, tables)
-            distinct = [len({node[k] for node in nodes}) for k in range(len(tables))]
-            assert edges and len(calls) <= sum(d * d for d in distinct)
+        def counting_product_table(dfas):
+            products.append(dfas)
+            return product_table(dfas)
 
-    def test_no_product_after_the_closure(self, running_example, monkeypatch):
-        import fsmcompare.levels
+        monkeypatch.setattr(fsmcompare.automata, "_canonical", counting_canonical)
+        monkeypatch.setattr(fsmcompare.levels, "_canonical", counting_canonical)
+        monkeypatch.setattr(fsmcompare.levels, "_product_table", counting_product_table)
+        for alphabets, machines in many_entity_cases() + level5_cases(running_example):
+            reductions.clear()
+            products.clear()
+            tables = [_Languages(alphabet) for alphabet in alphabets]
+            observed = [tuple(t.intern(m) for t, m in zip(tables, node)) for node in machines]
+            models = [len({node[k] for node in machines}) for k in range(len(tables))]
+            assert len(reductions) == sum(models)
+            reductions.clear()
 
-        closures = many_entity_closures() + entity_closures(running_example)
-        calls = []
+            bitsets = _complete(observed, tables, DEFAULT_NODE_CAP)[1]
+            given = [{node[k] for node in bitsets[: len(observed)]} for k in range(len(tables))]
+            computed = [{node[k] for node in bitsets} - given[k] for k in range(len(tables))]
+            assert len(reductions) == sum(map(len, computed))
+            # One product per component, of its distinct observed languages only.
+            assert [len(dfas) for dfas in products] == [len(set(ids)) for ids in zip(*observed)]
 
-        def counting_product(*args):
-            calls.append(args)
-            return canonical_product(*args)
 
-        monkeypatch.setattr(fsmcompare.levels, "canonical_product", counting_product)
-        for nodes, tables in closures:
-            _cover_edges(nodes, tables)
-        assert calls == []
+def assert_matches_product_closure(case):
+    """The region closure of ``case`` against the product closure, component by component.
+
+    Same node order and per-component equality, ``==`` DFAs for every node,
+    the same cover edges and the same cap point.
+    """
+    vectors, bitsets, tables = closure(case)
+    nodes, oracle_tables = product_closure(case)
+    assert [[t.dfas[x] for t, x in zip(tables, v)] for v in vectors] == [
+        [t.dfas[x] for t, x in zip(oracle_tables, v)] for v in nodes
+    ]
+    for k in range(len(tables)):
+        pairs = {(b[k], x[k]) for b, x in zip(bitsets, nodes)}
+        assert len(pairs) == len({b for b, _ in pairs}) == len({x for _, x in pairs})
+    assert _cover_edges(bitsets) == oracle_cover_edges(nodes, oracle_tables)
+    if len(nodes) > len(case[1]):
+        for run in (closure, product_closure):
+            with pytest.raises(LatticeCapExceeded):
+                run(case, len(nodes) - 1)
+            run(case, len(nodes))
+    return len(nodes)
+
+
+def single_entity_case(machines):
+    """One entity observed as ``machines``, each language kept once, in order."""
+    ws = Workspace(("e",), tuple(ModelSet(f"m{i}", {"e": m}) for i, m in enumerate(machines)))
+    return level2_case(ws)
+
+
+class TestClosureAgainstProductOracle:
+    """The region closure against the pairwise product closure it replaced."""
+
+    def test_level2_and_level5_of_dense_workspaces(self):
+        for ws in dense_level2_workspaces() + [unused_event_workspace()]:
+            assert_matches_product_closure(level2_case(ws))
+            for case in level5_cases(ws):
+                assert_matches_product_closure(case)
+
+    def test_many_entities_some_absent(self):
+        for case in many_entity_cases():
+            assert assert_matches_product_closure(case) >= 30
+
+    def test_unrelated_variants(self):
+        rng = random.Random(83)
+        sizes = []
+        for _ in range(8):
+            count = rng.randint(4, 5)
+            machines = [random_nfa(rng, max_states=6, max_events=3) for _ in range(count)]
+            sizes.append(assert_matches_product_closure(single_entity_case(machines)))
+        assert max(sizes) > 8
+
+    def test_empty_language_variants(self):
+        rng = random.Random(89)
+        for _ in range(8):
+            ws = dense_workspace(rng, n_sets=5, n_entities=3, absent=0.3)
+            assert_matches_product_closure(level2_case(ws))
+            for case in level5_cases(ws):
+                assert_matches_product_closure(case)
+        empty_only = single_entity_case([Nfa.empty()])
+        assert assert_matches_product_closure(empty_only) == 1
+
+    def test_an_entity_with_one_distinct_language(self):
+        rng = random.Random(97)
+        for _ in range(8):
+            ws = dense_workspace(rng, n_sets=4, n_entities=2)
+            same = ws.model_sets[0].models["e0"]
+            ws = Workspace(
+                ws.entities,
+                tuple(ModelSet(ms.name, {**ms.models, "e0": same}) for ms in ws.model_sets),
+            )
+            assert_matches_product_closure(level2_case(ws))
+            for case in level5_cases(ws):
+                assert_matches_product_closure(case)
+
+    def test_an_entity_with_an_empty_alphabet(self):
+        rng = random.Random(101)
+        epsilon = Nfa.build(initial=["s"], accepting=["s"])
+        silent = Nfa.build(states=["s", "t"], initial=["s"], accepting=["t"])
+        for _ in range(8):
+            sets = [
+                ModelSet(f"m{i}", {"e0": rng.choice([epsilon, silent]), "e1": random_nfa(rng)})
+                for i in range(4)
+            ]
+            ws = Workspace(("e0", "e1"), tuple(sets))
+            assert entity_alphabet(ws, "e0") == frozenset()
+            assert_matches_product_closure(level2_case(ws))
+            for case in level5_cases(ws):
+                assert_matches_product_closure(case)

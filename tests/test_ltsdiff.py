@@ -16,13 +16,13 @@ from fsmcompare import (
     diff,
     diff_stats,
     global_scores,
-    local_scores,
     select_landmarks,
 )
 from fsmcompare.ltsdiff import _ranked_pairs
 
 from conftest import (
     fig2_machines,
+    local_scores,
     oracle_build_diff,
     oracle_compute_matching,
     oracle_global_scores,

@@ -257,9 +257,9 @@ class TestBuildBundle:
         closures = []
         close = fsmcompare.levels._close
 
-        def counting_close(observed, languages, node_cap):
+        def counting_close(observed, node_cap):
             closures.append(observed)
-            return close(observed, languages, node_cap)
+            return close(observed, node_cap)
 
         monkeypatch.setattr(fsmcompare.levels, "_close", counting_close)
         query = {"entity": "E2", "from_variant": "B", "to_variant": "C"}
