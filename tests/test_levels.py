@@ -529,6 +529,44 @@ class TestCoverEdges:
             bitsets = closure(case)[1]
             assert _cover_edges(bitsets) == oracle_cover_edges(*product_closure(case))
 
+    def test_included_at_most_once_per_pair_of_distinct_languages(self):
+        calls = []
+
+        class CountingBits(int):
+            def __and__(self, other):
+                calls.append((self, other))
+                return int(self) & int(other)
+
+        for case in many_entity_cases():
+            bitsets = closure(case)[1]
+            nodes = [tuple(map(CountingBits, node)) for node in bitsets]
+            calls.clear()
+            edges = _cover_edges(nodes)
+            distinct = [len(set(column)) for column in zip(*bitsets)]
+            assert edges == _cover_edges(bitsets)
+            assert edges and len(calls) <= sum(d * d for d in distinct)
+
+    def test_no_product_after_the_closure(self, running_example, monkeypatch):
+        calls = []
+
+        def counting(name, function):
+            def counted(*args):
+                calls.append(name)
+                return function(*args)
+
+            return counted
+
+        closures = [closure(c)[1] for c in many_entity_cases() + level5_cases(running_example)]
+        canonical, product_table = fsmcompare.automata._canonical, fsmcompare.levels._product_table
+        monkeypatch.setattr(fsmcompare.automata, "_canonical", counting("_canonical", canonical))
+        monkeypatch.setattr(fsmcompare.levels, "_canonical", counting("_canonical", canonical))
+        monkeypatch.setattr(
+            fsmcompare.levels, "_product_table", counting("_product_table", product_table)
+        )
+        for bitsets in closures:
+            _cover_edges(bitsets)
+        assert calls == []
+
     def test_canonical_once_per_language_and_no_pairwise_product(
         self, running_example, monkeypatch
     ):
