@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Trace = tuple[str, ...]
 
@@ -199,12 +199,10 @@ def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalD
     to every dead row. Rows from which no accepting row can be reached
     form one dead block. Hopcroft's algorithm refines the live rows over
     live-to-live transitions only: the dead block is never a splitter, so
-    the work follows the transitions present, not rows times events. The
-    blocks are then renumbered breadth-first over the (lexicographically
-    sorted) events.
+    the work follows the transitions present, not rows times events.
+    ``_renumber`` then numbers the blocks.
     """
     n = len(rows)
-    width = len(events)
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s, row in enumerate(rows):
         for k, t in row:
@@ -284,28 +282,45 @@ def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalD
                     block[s] = new
                 pending.append(new)
 
-    # Breadth-first renumbering. Lists indexed by block have one extra slot at
-    # the end for the dead block, which index -1 reaches: a missing event leads
-    # there, and the dead block is numbered when it is first reached.
-    number = [-1] * (len(first) + 1)
-    number[block[0]] = 0
-    bfs = [block[0]]
+    members = [rows[elems[f]] for f in first]
+    return _renumber(events, members, block, block[0], {block[s] for s in accepting})
+
+
+def _renumber(
+    events: list[str], rows: Rows, class_of: Sequence[int], start: int, accepting: set[int]
+) -> CanonicalDfa:
+    """Canonical numbering of a table's classes of equivalent states.
+
+    ``rows[c]`` is the sparse row (see ``Rows``) of one member of class
+    ``c``, and ``class_of[t]`` is the class of its target ``t``. Class -1,
+    which ``start`` and ``class_of`` may give, is the dead class, and a
+    missing event leads there too. Classes are numbered breadth-first from
+    ``start`` over the (lexicographically sorted) events; the dead class is
+    numbered where it is first reached, by a missing event or a transition,
+    and only then.
+    """
+    width = len(events)
+    # Lists indexed by class have one extra slot at the end for the dead class,
+    # which index -1 reaches.
+    number = [-1] * (len(rows) + 1)
+    number[start] = 0
+    bfs = [start]
     trans = []
-    for b in bfs:  # grows while it is walked
-        row = rows[elems[first[b]]] if b >= 0 else ()
-        targets = [block[t] for _, t in row]
+    for c in bfs:  # grows while it is walked
+        row = rows[c] if c >= 0 else ()
+        targets = [class_of[t] for _, t in row]
         if number[-1] < 0 and len(row) < width:
-            # The first missing event numbers the dead block in its place.
+            # The first missing event numbers the dead class in its place.
             targets.insert(next((i for i, (k, _) in enumerate(row) if k != i), len(row)), -1)
-        for c in targets:
-            if number[c] < 0:
-                number[c] = len(bfs)
-                bfs.append(c)
+        for t in targets:
+            if number[t] < 0:
+                number[t] = len(bfs)
+                bfs.append(t)
         line = [number[-1]] * width
         for k, t in row:
-            line[k] = number[block[t]]
+            line[k] = number[class_of[t]]
         trans.append(tuple(line))
-    acc = frozenset(number[block[i]] for i in accepting)
+    acc = frozenset(number[c] for c in accepting)
     sink = number[-1] if number[-1] >= 0 else None
     return CanonicalDfa(tuple(events), tuple(trans), acc, sink)
 

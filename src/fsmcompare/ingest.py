@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .automata import CanonicalDfa, Nfa, Rows, Trace, _canonical, hide_events
+from .automata import CanonicalDfa, Nfa, Rows, Trace, _renumber, hide_events
 from .model_sets import ModelSet, Workspace
 
 _HEADER = ("nfa", "v1")
@@ -157,15 +157,14 @@ def parse_log(text: str) -> list[Trace]:
     return [tuple(line.split()) for line in text.splitlines()]
 
 
-def _prefix_tree(traces: list[Trace]) -> tuple[list[str], Rows, set[int]]:
-    """The prefix tree of the traces as a sparse table (see ``automata.Rows``).
+def _trie(traces: list[Trace]) -> tuple[list[dict[str, int]], set[int]]:
+    """The prefix tree of the traces: (children, ends).
 
-    Returns (sorted events, rows, accepting rows). Rows are numbered by a
-    breadth-first walk of the tree with events in lexicographic order, so
-    the table does not depend on input order. Row 0 is the root, present
-    even when there are no traces.
+    Nodes are ints in creation order, so every child comes after its
+    parent; ``children[node]`` maps an event to a child, and ``ends`` holds
+    the nodes where a trace ends. Node 0 is the root, present even when
+    there are no traces.
     """
-    # Tree nodes are ints in insertion order; children[node] maps event -> node.
     children: list[dict[str, int]] = [{}]
     ends: set[int] = set()
     for trace in traces:
@@ -177,48 +176,65 @@ def _prefix_tree(traces: list[Trace]) -> tuple[list[str], Rows, set[int]]:
                 children.append({})
             node = nxt
         ends.add(node)
-
-    events = sorted({e for kids in children for e in kids})
-    column = {event: k for k, event in enumerate(events)}
-    order = [0]  # the tree node of each row
-    row_of = [0] * len(children)
-    rows: Rows = []
-    for node in order:  # grows while it is walked
-        row = []
-        for event, child in sorted(children[node].items()):
-            row_of[child] = len(order)
-            row.append((column[event], len(order)))
-            order.append(child)
-        rows.append(row)
-    return events, rows, {row_of[node] for node in ends}
+    return children, ends
 
 
 def build_pta(traces: list[Trace]) -> Nfa:
     """Prefix-tree acceptor accepting exactly the given trace set.
 
-    State ``s<i>`` is row ``i`` of the prefix tree's breadth-first table, with
-    events in lexicographic order, so the result does not depend on input order.
+    State ``s<i>`` is the ``i``-th node of a breadth-first walk of the prefix
+    tree with events in lexicographic order, so the result does not depend
+    on input order.
     """
     if not traces:
         return Nfa.empty()
-    events, rows, accepting = _prefix_tree(traces)
-    names = [f"s{i}" for i in range(len(rows))]
+    children, ends = _trie(traces)
+    name = ["s0"] * len(children)  # each tree node's state; every child is renamed
+    order = [0]  # the tree nodes, breadth-first
+    steps = []
+    for node in order:  # grows while it is walked
+        for event, child in sorted(children[node].items()):
+            name[child] = f"s{len(order)}"
+            steps.append((name[node], event, name[child]))
+            order.append(child)
     return Nfa(
-        frozenset(names),
-        frozenset(events),
-        frozenset((names[i], events[k], names[j]) for i, row in enumerate(rows) for k, j in row),
+        frozenset(name),
+        frozenset(e for kids in children for e in kids),
+        frozenset(steps),
         frozenset({"s0"}),
-        frozenset(names[i] for i in accepting),
+        frozenset(name[node] for node in ends),
     )
 
 
 def minimal_pta(traces: list[Trace]) -> CanonicalDfa:
     """Canonical minimal DFA of the trace set; equal to ``minimize(build_pta(traces))``.
 
-    Reduces the prefix tree's table directly, with no named machine and no
-    subset construction in between.
+    The prefix tree is acyclic, so it is minimized in one pass without
+    partition refinement (Revuz 1992): walked children first, each node gets
+    the class of its signature, whether a trace ends there and its sorted
+    (event, child class) pairs, with one dict lookup per node. Every node of
+    a non-empty trace set lies on a trace, so no class is dead.
     """
-    return _canonical(*_prefix_tree(traces))
+    if not traces:
+        return _renumber([], [], (), -1, set())
+    children, ends = _trie(traces)
+    events = sorted({e for kids in children for e in kids})
+    column = {event: k for k, event in enumerate(events)}
+    class_of = [0] * len(children)
+    index: dict[tuple, int] = {}
+    classes: Rows = []  # each class's (event index, class) pairs
+    accepting: set[int] = set()
+    for node in range(len(children) - 1, -1, -1):  # children before parents
+        pairs = sorted([(column[e], class_of[child]) for e, child in children[node].items()])
+        end = node in ends
+        c = index.setdefault((end, *pairs), len(classes))
+        if c == len(classes):  # a new signature
+            classes.append(pairs)
+            if end:
+                accepting.add(c)
+        class_of[node] = c
+    # The classes' rows already hold classes as targets.
+    return _renumber(events, classes, range(len(classes)), class_of[0], accepting)
 
 
 def load_workspace(root: Path | str, hiding: HidingConfig | None = None) -> Workspace:

@@ -161,8 +161,10 @@ class _Languages:
 
     Each int holds its canonical DFA over the entity's alphabet, so equal
     ints mean equal languages. Each distinct machine is minimized once. The
-    closures add their computed languages through ``_Regions``, one DFA per
-    distinct language and closure; the table keeps no product tables.
+    closures add their computed languages through ``_Regions``, which the
+    table keeps for the run, one per tuple of distinct observed languages:
+    levels 2 and 5 of one entity share it, so each computed language is
+    reduced once per run and region table.
     """
 
     def __init__(self, alphabet: frozenset[str]) -> None:
@@ -172,6 +174,7 @@ class _Languages:
         self._machines: dict[Nfa, int] = {}
         self._nfas: dict[int, Nfa] = {}
         self.lattices: dict[int, tuple] = {}  # _entity_lattice's result by node cap
+        self._regions: dict[tuple[int, ...], _Regions] = {}
 
     def intern(self, machine: Nfa) -> int:
         x = self._machines.get(machine)
@@ -187,6 +190,14 @@ class _Languages:
             self.dfas.append(dfa)
         return x
 
+    def regions(self, column: tuple[int, ...]) -> _Regions:
+        """The regions of the distinct languages in ``column``, built on first use."""
+        xs = tuple(dict.fromkeys(column))
+        regions = self._regions.get(xs)
+        if regions is None:
+            regions = self._regions[xs] = _Regions(self, xs)
+        return regions
+
     def machine(self, x: int) -> Nfa:
         """Language ``x`` as a machine, converted on first use and shared after that."""
         nfa = self._nfas.get(x)
@@ -196,7 +207,7 @@ class _Languages:
 
 
 class _Regions:
-    """The Venn cells ("regions") of the distinct languages in ``column``, of one table.
+    """The Venn cells ("regions") of the distinct languages ``xs`` of one table.
 
     Each reachable state of the product of the languages' DFAs has a
     pattern, the set of the languages that accept there; each non-zero
@@ -206,9 +217,8 @@ class _Regions:
     equal bitsets are equal languages.
     """
 
-    def __init__(self, lang: _Languages, column: tuple[int, ...]) -> None:
+    def __init__(self, lang: _Languages, xs: tuple[int, ...]) -> None:
         self.lang = lang
-        xs = list(dict.fromkeys(column))
         dfas = [lang.dfas[x] for x in xs]
         self.events = list(dfas[0].alphabet) if dfas else []
         self.rows, patterns = _product_table(dfas)
@@ -314,9 +324,10 @@ def _complete(
     """The closure of vectors of interned languages, one component per table.
 
     Returns the nodes in creation order as interned languages and as region
-    bitsets. The regions and their product tables are dropped on return.
+    bitsets. The regions and their product tables stay on the tables for the
+    run, so another closure over the same observed languages reuses them.
     """
-    regions = [_Regions(lang, column) for lang, column in zip(languages, zip(*observed))]
+    regions = [lang.regions(column) for lang, column in zip(languages, zip(*observed))]
     observed_bitsets = [tuple(r.bitset[x] for r, x in zip(regions, node)) for node in observed]
     bitsets = _close(observed_bitsets, node_cap)
     vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]

@@ -22,8 +22,9 @@ outgoing and no incoming event is constant after the first step and is
 computed once; each other pair reads one entry per shared event, and an
 event with several neighbour pairs adds one entry per pair, so a step is
 linear in the number of these groups and their members. Sums and products
-are evaluated in the order the formula above gives, so the scores are
-exactly those of the dense n x m iteration.
+are evaluated in the order the formula above gives, each average's sum
+folded left to right, so the scores are exactly those of the dense n x m
+iteration, on every Python version.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .automata import Nfa
@@ -286,10 +288,11 @@ def global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
     for _ in range(params.max_iterations):
         get = current.__getitem__
         current += [max(map(get, g)) for g in multi]
-        # A one-term side averages to its term: sum([x]) / 1 == x.
+        # A one-term side averages to its term: x / 1 == x. Other sides fold
+        # left to right, since sum() of floats compensates its rounding from 3.12.
         nxt = [c + half * (get(x) + get(y)) for c, x, y in simple_specs]
         nxt += [
-            c + half * (sum(map(get, succ)) / n_succ + sum(map(get, pred)) / n_pred)
+            c + half * (reduce(add, map(get, succ)) / n_succ + reduce(add, map(get, pred)) / n_pred)
             for c, succ, n_succ, pred, n_pred in general_specs
         ]
         delta = max(static_delta, max(map(abs, map(sub, nxt, current)), default=0.0))

@@ -12,6 +12,7 @@ canonical-DFA algebra or to build inputs.
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from pathlib import Path
@@ -701,7 +702,7 @@ def oracle_global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
                         averages.append(s0[i][j])
                     else:
                         best = [max(current[pi][qi] for pi, qi in g) for g in side]
-                        averages.append(sum(best) / len(side))
+                        averages.append(functools.reduce(operator.add, best) / len(side))
                 value = (1.0 - k) * s0[i][j] + k * 0.5 * (averages[0] + averages[1])
                 delta = max(delta, abs(value - current[i][j]))
                 row.append(value)

@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+import fsmcompare.automata
+import fsmcompare.ingest
 from fsmcompare import (
     HidingConfig,
     Nfa,
@@ -19,7 +21,14 @@ from fsmcompare import (
     write_nfa,
 )
 
-from conftest import language_equivalent, oracle_language, oracle_parse_nfa, random_nfa
+from conftest import (
+    language_equivalent,
+    oracle_canonical,
+    oracle_language,
+    oracle_parse_nfa,
+    oracle_subset_table,
+    random_nfa,
+)
 
 
 class TestParseNfa:
@@ -317,12 +326,45 @@ class TestBuildPta:
         assert build_pta(traces) == build_pta(list(reversed(traces)))
 
 
+def walk_logs(rng: random.Random) -> list[tuple[str, ...]]:
+    """Logs shaped like the benchmark's: walks of a hidden machine with noise and duplicates.
+
+    The event names are drawn so that their sorted order seldom matches the
+    order in which the walks first use them; some logs hold the empty trace.
+    """
+    names = rng.sample([f"{c}{i}" for c in "zyxw" for i in range(3)], rng.randint(1, 8))
+    noise = ["log0", "log1"]
+    states = rng.randint(1, 6)
+    succ = {s: [(rng.choice(names), rng.randrange(states))] for s in range(states)}
+    for _ in range(states):
+        succ[rng.randrange(states)].append((rng.choice(names), rng.randrange(states)))
+    traces = []
+    for _ in range(rng.randint(1, 60)):
+        state, trace = 0, []
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.1:
+                trace.append(rng.choice(noise))
+            event, state = rng.choice(succ[state])
+            trace.append(event)
+        traces.append(tuple(trace))
+    return traces + rng.sample(traces, len(traces) // 3)
+
+
 class TestMinimalPta:
-    """The direct route from traces to the minimal DFA must match minimize(build_pta(...))."""
+    """The children-first merge must match minimize(build_pta(...)) and the Moore oracle."""
 
     def test_edge_cases(self):
-        for traces in ([], [()], [(), ()], [("a",), ("a",)], [("b", "a"), ("a",), ("b", "a")]):
-            assert minimal_pta(traces) == minimize(build_pta(traces))
+        for traces in (
+            [],
+            [()],
+            [(), ()],
+            [("a",), ("a",)],
+            [("b", "a"), ("a",), ("b", "a")],
+            [(), ("b", "a")],
+            [("b",), ("a", "b")],
+        ):
+            expected = oracle_canonical(*oracle_subset_table(build_pta(traces)))
+            assert minimal_pta(traces) == minimize(build_pta(traces)) == expected
 
     def test_seeded_logs(self):
         rng = random.Random(101)
@@ -341,6 +383,35 @@ class TestMinimalPta:
         canonical = minimal_pta(traces)
         assert canonical.num_states == 5002  # 5,001 tree nodes and the sink
         assert canonical == minimize(build_pta(traces))
+
+    def test_very_long_trace_needs_no_recursion(self):
+        rng = random.Random(83)
+        canonical = minimal_pta([tuple(rng.choice("abcdefgh") for _ in range(200_000))])
+        assert canonical.num_states == 200_002  # 200,001 tree nodes and the sink
+        assert canonical.sink is not None and len(canonical.accepting) == 1
+
+    def test_benchmark_shaped_logs(self):
+        rng = random.Random(89)
+        first_use_unsorted = with_empty_trace = 0
+        for _ in range(300):
+            traces = walk_logs(rng)
+            first_use = list(dict.fromkeys(e for trace in traces for e in trace))
+            first_use_unsorted += first_use != sorted(first_use)
+            with_empty_trace += () in traces
+            expected = oracle_canonical(*oracle_subset_table(build_pta(traces)))
+            assert minimal_pta(traces) == expected
+        assert first_use_unsorted > 200 and with_empty_trace > 30
+
+    def test_never_refines_a_partition(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("minimal_pta ran Hopcroft refinement")
+
+        monkeypatch.setattr(fsmcompare.automata, "_canonical", refuse)
+        monkeypatch.setattr(fsmcompare.ingest, "_canonical", refuse, raising=False)
+        rng = random.Random(97)
+        for _ in range(20):
+            traces = walk_logs(rng)
+            assert minimal_pta(traces).num_states > 0
 
 
 class TestHidingConfig:

@@ -267,6 +267,26 @@ class TestBuildBundle:
         assert len(closures) == 1
         assert bundle.level6[0].machine == bundle.level5["E2"].diffs[("B", "C")]
 
+    def test_levels_2_and_5_reduce_a_shared_computed_language_once(
+        self, running_example, monkeypatch
+    ):
+        import fsmcompare.levels
+
+        reductions = []
+        canonical = fsmcompare.levels._canonical
+
+        def counting_canonical(*args):
+            reductions.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(fsmcompare.levels, "_canonical", counting_canonical)
+        # E2's level-2 and level-5 closures start from the same observed
+        # languages and compute the same 3; a run reduces them once.
+        for levels in ((1, 2), (4, 5), (1, 2, 4, 5), (1, 2, 3, 4, 5, 6)):
+            reductions.clear()
+            build_bundle(running_example, levels=levels)
+            assert len(reductions) == 3, levels
+
     def test_each_distinct_model_is_minimized_once(self, running_example, monkeypatch):
         import fsmcompare.levels
 
