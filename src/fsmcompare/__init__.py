@@ -1,108 +1,17 @@
-"""Multi-level behavioral comparison of systems modeled as finite state machines."""
+"""Multi-level behavioral comparison of systems modeled as finite state machines.
+
+Each module declares its public names in ``__all__``; the package re-exports them.
+"""
 
 __version__ = "0.1.0"
 
-from .automata import (
-    CanonicalDfa,
-    Nfa,
-    Trace,
-    hide_events,
-    minimize,
-    with_alphabet,
-)
-from .ingest import (
-    HidingConfig,
-    NfaParseError,
-    WorkspaceLoadError,
-    build_pta,
-    load_workspace,
-    minimal_pta,
-    parse_log,
-    parse_nfa,
-    write_nfa,
-)
-from .levels import (
-    DiffMatrix,
-    Lattice,
-    LatticeCapExceeded,
-    LatticeEdge,
-    LatticeNode,
-    VariantClass,
-    VariantPartition,
-    level1,
-    level2,
-    level3,
-    level4,
-    level5,
-    level6,
-    variant_letters,
-)
-from .ltsdiff import (
-    Change,
-    DiffMachine,
-    DiffParams,
-    DiffState,
-    DiffStats,
-    DiffTransition,
-    Matching,
-    ScoreTable,
-    build_diff,
-    compute_matching,
-    diff,
-    diff_stats,
-    global_scores,
-    select_landmarks,
-)
-from .model_sets import ModelSet, Workspace
-from .report import ReportBundle, build_bundle, to_json
+from . import automata, ingest, levels, ltsdiff, report
+from .automata import *
+from .ingest import *
+from .levels import *
+from .ltsdiff import *
+from .report import *
 
-__all__ = [
-    "CanonicalDfa",
-    "Change",
-    "DiffMachine",
-    "DiffMatrix",
-    "DiffParams",
-    "DiffState",
-    "DiffStats",
-    "DiffTransition",
-    "HidingConfig",
-    "Lattice",
-    "LatticeCapExceeded",
-    "LatticeEdge",
-    "LatticeNode",
-    "Matching",
-    "ModelSet",
-    "Nfa",
-    "NfaParseError",
-    "ReportBundle",
-    "ScoreTable",
-    "Trace",
-    "VariantClass",
-    "VariantPartition",
-    "Workspace",
-    "WorkspaceLoadError",
-    "build_bundle",
-    "build_diff",
-    "build_pta",
-    "compute_matching",
-    "diff",
-    "diff_stats",
-    "global_scores",
-    "hide_events",
-    "level1",
-    "level2",
-    "level3",
-    "level4",
-    "level5",
-    "level6",
-    "load_workspace",
-    "minimal_pta",
-    "minimize",
-    "parse_log",
-    "parse_nfa",
-    "select_landmarks",
-    "to_json",
-    "variant_letters",
-    "with_alphabet",
-    "write_nfa",
-]
+__all__ = sorted(
+    [*automata.__all__, *ingest.__all__, *levels.__all__, *ltsdiff.__all__, *report.__all__]
+)

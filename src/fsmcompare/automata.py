@@ -14,6 +14,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+__all__ = [
+    "CanonicalDfa",
+    "Nfa",
+    "Trace",
+    "hide_events",
+    "minimize",
+    "with_alphabet",
+]
+
 Trace = tuple[str, ...]
 
 # Names must survive a .nfa round trip, where tokens are split at whitespace
@@ -65,22 +74,6 @@ class Nfa:
             raise ValueError("initial states must be a subset of states")
         if not self.accepting <= self.states:
             raise ValueError("accepting states must be a subset of states")
-
-    @classmethod
-    def build(
-        cls,
-        transitions: Iterable[tuple[str, str, str]] = (),
-        initial: Iterable[str] = (),
-        accepting: Iterable[str] = (),
-        states: Iterable[str] = (),
-        alphabet: Iterable[str] = (),
-    ) -> "Nfa":
-        """Construct a machine, inferring states and alphabet from transitions."""
-        trans = frozenset(tuple(t) for t in transitions)
-        sts = frozenset(states) | frozenset(initial) | frozenset(accepting)
-        sts |= {s for s, _, _ in trans} | {t for _, _, t in trans}
-        alpha = frozenset(alphabet) | {e for _, e, _ in trans}
-        return cls(sts, alpha, trans, frozenset(initial), frozenset(accepting))
 
     @classmethod
     def empty(cls) -> "Nfa":

@@ -1,7 +1,8 @@
 """Command-line front door: compare, diff, logs2nfa, validate.
 
-Exit codes: 0 on success, 1 on input parse or layout errors, 2 when an
-option value is refused or lattice completion hits the node cap.
+Exit codes: 0 on success, 1 on input parse or layout errors or an output
+that cannot be written, 2 when an option value is refused or lattice
+completion hits the node cap.
 """
 
 from __future__ import annotations
@@ -36,8 +37,12 @@ from .report import (
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        click.echo(f"{path}: {exc}", err=True)
+        sys.exit(1)
 
 
 def _parse_levels(spec: str) -> tuple[int, ...]:

@@ -13,8 +13,10 @@ transitions, and only emits an ``alphabet`` line when the alphabet holds
 events no transition uses.
 
 A workspace directory holds one subdirectory per model set, each containing
-``<entity>.nfa`` files; the entity set is the union of the file names and
-missing files are completed with the empty machine.
+``<entity>.nfa`` files; the entity set is the union of the file names. A
+loaded ``Workspace`` holds one ``ModelSet`` per subdirectory, and each model
+set maps every entity to one machine: an entity without a file is bound to
+the empty machine, so the mappings are total.
 
 Execution logs hold one trace per line, events separated by whitespace; an
 empty line is the empty trace.
@@ -25,9 +27,23 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 from .automata import CanonicalDfa, Nfa, Rows, Trace, _renumber, hide_events
-from .model_sets import ModelSet, Workspace
+
+__all__ = [
+    "HidingConfig",
+    "ModelSet",
+    "NfaParseError",
+    "Workspace",
+    "WorkspaceLoadError",
+    "build_pta",
+    "load_workspace",
+    "minimal_pta",
+    "parse_log",
+    "parse_nfa",
+    "write_nfa",
+]
 
 _HEADER = ("nfa", "v1")
 
@@ -235,6 +251,33 @@ def minimal_pta(traces: list[Trace]) -> CanonicalDfa:
         class_of[node] = c
     # The classes' rows already hold classes as targets.
     return _renumber(events, classes, range(len(classes)), class_of[0], accepting)
+
+
+@dataclass(frozen=True)
+class ModelSet:
+    """A named, total mapping from entity names to machines."""
+
+    name: str
+    models: Mapping[str, Nfa]
+
+    def entities(self) -> tuple[str, ...]:
+        return tuple(sorted(self.models))
+
+
+@dataclass(frozen=True)
+class Workspace:
+    """All model sets under comparison, over one shared entity set."""
+
+    entities: tuple[str, ...]
+    model_sets: tuple[ModelSet, ...]
+
+    def __post_init__(self) -> None:
+        names = [ms.name for ms in self.model_sets]
+        if len(set(names)) != len(names):
+            raise ValueError("model set names must be unique")
+        for ms in self.model_sets:
+            if tuple(sorted(ms.models)) != tuple(sorted(self.entities)):
+                raise ValueError(f"model set {ms.name!r} is not total over the entity set")
 
 
 def load_workspace(root: Path | str, hiding: HidingConfig | None = None) -> Workspace:

@@ -33,8 +33,25 @@ from .automata import (
     minimize,
     with_alphabet,
 )
+from .ingest import ModelSet, Workspace
 from .ltsdiff import DiffMachine, DiffParams, diff, diff_stats
-from .model_sets import ModelSet, Workspace
+
+__all__ = [
+    "DiffMatrix",
+    "Lattice",
+    "LatticeCapExceeded",
+    "LatticeEdge",
+    "LatticeNode",
+    "VariantClass",
+    "VariantPartition",
+    "level1",
+    "level2",
+    "level3",
+    "level4",
+    "level5",
+    "level6",
+    "variant_letters",
+]
 
 DEFAULT_NODE_CAP = 10_000
 
@@ -125,12 +142,6 @@ class Lattice:
     # variant label -> ModelSet or Nfa; computed payloads of equal languages share one Nfa
     payloads: dict[str, object]
     diffs: dict[tuple[str, str], DiffMachine] = field(default_factory=dict)
-
-    def node(self, variant: str) -> LatticeNode:
-        for n in self.nodes:
-            if n.variant == variant:
-                return n
-        raise KeyError(variant)
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,26 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, sub
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .automata import Nfa
+
+__all__ = [
+    "Change",
+    "DiffMachine",
+    "DiffParams",
+    "DiffState",
+    "DiffStats",
+    "DiffTransition",
+    "Matching",
+    "ScoreTable",
+    "build_diff",
+    "compute_matching",
+    "diff",
+    "diff_stats",
+    "global_scores",
+    "select_landmarks",
+]
 
 
 @dataclass(frozen=True)
@@ -88,9 +105,6 @@ class Change(str, enum.Enum):
     UNCHANGED = "unchanged"
     ADDED = "added"
     REMOVED = "removed"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -304,21 +318,16 @@ def global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
     return ScoreTable(left, right, _rows(flat, len(left), len(right)))
 
 
-def _ranked_pairs(scores: ScoreTable, count: int | None = None) -> list[tuple[int, int]]:
-    """The first ``count`` index pairs, or all: higher score first, then state names.
+def _candidates(scores: ScoreTable) -> Iterator[tuple[float, str, str, int, int]]:
+    """Every pair as ``(-score, left name, right name, i, j)``, unordered.
 
-    Names are unique, so the order is total, and taking the first ``count``
-    needs no sort of every pair.
+    In tuple order these rank higher scores first, then state names. Names
+    are unique, so the indices are never compared.
     """
-    values, left, right = scores.values, scores.left, scores.right
-
-    def rank(ij: tuple[int, int]) -> tuple[float, str, str]:
-        return (-values[ij[0]][ij[1]], left[ij[0]], right[ij[1]])
-
-    pairs = ((i, j) for i in range(len(left)) for j in range(len(right)))
-    if count is None:
-        return sorted(pairs, key=rank)
-    return heapq.nsmallest(count, pairs, key=rank)
+    right = scores.right
+    for i, (p, row) in enumerate(zip(scores.left, scores.values)):
+        for j, score in enumerate(row):
+            yield (-score, p, right[j], i, j)
 
 
 def select_landmarks(scores: ScoreTable, a: Nfa, b: Nfa, params: DiffParams) -> Matching:
@@ -332,7 +341,7 @@ def select_landmarks(scores: ScoreTable, a: Nfa, b: Nfa, params: DiffParams) -> 
     selected: list[tuple[int, int]] = []
     used_left: set[int] = set()
     used_right: set[int] = set()
-    for i, j in _ranked_pairs(scores, n_top):
+    for _, _, _, i, j in heapq.nsmallest(n_top, _candidates(scores)):
         score = values[i][j]
         if score <= 0.0:
             continue
@@ -373,7 +382,7 @@ def compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) ->
     Neighbor pairs of already-matched pairs are preferred; when none remain
     addable, the best unmatched pair with a positive score anywhere in the
     table is taken, and growth resumes from there. "Best" is the order of
-    ``_ranked_pairs``: higher score first, then state names.
+    ``_candidates``: higher score first, then state names.
     """
     _check_injective(landmarks)
     left, right = scores.left, scores.right
@@ -388,7 +397,7 @@ def compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) ->
     used_right = {j for _, j in matched}
     # A used state stays used, so a pair that is not free now never will
     # be: the pool heap drops such pairs when they surface, and the ranking
-    # of all pairs is walked once, by a cursor that only moves forward.
+    # of all pairs is walked once.
     pool: list[tuple[float, str, str, int, int]] = []
 
     def free(i: int, j: int) -> bool:
@@ -405,8 +414,7 @@ def compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) ->
     for i, j in matched:
         expand(i, j)
 
-    ranking: list[tuple[int, int]] | None = None
-    cursor = 0
+    ranking: Iterator[tuple[float, str, str, int, int]] | None = None
     while True:
         while pool and not free(pool[0][3], pool[0][4]):
             heapq.heappop(pool)
@@ -418,14 +426,11 @@ def compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) ->
             if len(used_left) == len(left) or len(used_right) == len(right):
                 break
             if ranking is None:
-                ranking = _ranked_pairs(scores)
-            while cursor < len(ranking) and not free(*ranking[cursor]):
-                cursor += 1
-            if cursor == len(ranking):
+                ranking = iter(sorted(_candidates(scores)))
+            pick = next((c for c in ranking if free(c[3], c[4])), None)
+            if pick is None or pick[0] >= 0.0:  # no free pair with a positive score
                 break
-            i, j = ranking[cursor]
-            if values[i][j] <= 0.0:
-                break
+            i, j = pick[3:]
         matched.append((i, j))
         used_left.add(i)
         used_right.add(j)

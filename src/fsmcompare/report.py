@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
+from .ingest import Workspace
 from .levels import (
     DEFAULT_NODE_CAP,
     DiffMatrix,
@@ -27,7 +28,8 @@ from .levels import (
     level6,
 )
 from .ltsdiff import Change, DiffMachine, DiffParams
-from .model_sets import Workspace
+
+__all__ = ["ReportBundle", "build_bundle", "to_json"]
 
 
 @dataclass(frozen=True)

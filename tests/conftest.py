@@ -5,9 +5,9 @@ transition relation so they stay independent of the library's
 minimize/product code paths. The NFA and model-set operations here
 (``union``, ``intersection``, ``determinize``, ``has_behavior`` and the
 lifted ``model_set_*`` operators), the pairwise ``canonical_product`` with
-``language_equivalent`` and ``language_included``, and ``local_scores`` are
-not part of the library: tests use them as references for the pipeline's
-canonical-DFA algebra or to build inputs.
+``language_equivalent`` and ``language_included``, ``local_scores`` and
+``build_nfa`` are not part of the library: tests use them as references for
+the pipeline's canonical-DFA algebra or to build inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 import operator
 import random
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import pytest
 
@@ -837,6 +837,21 @@ def oracle_build_diff(a: Nfa, b: Nfa, matching: Matching) -> DiffMachine:
     )
 
 
+def build_nfa(
+    transitions: Iterable[tuple[str, str, str]] = (),
+    initial: Iterable[str] = (),
+    accepting: Iterable[str] = (),
+    states: Iterable[str] = (),
+    alphabet: Iterable[str] = (),
+) -> Nfa:
+    """A machine whose states and alphabet are the given ones plus those its transitions use."""
+    trans = frozenset(tuple(t) for t in transitions)
+    sts = frozenset(states) | frozenset(initial) | frozenset(accepting)
+    sts |= {s for s, _, _ in trans} | {t for _, _, t in trans}
+    alpha = frozenset(alphabet) | {e for _, e, _ in trans}
+    return Nfa(sts, alpha, trans, frozenset(initial), frozenset(accepting))
+
+
 def random_nfa(
     rng: random.Random,
     max_states: int = 8,
@@ -854,7 +869,7 @@ def random_nfa(
         transitions.add((rng.choice(states), rng.choice(events), rng.choice(states)))
     initial = {s for s in states if rng.random() < 0.4} or {rng.choice(states)}
     accepting = {s for s in states if rng.random() < 0.4}
-    return Nfa.build(
+    return build_nfa(
         transitions=transitions,
         initial=initial,
         accepting=accepting,
@@ -892,7 +907,7 @@ def dense_workspace(rng, n_sets, n_entities, absent=0.0):
 
 
 def _cycle(*steps):
-    return Nfa.build(transitions=list(steps), initial=["s1"], accepting=["s1"])
+    return build_nfa(transitions=list(steps), initial=["s1"], accepting=["s1"])
 
 
 def running_example_machines() -> dict[str, dict[str, Nfa]]:
@@ -909,7 +924,7 @@ def running_example_machines() -> dict[str, dict[str, Nfa]]:
     e3_a = _cycle(("s1", "b", "s2"), ("s2", "f", "s1"))
     e3_b = _cycle(("s1", "b", "s2"), ("s2", "f", "s1"), ("s2", "a", "s2"))
     e4_a = _cycle(("s1", "e", "s2"), ("s2", "f", "s1"))
-    e4_b = Nfa.build(
+    e4_b = build_nfa(
         transitions=[
             ("s1", "e", "s2"),
             ("s1", "e", "s4"),

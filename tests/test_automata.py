@@ -29,6 +29,7 @@ from fsmcompare.automata import _canonical, _subset_table
 
 from conftest import (
     OracleBudgetExceeded,
+    build_nfa,
     canonical_product,
     complete_table,
     determinize,
@@ -83,7 +84,7 @@ def nfas(draw, max_states=6, max_events=3):
     )
     initial = draw(st.sets(st.sampled_from(states), max_size=n))
     accepting = draw(st.sets(st.sampled_from(states), max_size=n))
-    return Nfa.build(
+    return build_nfa(
         transitions=transitions,
         initial=initial,
         accepting=accepting,
@@ -144,12 +145,12 @@ class TestNfaConstruction:
 
     def test_rejects_whitespace_in_event_names(self):
         with pytest.raises(ValueError):
-            Nfa.build(transitions=[("a", "x y", "a")])
+            build_nfa(transitions=[("a", "x y", "a")])
 
     @pytest.mark.parametrize("name", ["a b", "c#d", "", "x\x01"])
     def test_rejects_state_names_a_nfa_file_cannot_hold(self, name):
         with pytest.raises(ValueError, match="state name"):
-            Nfa.build(states=[name])
+            build_nfa(states=[name])
 
 
 class TestAccepts:
@@ -176,7 +177,7 @@ class TestHasBehavior:
         assert minimize(E1).accepting
 
     def test_unreachable_accepting_state(self):
-        machine = Nfa.build(
+        machine = build_nfa(
             transitions=[("a", "x", "a")], initial=["a"], accepting=["b"], states=["a", "b"]
         )
         assert not minimize(machine).accepting
@@ -281,7 +282,7 @@ def seeded_nfas(seed: int, count: int):
         if i % 7 == 0:
             machine = replace(machine, initial=frozenset())
         if i % 11 == 0:
-            machine = Nfa.build(
+            machine = build_nfa(
                 initial=machine.initial, accepting=machine.accepting, states=machine.states
             )
         yield machine
@@ -497,7 +498,7 @@ class TestCanonicalAgainstMoore:
         rng = random.Random(103)
         operands = [minimize(with_alphabet(random_nfa(rng), "abcd")) for _ in range(40)]
         operands += [minimize(with_alphabet(Nfa.empty(), "abcd"))]
-        operands += [minimize(Nfa.build([("s", e, "s") for e in "abcd"], ["s"], ["s"]))]
+        operands += [minimize(build_nfa([("s", e, "s") for e in "abcd"], ["s"], ["s"]))]
         accepts_by_name = {
             "and": operator.and_,
             "or": operator.or_,
@@ -596,7 +597,7 @@ class TestEquivalenceAndInclusion:
             a = random_nfa(rng, max_states=6, max_events=4)
             b = random_nfa(rng, max_states=6, max_events=4)
             if rng.random() < 0.3:
-                b = Nfa.build(
+                b = build_nfa(
                     transitions=[(s, renamed[e], t) for s, e, t in b.transitions],
                     initial=b.initial,
                     accepting=b.accepting,
@@ -646,7 +647,7 @@ class TestHideEvents:
     def test_interior_call_chain_hidden(self):
         # Wrapper loop with an instrumented interior; hiding the interior
         # leaves the bare wrapper loop.
-        noisy = Nfa.build(
+        noisy = build_nfa(
             transitions=[
                 ("s1", "a_start", "s2"),
                 ("s2", "log_start", "s3"),
@@ -660,7 +661,7 @@ class TestHideEvents:
             initial=["s1"],
             accepting=["s1"],
         )
-        clean = Nfa.build(
+        clean = build_nfa(
             transitions=[("s1", "a_start", "s2"), ("s2", "a_end", "s1")],
             initial=["s1"],
             accepting=["s1"],

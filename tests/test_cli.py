@@ -51,23 +51,47 @@ def run_in_subprocess(hash_seed: str, *args) -> bytes:
     return result.stdout
 
 
-def assert_undecodable_refused(path: Path, *args) -> str:
+def assert_refused(path: Path, *args) -> str:
     """The command exits 1 naming ``path``, with no traceback; returns its stderr."""
     result = cli_process("0", *args)
     stdout, stderr = result.stdout.decode(), result.stderr.decode()
     assert result.returncode == 1
-    assert f"{path}: " in stderr and "codec can't decode" in stderr
+    assert f"{path}: " in stderr
     assert "Traceback" not in stdout + stderr
+    return stderr
+
+
+def assert_undecodable_refused(path: Path, *args) -> str:
+    stderr = assert_refused(path, *args)
+    assert "codec can't decode" in stderr
     return stderr
 
 
 UNDECODABLE_NFA = b"nfa v1\nstate s\xff\n"
 
 
+PUBLIC_NAMES = """
+    CanonicalDfa Change DiffMachine DiffMatrix DiffParams DiffState DiffStats
+    DiffTransition HidingConfig Lattice LatticeCapExceeded LatticeEdge LatticeNode
+    Matching ModelSet Nfa NfaParseError ReportBundle ScoreTable Trace VariantClass
+    VariantPartition Workspace WorkspaceLoadError build_bundle build_diff build_pta
+    compute_matching diff diff_stats global_scores hide_events level1 level2 level3
+    level4 level5 level6 load_workspace minimal_pta minimize parse_log parse_nfa
+    select_landmarks to_json variant_letters with_alphabet write_nfa
+""".split()
+
+
+def test_public_names_are_declared_once_by_their_modules():
+    assert fsmcompare.__all__ == PUBLIC_NAMES
+    modules = ("automata", "ingest", "levels", "ltsdiff", "report")
+    declared = [name for module in modules for name in getattr(fsmcompare, module).__all__]
+    assert sorted(declared) == PUBLIC_NAMES
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from fsmcompare import *", namespace)
-    assert fsmcompare.__all__ and all(name in namespace for name in fsmcompare.__all__)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("command", ["compare", "diff"])
@@ -126,6 +150,15 @@ class TestCompare:
         # The decode error is aggregated with the other files' errors.
         assert "f.nfa" in stderr
         assert not out.exists()
+
+    def test_unwritable_output_exits_one(self, running_example_dir, tmp_path):
+        blocker = tmp_path / "out"
+        blocker.write_text("a file, not a directory\n")
+        assert_refused(
+            blocker / "report.json", "compare", "--input", running_example_dir, "--output", blocker
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert blocker.read_text() == "a file, not a directory\n"
 
     def test_node_cap_exits_two(self, running_example_dir, tmp_path):
         result = run(
@@ -335,6 +368,15 @@ class TestLogs2Nfa:
         out = tmp_path / "out.nfa"
         assert_undecodable_refused(log, "logs2nfa", log, out)
         assert not out.exists()
+
+    def test_unwritable_output_exits_one(self, tmp_path):
+        log, blocker = tmp_path / "trace.log", tmp_path / "out"
+        log.write_text("a b\n")
+        blocker.write_text("a file, not a directory\n")
+        for flags in ((), ("--minimize",)):
+            assert_refused(blocker / "x.nfa", "logs2nfa", log, blocker / "x.nfa", *flags)
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "trace.log"]
+            assert blocker.read_text() == "a file, not a directory\n"
 
     def test_event_names_the_nfa_format_cannot_hold_exit_one(self, tmp_path):
         # "#" would start a comment in the written file; control characters

@@ -22,6 +22,7 @@ from fsmcompare import (
 )
 
 from conftest import (
+    build_nfa,
     language_equivalent,
     oracle_canonical,
     oracle_language,
@@ -236,7 +237,7 @@ class TestWriteNfa:
             assert parse_nfa(write_nfa(machine)) == machine
 
     def test_canonical_output_is_sorted(self):
-        machine = Nfa.build(
+        machine = build_nfa(
             transitions=[("b", "y", "a"), ("a", "x", "b")], initial=["a"], accepting=["b"]
         )
         text = write_nfa(machine)
@@ -249,7 +250,7 @@ class TestWriteNfa:
         )
 
     def test_unused_alphabet_events_survive_round_trip(self):
-        machine = Nfa.build(initial=["s"], accepting=["s"], alphabet=["x", "y"])
+        machine = build_nfa(initial=["s"], accepting=["s"], alphabet=["x", "y"])
         text = write_nfa(machine)
         assert "alphabet x y" in text
         assert parse_nfa(text) == machine
@@ -272,7 +273,7 @@ class TestWriteNfa:
                 "".join(rng.choices(good + bad, weights, k=rng.randint(1, 3))) for _ in range(3)
             ]
             try:
-                machine = Nfa.build([(names[0], "x", names[1])], [names[0]], [names[2]])
+                machine = build_nfa([(names[0], "x", names[1])], [names[0]], [names[2]])
             except ValueError:
                 assert set("".join(names)) & set(bad)
                 continue
@@ -428,7 +429,7 @@ class TestHidingConfig:
 
     def test_no_patterns_hide_nothing(self):
         config = HidingConfig()
-        machine = Nfa.build(transitions=[("s", "log", "s")], initial=["s"], accepting=["s"])
+        machine = build_nfa(transitions=[("s", "log", "s")], initial=["s"], accepting=["s"])
         assert config.apply(machine) == machine
 
 
@@ -437,10 +438,11 @@ class TestLoadWorkspace:
         ws = load_workspace(running_example_dir)
         assert ws.entities == ("E1", "E2", "E3", "E4")
         assert tuple(ms.name for ms in ws.model_sets) == ("S1", "S2", "S3", "S4")
-        assert not minimize(ws.model_set("S4").models["E4"]).accepting
+        loaded = {ms.name: ms.models for ms in ws.model_sets}
+        assert not minimize(loaded["S4"]["E4"]).accepting
         for ms in running_example.model_sets:
             for entity, machine in ms.models.items():
-                assert language_equivalent(ws.model_set(ms.name).models[entity], machine)
+                assert language_equivalent(loaded[ms.name][entity], machine)
 
     def test_empty_root_is_an_error(self, tmp_path):
         with pytest.raises(WorkspaceLoadError, match="no model sets"):
@@ -464,7 +466,7 @@ class TestLoadWorkspace:
     def test_hiding_applies_before_comparison(self, tmp_path):
         (tmp_path / "legacy").mkdir()
         (tmp_path / "new").mkdir()
-        noisy = Nfa.build(
+        noisy = build_nfa(
             transitions=[
                 ("s1", "a_start", "s2"),
                 ("s2", "log_start", "s3"),
@@ -474,7 +476,7 @@ class TestLoadWorkspace:
             initial=["s1"],
             accepting=["s1"],
         )
-        clean = Nfa.build(
+        clean = build_nfa(
             transitions=[("s1", "a_start", "s2"), ("s2", "a_end", "s1")],
             initial=["s1"],
             accepting=["s1"],
@@ -482,9 +484,8 @@ class TestLoadWorkspace:
         (tmp_path / "legacy" / "apply.nfa").write_text(write_nfa(noisy))
         (tmp_path / "new" / "apply.nfa").write_text(write_nfa(clean))
         ws = load_workspace(tmp_path, HidingConfig(("log*",)))
-        assert language_equivalent(
-            ws.model_set("legacy").models["apply"], ws.model_set("new").models["apply"]
-        )
+        loaded = {ms.name: ms.models["apply"] for ms in ws.model_sets}
+        assert language_equivalent(loaded["legacy"], loaded["new"])
 
     def test_directory_named_like_a_model_is_no_entity(self, tmp_path):
         for name in ("S1", "S2"):

@@ -30,6 +30,7 @@ from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _cover_edges, _Langua
 
 from conftest import (
     OracleLanguages,
+    build_nfa,
     canonical_product,
     dense_workspace,
     diff_entity_counts,
@@ -74,10 +75,8 @@ class TestLevel1:
         assert [c.variant for c in partition.classes] == ["A"]
 
     def test_disjoint_behaviors_get_distinct_letters(self):
-        from fsmcompare import Nfa
-
-        a = Nfa.build(transitions=[("s", "x", "s")], initial=["s"], accepting=["s"])
-        b = Nfa.build(transitions=[("s", "y", "s")], initial=["s"], accepting=["s"])
+        a = build_nfa(transitions=[("s", "x", "s")], initial=["s"], accepting=["s"])
+        b = build_nfa(transitions=[("s", "y", "s")], initial=["s"], accepting=["s"])
         ws = Workspace(("e",), (ModelSet("m0", {"e": a}), ModelSet("m1", {"e": b})))
         partition = level1(ws)
         assert [c.variant for c in partition.classes] == ["A", "B"]
@@ -204,7 +203,7 @@ class TestLevel5:
 
     def test_empty_language_intersection_node_kept_with_zero_count(self, running_example):
         lattice = level5(running_example, "E2")
-        assert lattice.node("D").size == 0
+        assert next(n for n in lattice.nodes if n.variant == "D").size == 0
 
     def test_single_variant_entity(self, running_example):
         lattice = level5(running_example, "E1")
@@ -377,10 +376,10 @@ def unused_event_workspace():
     representatives' alphabets leave z out while the workspace's has it.
     """
     ab = [("s0", "a", "s1"), ("s1", "b", "s0")]
-    e0 = Nfa.build(ab, initial=["s0"], accepting=["s0"])
-    e0_z = Nfa.build(ab, initial=["s0"], accepting=["s0"], alphabet=["a", "b", "z"])
-    a_star = Nfa.build([("s0", "a", "s0")], initial=["s0"], accepting=["s0"])
-    e1 = Nfa.build([("s0", "c", "s0")], initial=["s0"], accepting=["s0"])
+    e0 = build_nfa(ab, initial=["s0"], accepting=["s0"])
+    e0_z = build_nfa(ab, initial=["s0"], accepting=["s0"], alphabet=["a", "b", "z"])
+    a_star = build_nfa([("s0", "a", "s0")], initial=["s0"], accepting=["s0"])
+    e1 = build_nfa([("s0", "c", "s0")], initial=["s0"], accepting=["s0"])
     models = [{"e0": e0, "e1": e1}, {"e0": e0_z, "e1": e1}, {"e0": a_star, "e1": e1}]
     return Workspace(("e0", "e1"), tuple(ModelSet(f"m{i}", m) for i, m in enumerate(models)))
 
@@ -677,8 +676,8 @@ class TestClosureAgainstProductOracle:
 
     def test_an_entity_with_an_empty_alphabet(self):
         rng = random.Random(101)
-        epsilon = Nfa.build(initial=["s"], accepting=["s"])
-        silent = Nfa.build(states=["s", "t"], initial=["s"], accepting=["t"])
+        epsilon = build_nfa(initial=["s"], accepting=["s"])
+        silent = build_nfa(states=["s", "t"], initial=["s"], accepting=["t"])
         for _ in range(8):
             sets = [
                 ModelSet(f"m{i}", {"e0": rng.choice([epsilon, silent]), "e1": random_nfa(rng)})

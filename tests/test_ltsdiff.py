@@ -1,6 +1,7 @@
 """Structural comparison tests: scores, landmarks, matching, diff machines."""
 
 import hashlib
+import heapq
 import math
 import random
 
@@ -19,9 +20,10 @@ from fsmcompare import (
     global_scores,
     select_landmarks,
 )
-from fsmcompare.ltsdiff import _ranked_pairs
+from fsmcompare.ltsdiff import _candidates
 
 from conftest import (
+    build_nfa,
     fig2_machines,
     local_scores,
     oracle_build_diff,
@@ -72,8 +74,8 @@ class TestLocalScores:
         assert score(scores, "s1", "s1") == 1.0
 
     def test_disjoint_out_vacuous_in(self):
-        a = Nfa.build(transitions=[("p", "a", "q")], initial=["p"])
-        b = Nfa.build(transitions=[("x", "b", "y")], initial=["x"])
+        a = build_nfa(transitions=[("p", "a", "q")], initial=["p"])
+        b = build_nfa(transitions=[("x", "b", "y")], initial=["x"])
         assert score(local_scores(a, b), "p", "x") == 0.5
 
     def test_fig2_initial_states(self):
@@ -149,7 +151,7 @@ def event_rich_nfa(rng: random.Random, max_states: int = 8) -> Nfa:
             if rng.random() < density:
                 for _ in range(rng.choice([1, 1, 1, 2])):
                     transitions.add((state, event, rng.choice(states)))
-    return Nfa.build(
+    return build_nfa(
         transitions=transitions,
         initial=states[:1],
         accepting=states[: len(states) // 3],
@@ -270,20 +272,22 @@ class TestSelectLandmarks:
                 for i in range(len(left))
                 for j in range(len(right))
             )
-            ranked = [ij for *_, ij in keyed]
-            assert _ranked_pairs(scores) == ranked
+            ranked = sorted(_candidates(scores))
+            assert [(*c[:3], c[3:]) for c in ranked] == keyed
+            # Score and names alone order the pairs; the indices never decide.
+            assert len({c[:3] for c in ranked}) == len(ranked)
             for count in {0, 1, 2, len(ranked) // 4, len(ranked), len(ranked) + 1}:
-                assert _ranked_pairs(scores, count) == ranked[:count]
+                assert heapq.nsmallest(count, _candidates(scores)) == ranked[:count]
 
     def test_identical_two_state_line_selects_both_diagonal_pairs(self):
-        line = Nfa.build(transitions=[("p", "x", "q")], initial=["p"], accepting=["q"])
+        line = build_nfa(transitions=[("p", "x", "q")], initial=["p"], accepting=["q"])
         scores = global_scores(line, line, DiffParams(landmark_fraction=1.0))
         landmarks = select_landmarks(scores, line, line, DiffParams(landmark_fraction=1.0))
         assert landmarks == frozenset({("p", "p"), ("q", "q")})
 
     def test_all_equal_scores_fall_back_to_initial_pair(self):
         # Two disconnected initial+accepting states give an all-ones table.
-        twin = Nfa.build(initial=["p", "q"], accepting=["p", "q"], states=["p", "q"])
+        twin = build_nfa(initial=["p", "q"], accepting=["p", "q"], states=["p", "q"])
         scores = global_scores(twin, twin, DiffParams())
         assert {v for row in scores.values for v in row} == {1.0}
         landmarks = select_landmarks(scores, twin, twin, DiffParams())
@@ -318,10 +322,10 @@ class TestComputeMatching:
     def test_landmark_only_when_nothing_else_scores(self):
         # Disjoint-alphabet cycles: every state has in and out labels, so
         # every cross pair scores 0 and only the initial-pair fallback holds.
-        a = Nfa.build(
+        a = build_nfa(
             transitions=[("p", "x1", "q"), ("q", "x2", "p")], initial=["p"], accepting=["p"]
         )
-        b = Nfa.build(
+        b = build_nfa(
             transitions=[("u", "y1", "v"), ("v", "y2", "u")], initial=["u"], accepting=["u"]
         )
         scores = global_scores(a, b, DiffParams())
@@ -409,10 +413,10 @@ class TestDiffPipeline:
         assert stats == (len(E1.transitions), 0, len(E1.states), 0)
 
     def test_disjoint_alphabets_keep_only_fallback_pair(self):
-        a = Nfa.build(
+        a = build_nfa(
             transitions=[("p", "x1", "q"), ("q", "x2", "p")], initial=["p"], accepting=["p"]
         )
-        b = Nfa.build(
+        b = build_nfa(
             transitions=[("u", "y1", "v"), ("v", "y2", "u")], initial=["u"], accepting=["u"]
         )
         machine = diff(a, b)
@@ -421,7 +425,7 @@ class TestDiffPipeline:
         assert diff_stats(machine) == (2, 2, 1, 1)
 
     def test_works_with_unreachable_and_nondeterministic_states(self):
-        messy = Nfa.build(
+        messy = build_nfa(
             transitions=[("a", "x", "b"), ("a", "x", "c"), ("d", "y", "d")],
             initial=["a"],
             accepting=["b"],
