@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on input parse or layout errors or an output
 that cannot be written, 2 when an option value is refused or lattice
-completion hits the node cap.
+completion hits the node cap. ``compare`` renders every output and makes
+every output directory before it writes a file, and writes ``report.json``
+last, so a run that fails to write leaves no new ``report.json``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .ingest import (
     HidingConfig,
     NfaParseError,
@@ -36,10 +39,17 @@ from .report import (
 )
 
 
-def _write(path: Path, text: str) -> None:
+def _write(outputs: list[tuple[Path, str]]) -> None:
+    """Write (path, text) pairs: every directory first, then the files, the first one last.
+
+    ``compare`` lists report.json first, so a run that cannot make a directory
+    writes nothing, and one that cannot write a file leaves no report.json.
+    """
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="")
+        for path, _ in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        for path, text in outputs[1:] + outputs[:1]:
+            path.write_text(text, encoding="utf-8", newline="")
     except OSError as exc:
         click.echo(f"{path}: {exc}", err=True)
         sys.exit(1)
@@ -75,7 +85,7 @@ def _params(options: dict[str, float]) -> DiffParams:
 
 
 @click.group()
-@click.version_option()
+@click.version_option(__version__)
 def main() -> None:
     """Compare the behavior of systems modeled as sets of finite state machines."""
 
@@ -140,22 +150,21 @@ def cmd_compare(
         sys.exit(1)
 
     out = Path(output_dir)
-    _write(out / "report.json", to_json(bundle))
+    outputs = [(out / "report.json", to_json(bundle))]
     if bundle.level2 is not None:
-        _write(out / "level2.dot", lattice_to_dot(bundle.level2))
+        outputs.append((out / "level2.dot", lattice_to_dot(bundle.level2)))
     if bundle.level3 is not None:
-        _write(out / "level3.csv", matrix_to_csv(bundle.level3))
+        outputs.append((out / "level3.csv", matrix_to_csv(bundle.level3)))
     if bundle.level4 is not None:
-        _write(out / "level4.csv", level4_to_csv(bundle.level4, bundle.model_set_names))
+        outputs.append((out / "level4.csv", level4_to_csv(bundle.level4, bundle.model_set_names)))
     if bundle.level5 is not None:
         for name, lattice in bundle.level5.items():
-            _write(out / "level5" / f"{name}.dot", lattice_to_dot(lattice))
+            outputs.append((out / "level5" / f"{name}.dot", lattice_to_dot(lattice)))
     if bundle.level6 is not None:
         for entry in bundle.level6:
-            _write(
-                out / "level6" / entry.entity / f"{entry.from_variant}-{entry.to_variant}.dot",
-                diff_to_dot(entry.machine),
-            )
+            name = f"{entry.from_variant}-{entry.to_variant}.dot"
+            outputs.append((out / "level6" / entry.entity / name, diff_to_dot(entry.machine)))
+    _write(outputs)
 
 
 def _load_machine(path: str):
@@ -202,7 +211,7 @@ def cmd_logs2nfa(log_file: str, output: str, do_minimize: bool) -> None:
     except ValueError as exc:  # an event name the .nfa format cannot hold
         click.echo(f"{log_file}: {exc}", err=True)
         sys.exit(1)
-    _write(Path(output), write_nfa(machine))
+    _write([(Path(output), write_nfa(machine))])
 
 
 @main.command("validate")

@@ -24,6 +24,7 @@ empty line is the empty trace.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -290,20 +291,28 @@ def load_workspace(root: Path | str, hiding: HidingConfig | None = None) -> Work
     root = Path(root)
     if not root.is_dir():
         raise WorkspaceLoadError([f"input directory {root} does not exist"])
-    set_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    with os.scandir(root) as listing:
+        set_dirs = [root / name for name in sorted(e.name for e in listing if e.is_dir())]
     if not set_dirs:
         raise WorkspaceLoadError([f"no model sets found under {root}"])
 
-    entities = sorted({p.stem for d in set_dirs for p in d.glob("*.nfa") if p.is_file()})
+    # Each model set's directory is listed once; its regular *.nfa files are the
+    # only ones opened. ``Path.stem`` keeps a bare ".nfa" whole.
+    files: list[set[str]] = []
+    for directory in set_dirs:
+        with os.scandir(directory) as listing:
+            files.append({e.name for e in listing if e.name.endswith(".nfa") and e.is_file()})
+    entities = sorted({Path(name).stem for names in files for name in names})
     errors: list[str] = []
     model_sets: list[ModelSet] = []
-    for directory in set_dirs:
+    for directory, names in zip(set_dirs, files):
         models: dict[str, Nfa] = {}
         for entity in entities:
-            path = directory / f"{entity}.nfa"
-            if not path.is_file():
+            name = f"{entity}.nfa"
+            if name not in names:
                 models[entity] = Nfa.empty()
                 continue
+            path = directory / name
             try:
                 text = path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:

@@ -11,18 +11,24 @@ so equal ints mean equal languages. ``build_bundle`` shares one dict of these
 tables across the levels of a run (the ``languages`` keyword); a level called
 alone builds its own. Both lattices are completed by one closure over the
 Boolean regions of the observed languages, where meet, join and inclusion
-are bitset operations (see ``_Regions``); each distinct computed language
-is then reduced once from the regions' product table, which can reach the
+are bitset operations (see ``_Regions``); a distinct computed language is
+reduced at most once from the regions' product table, which can reach the
 product of the DFAs' sizes: only the node cap bounds the closure. A level-2
 node is a vector, one component per entity; a level-5 node is a vector of
-length one. Each language becomes one machine per run, shared by every
-payload holding it; cover edges read inclusion from per-component up-sets.
+length one. Node sizes and cover edges read the bitsets alone, so level 2
+reduces a computed component only when its payload's model is read (see
+``_ComputedModels``); level 5 reduces every node, since its sizes and diffs
+read the machines. Each language becomes one machine per run, shared by
+every payload holding it; cover edges read inclusion from per-component
+up-sets.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .automata import (
@@ -175,7 +181,7 @@ class _Languages:
     closures add their computed languages through ``_Regions``, which the
     table keeps for the run, one per tuple of distinct observed languages:
     levels 2 and 5 of one entity share it, so each computed language is
-    reduced once per run and region table.
+    reduced at most once per run and region table, when it is first read.
     """
 
     def __init__(self, alphabet: frozenset[str]) -> None:
@@ -186,6 +192,7 @@ class _Languages:
         self._nfas: dict[int, Nfa] = {}
         self.lattices: dict[int, tuple] = {}  # _entity_lattice's result by node cap
         self._regions: dict[tuple[int, ...], _Regions] = {}
+        self.lock = threading.Lock()  # held by reads of computed level-2 payloads
 
     def intern(self, machine: Nfa) -> int:
         x = self._machines.get(machine)
@@ -331,18 +338,18 @@ def _close(observed: list[tuple[int, ...]], node_cap: int) -> list[tuple[int, ..
 
 def _complete(
     observed: list[tuple[int, ...]], languages: list[_Languages], node_cap: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+) -> tuple[list[_Regions], list[tuple[int, ...]]]:
     """The closure of vectors of interned languages, one component per table.
 
-    Returns the nodes in creation order as interned languages and as region
-    bitsets. The regions and their product tables stay on the tables for the
-    run, so another closure over the same observed languages reuses them.
+    Returns each component's regions and the nodes in creation order as
+    region bitsets; no computed language is reduced here, ``language`` of
+    a component's regions does that when a caller reads it. The regions and
+    their product tables stay on the tables for the run, so another closure
+    over the same observed languages reuses them.
     """
     regions = [lang.regions(column) for lang, column in zip(languages, zip(*observed))]
     observed_bitsets = [tuple(r.bitset[x] for r, x in zip(regions, node)) for node in observed]
-    bitsets = _close(observed_bitsets, node_cap)
-    vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]
-    return vectors, bitsets
+    return regions, _close(observed_bitsets, node_cap)
 
 
 def _cover_edges(nodes: list[tuple[int, ...]]) -> list[tuple[int, int]]:
@@ -396,6 +403,42 @@ def _nodes(partition: VariantPartition, payloads: list, sizes: list[int]) -> tup
     return nodes, dict(zip(labels, payloads))
 
 
+class _ComputedModels(Mapping):
+    """A computed level-2 node's models, entity -> machine, read-only.
+
+    Entity ``e``'s machine is ``lang.machine(regions.language(u))`` for its
+    component's regions and bitset ``u``: reduced and converted on first
+    read, and shared after that through the table's caches, so reading
+    gives the machines, and the sharing, that building them up front gave.
+    """
+
+    def __init__(self, index: dict[str, int], regions: list[_Regions], node: tuple[int, ...]):
+        self._index = index  # entity -> component
+        self._regions = regions
+        self._node = node
+
+    def __getitem__(self, entity: str) -> Nfa:
+        k = self._index[entity]
+        regions = self._regions[k]
+        with regions.lang.lock:  # the table's caches are shared by every payload
+            return regions.lang.machine(regions.language(self._node[k]))
+
+    def __contains__(self, entity: object) -> bool:
+        return entity in self._index
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return dict, (dict(self),)  # pickled and copied as the machines, not the tables
+
+
 def level2(
     partition: VariantPartition, *, node_cap: int = DEFAULT_NODE_CAP, languages: dict | None = None
 ) -> Lattice:
@@ -414,14 +457,12 @@ def level2(
     observed = [
         tuple(lang.intern(rep.models[e]) for lang, e in zip(languages, entities)) for rep in reps
     ]
-    vectors, bitsets = _complete(observed, languages, node_cap)
+    regions, bitsets = _complete(observed, languages, node_cap)
 
+    index = {e: k for k, e in enumerate(entities)}
     payloads = reps + [
-        ModelSet(
-            variant_letters(i),
-            {e: lang.machine(x) for e, lang, x in zip(entities, languages, vectors[i])},
-        )
-        for i in range(len(reps), len(vectors))
+        ModelSet(variant_letters(i), _ComputedModels(index, regions, bitsets[i]))
+        for i in range(len(reps), len(bitsets))
     ]
     sizes = [sum(map(bool, v)) for v in bitsets]  # an empty language has no regions
     nodes, payloads_by_label = _nodes(partition, payloads, sizes)
@@ -482,9 +523,9 @@ def _entity_lattice(
         return lang.lattices[node_cap]
     partition = _entity_partition(workspace, entity, languages)
     observed = [(lang.intern(cls.representative),) for cls in partition.classes]
-    vectors, bitsets = _complete(observed, [lang], node_cap)
+    regions, bitsets = _complete(observed, [lang], node_cap)
     payloads = [cls.representative for cls in partition.classes]
-    payloads += [lang.machine(x) for (x,) in vectors[len(payloads) :]]
+    payloads += [lang.machine(regions[0].language(u)) for (u,) in bitsets[len(payloads) :]]
     nodes, payloads_by_label = _nodes(partition, payloads, [len(p.transitions) for p in payloads])
     covers = [(nodes[i].variant, nodes[j].variant) for i, j in _cover_edges(bitsets)]
     lang.lattices[node_cap] = nodes, payloads_by_label, covers

@@ -27,17 +27,23 @@ from fsmcompare import (
     DiffParams,
     DiffState,
     DiffTransition,
+    HidingConfig,
     LatticeCapExceeded,
     Matching,
     ModelSet,
     Nfa,
     NfaParseError,
     ScoreTable,
+    VariantPartition,
     Workspace,
+    WorkspaceLoadError,
     automata,
     minimize,
+    parse_nfa,
+    variant_letters,
     with_alphabet,
 )
+from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _table
 from fsmcompare.ltsdiff import _pair_tables, _rows
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -535,6 +541,72 @@ def oracle_close(observed, tables, node_cap: int) -> list[tuple[int, ...]]:
             nodes.append(node)
             seen.add(node)
     return nodes
+
+
+def eager_level2_payloads(
+    partition: VariantPartition, node_cap: int = DEFAULT_NODE_CAP
+) -> list[ModelSet]:
+    """Level 2's payloads in closure order, every computed machine built up front.
+
+    This is how ``level2`` built them before it reduced a computed component
+    only when read: each computed node's models are a dict of
+    ``lang.machine(x)`` for the interned language ``x`` of each component.
+    """
+    reps = [cls.representative for cls in partition.classes]
+    entities = reps[0].entities() if reps else ()
+    shared: dict = {}
+    languages = [_table(partition.workspace, shared, e) for e in entities]
+    observed = [
+        tuple(lang.intern(rep.models[e]) for lang, e in zip(languages, entities)) for rep in reps
+    ]
+    regions, bitsets = _complete(observed, languages, node_cap)
+    vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]
+    return reps + [
+        ModelSet(
+            variant_letters(i),
+            {e: lang.machine(x) for e, lang, x in zip(entities, languages, vectors[i])},
+        )
+        for i in range(len(reps), len(vectors))
+    ]
+
+
+def oracle_load_workspace(root: Path | str, hiding: HidingConfig | None = None) -> Workspace:
+    """``load_workspace`` through ``pathlib``: ``glob`` each model set, then stat every file.
+
+    ``ingest.load_workspace`` lists each directory once and opens only the
+    files its listings returned; both read the same files, in the same order,
+    and fail with the same texts.
+    """
+    hiding = hiding or HidingConfig()
+    root = Path(root)
+    if not root.is_dir():
+        raise WorkspaceLoadError([f"input directory {root} does not exist"])
+    set_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    if not set_dirs:
+        raise WorkspaceLoadError([f"no model sets found under {root}"])
+    entities = sorted({p.stem for d in set_dirs for p in d.glob("*.nfa") if p.is_file()})
+    errors: list[str] = []
+    model_sets: list[ModelSet] = []
+    for directory in set_dirs:
+        models: dict[str, Nfa] = {}
+        for entity in entities:
+            path = directory / f"{entity}.nfa"
+            if not path.is_file():
+                models[entity] = Nfa.empty()
+                continue
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                errors.append(f"{path}: {exc}")
+                continue
+            try:
+                models[entity] = hiding.apply(parse_nfa(text, path=str(path)))
+            except NfaParseError as exc:
+                errors.append(str(exc))
+        model_sets.append(ModelSet(directory.name, models))
+    if errors:
+        raise WorkspaceLoadError(errors)
+    return Workspace(tuple(entities), tuple(model_sets))
 
 
 def oracle_cover_edges(nodes, languages) -> list[tuple[int, int]]:

@@ -94,6 +94,24 @@ def test_star_import_binds_every_public_name():
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
 
 
+class TestVersion:
+    def test_version_option(self):
+        result = run("--version")
+        assert result.exit_code == 0
+        assert result.output.endswith(f"version {fsmcompare.__version__}\n")
+
+    def test_version_from_source_in_a_fresh_interpreter(self):
+        # Run from src, with no installed distribution metadata to look up.
+        result = cli_process("0", "--version")
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout.decode().endswith(f"version {fsmcompare.__version__}\n")
+
+    def test_version_matches_pyproject(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = re.search(r"^\[project\]$(.*?)^\[", pyproject, re.M | re.S).group(1)
+        assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == fsmcompare.__version__
+
+
 @pytest.mark.parametrize("command", ["compare", "diff"])
 def test_help_lists_the_diff_options_with_the_diff_params_defaults(command):
     options = re.findall(r"--([a-z-]+) FLOAT +\[default: ([^\]]+)\]", run(command, "--help").output)
@@ -159,6 +177,21 @@ class TestCompare:
         )
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert blocker.read_text() == "a file, not a directory\n"
+
+    def test_a_failed_run_leaves_no_report(self, running_example_dir, tmp_path):
+        # A regular file where an output directory goes: nothing is written.
+        out = tmp_path / "file"
+        out.mkdir()
+        (out / "level5").write_text("a file, not a directory\n")
+        args = ("compare", "--input", running_example_dir, "--output", out)
+        assert_refused(out / "level5" / "E2.dot", *args)
+        assert [p.name for p in out.iterdir()] == ["level5"]
+        # A directory where an output file goes: report.json is not written.
+        out = tmp_path / "directory"
+        (out / "level3.csv").mkdir(parents=True)
+        args = ("compare", "--input", running_example_dir, "--output", out)
+        assert_refused(out / "level3.csv", *args)
+        assert not (out / "report.json").exists()
 
     def test_node_cap_exits_two(self, running_example_dir, tmp_path):
         result = run(

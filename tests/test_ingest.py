@@ -1,7 +1,9 @@
 """File format, prefix-tree, and workspace loading tests."""
 
+import os
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from conftest import (
     language_equivalent,
     oracle_canonical,
     oracle_language,
+    oracle_load_workspace,
     oracle_parse_nfa,
     oracle_subset_table,
     random_nfa,
@@ -496,3 +499,76 @@ class TestLoadWorkspace:
 
     def test_deterministic_given_directory_content(self, running_example_dir):
         assert load_workspace(running_example_dir) == load_workspace(running_example_dir)
+
+    def test_listings_match_the_pathlib_loader(self, tmp_path, monkeypatch):
+        """Entities, files read and error texts equal those of ``oracle_load_workspace``."""
+        root = tmp_path / "ws"
+        machine = "nfa v1\nstate s initial accepting\ntrans s a s\n"
+        layout = {
+            "S1/e.nfa": machine,
+            "S1/notes.txt": "not a model\n",
+            "S1/.nfa": machine,
+            "S1/..nfa": machine,
+            "S1/f.NFA": machine,
+            "S2/e.nfa": "garbage\n",
+            "S2/g.nfa": machine,
+            "S2/x.nfa/inner.nfa": machine,
+            "S3/.nfa.nfa": machine,
+            "S3/h.nfa": b"nfa v1\nstate s\xff\n",
+            "S4/readme": "",
+        }
+        for name, content in layout.items():
+            path = root / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(content, bytes):
+                path.write_bytes(content)
+            else:
+                path.write_text(content)
+        (root / "top.nfa").write_text(machine)
+
+        read = []
+        read_text = Path.read_text
+
+        def recording_read_text(path, *args, **kwargs):
+            read.append(str(path))
+            return read_text(path, *args, **kwargs)
+
+        def outcome(load, where):
+            read.clear()
+            try:
+                result = load(where)
+            except WorkspaceLoadError as exc:
+                result = exc.errors
+            return result, list(read)
+
+        monkeypatch.setattr(Path, "read_text", recording_read_text)
+        monkeypatch.chdir(tmp_path)
+        for where in (root, "ws", "ws/", "./ws/", "./ws//S2/.."):
+            got = outcome(load_workspace, where)
+            assert got == outcome(oracle_load_workspace, where)
+            errors, files = got
+            # S1's ".nfa" is entity ".nfa", whose file in S3 is ".nfa.nfa".
+            assert len(errors) == 2 and len(files) == 6
+        assert outcome(load_workspace, "./ws/")[0][0].startswith("ws/S2/e.nfa:1: ")
+        (root / "S2" / "e.nfa").write_text(machine)
+        (root / "S3" / "h.nfa").write_text(machine)
+        for where in ("./ws/", root):
+            ws, files = outcome(load_workspace, where)
+            assert (ws, files) == outcome(oracle_load_workspace, where)
+            assert ws.entities == (".", ".nfa", "e", "g", "h")
+            assert [ms.name for ms in ws.model_sets] == ["S1", "S2", "S3", "S4"]
+        for where in ("nope", "ws/S1/e.nfa", tmp_path / "empty"):
+            (tmp_path / "empty").mkdir(exist_ok=True)
+            assert outcome(load_workspace, where) == outcome(oracle_load_workspace, where)
+
+    def test_each_directory_is_listed_once(self, running_example_dir, monkeypatch):
+        listed = []
+        scandir = os.scandir
+
+        def recording_scandir(path):
+            listed.append(Path(path).name)
+            return scandir(path)
+
+        monkeypatch.setattr(fsmcompare.ingest.os, "scandir", recording_scandir)
+        ws = load_workspace(running_example_dir)
+        assert listed == [running_example_dir.name] + [ms.name for ms in ws.model_sets]

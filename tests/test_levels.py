@@ -2,7 +2,10 @@
 cross-level consistency on random workspaces."""
 
 import operator
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -34,6 +37,7 @@ from conftest import (
     canonical_product,
     dense_workspace,
     diff_entity_counts,
+    eager_level2_payloads,
     has_behavior,
     intersection,
     language_equivalent,
@@ -407,11 +411,16 @@ def level5_cases(ws):
 
 
 def closure(case, node_cap=DEFAULT_NODE_CAP):
-    """The region closure of a case: nodes as interned languages and as bitsets, and the tables."""
+    """The region closure of a case: nodes as interned languages and as bitsets, and the tables.
+
+    The interned languages are read from each component's regions after the
+    closure, as a read of a computed payload reads them.
+    """
     alphabets, machines = case
     tables = [_Languages(alphabet) for alphabet in alphabets]
     observed = [tuple(lang.intern(m) for lang, m in zip(tables, node)) for node in machines]
-    vectors, bitsets = _complete(observed, tables, node_cap)
+    regions, bitsets = _complete(observed, tables, node_cap)
+    vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]
     return vectors, bitsets, tables
 
 
@@ -592,10 +601,15 @@ class TestCoverEdges:
             assert len(reductions) == sum(models)
             reductions.clear()
 
-            bitsets = _complete(observed, tables, DEFAULT_NODE_CAP)[1]
+            regions, bitsets = _complete(observed, tables, DEFAULT_NODE_CAP)
+            assert reductions == []  # the closure reduces nothing; reading does
             given = [{node[k] for node in bitsets[: len(observed)]} for k in range(len(tables))]
             computed = [{node[k] for node in bitsets} - given[k] for k in range(len(tables))]
-            assert len(reductions) == sum(map(len, computed))
+            for _ in range(2):  # a second read reduces nothing more
+                for node in bitsets:
+                    for r, u in zip(regions, node):
+                        r.language(u)
+                assert len(reductions) == sum(map(len, computed))
             # One product per component, of its distinct observed languages only.
             assert [len(dfas) for dfas in products] == [len(set(ids)) for ids in zip(*observed)]
 
@@ -688,3 +702,62 @@ class TestClosureAgainstProductOracle:
             assert_matches_product_closure(level2_case(ws))
             for case in level5_cases(ws):
                 assert_matches_product_closure(case)
+
+
+class TestComputedLevel2Payloads:
+    """Computed level-2 payloads, reduced when read, against building them up front."""
+
+    def test_payloads_equal_the_eager_construction(self, running_example):
+        rng = random.Random(103)
+        workspaces = [running_example, unused_event_workspace()]
+        workspaces += [
+            dense_workspace(rng, n_sets=5, n_entities=rng.randint(2, 6), absent=0.15)
+            for _ in range(12)
+        ]
+        computed = empty = 0
+        for ws in workspaces:
+            partition = level1(ws)
+            lattice = level2(partition)
+            eager = eager_level2_payloads(partition)
+            payloads = [lattice.payloads[node.variant] for node in lattice.nodes]
+            assert payloads == eager
+            assert pickle.loads(pickle.dumps(lattice)) == lattice
+            # Equal languages share one machine, as they did when built up front.
+            machines: dict = {}
+            observed = len(partition.classes)
+            for node, payload in zip(lattice.nodes[observed:], eager[observed:]):
+                computed += 1
+                for e, machine in lattice.payloads[node.variant].models.items():
+                    assert machine == payload.models[e]
+                    assert machines.setdefault((e, machine), machine) is machine
+                    empty += not has_behavior(machine)
+        assert computed > 100 and empty > 10
+
+    def test_threads_reading_one_payload_get_the_same_machines(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the reads
+        try:
+            for seed in range(4):
+                ws = dense_workspace(random.Random(seed), n_sets=5, n_entities=6, absent=0.15)
+                partition = level1(ws)
+                lattice = level2(partition)
+                reads: list[list] = [[] for _ in range(4)]
+
+                def read(out):
+                    for node in lattice.nodes:
+                        models = lattice.payloads[node.variant].models
+                        out.extend(models[e] for e in ws.entities)
+
+                threads = [threading.Thread(target=read, args=(out,)) for out in reads]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                eager = eager_level2_payloads(partition)
+                assert reads[0] == [p.models[e] for p in eager for e in ws.entities]
+                for out in reads[1:]:
+                    assert len(out) == len(reads[0])
+                    assert all(a is b for a, b in zip(out, reads[0]))
+        finally:
+            sys.setswitchinterval(interval)

@@ -20,6 +20,7 @@ from fsmcompare import (
     level6,
     minimize,
     to_json,
+    with_alphabet,
 )
 from fsmcompare.report import (
     default_meta,
@@ -281,11 +282,84 @@ class TestBuildBundle:
 
         monkeypatch.setattr(fsmcompare.levels, "_canonical", counting_canonical)
         # E2's level-2 and level-5 closures start from the same observed
-        # languages and compute the same 3; a run reduces them once.
-        for levels in ((1, 2), (4, 5), (1, 2, 4, 5), (1, 2, 3, 4, 5, 6)):
+        # languages and compute the same 3; a run reduces them once, level 2
+        # only when its payloads are read.
+        for levels, built in (((1, 2), 0), ((4, 5), 3), ((1, 2, 4, 5), 3), ((1, 2, 3, 4, 5, 6), 3)):
             reductions.clear()
-            build_bundle(running_example, levels=levels)
-            assert len(reductions) == 3, levels
+            bundle = build_bundle(running_example, levels=levels)
+            assert len(reductions) == built, levels
+            if bundle.level2 is not None:
+                for _ in range(2):
+                    for payload in bundle.level2.payloads.values():
+                        dict(payload.models)
+                    assert len(reductions) == 3, levels
+
+    def test_levels_1_to_4_reduce_a_computed_component_only_when_read(
+        self, running_example, monkeypatch
+    ):
+        import fsmcompare.levels
+
+        reduced, converted = [], []
+        canonical, to_nfa = fsmcompare.levels._canonical, CanonicalDfa.to_nfa
+
+        def counting_canonical(*args):
+            reduced.append(canonical(*args))
+            return reduced[-1]
+
+        def counting_to_nfa(dfa):
+            converted.append(dfa)
+            return to_nfa(dfa)
+
+        monkeypatch.setattr(fsmcompare.levels, "_canonical", counting_canonical)
+        monkeypatch.setattr(CanonicalDfa, "to_nfa", counting_to_nfa)
+        seeded = dense_workspace(random.Random(107), n_sets=5, n_entities=6, absent=0.15)
+        for ws in (running_example, seeded):
+            reduced.clear()
+            converted.clear()
+            bundle = build_bundle(ws, levels=(1, 2, 3, 4))
+            to_json(bundle)
+            lattice_to_dot(bundle.level2)
+            assert reduced == [] and converted == []
+
+            def language(ms, e):
+                alphabet = frozenset().union(*(m.models[e].alphabet for m in ws.model_sets))
+                return e, minimize(with_alphabet(ms.models[e], alphabet))
+
+            observed = {language(ms, e) for ms in ws.model_sets for e in ws.entities}
+            computed = [bundle.level2.payloads[n.variant] for n in bundle.level2.nodes]
+            computed = computed[len(bundle.level1.classes) :]
+            assert len(computed) > 1
+            new = set()
+            for payload in computed:
+                for e in ws.entities:
+                    before = len(reduced), len(converted)
+                    machine = payload.models[e]
+                    read = language(payload, e)
+                    # Only this component is reduced, and only if no read reduced it yet.
+                    if read in observed or read in new:
+                        assert len(reduced) == before[0]
+                    else:
+                        assert reduced[before[0] :] == [read[1]]
+                        new.add(read)
+                    assert len(converted) <= before[1] + 1
+                    after = len(reduced), len(converted)
+                    assert payload.models[e] is machine
+                    assert (len(reduced), len(converted)) == after
+            # Each language is converted to a machine once.
+            assert new and len(converted) == len({id(dfa) for dfa in converted})
+
+    def test_report_is_the_same_whether_payloads_were_read_or_not(self, running_example):
+        rng = random.Random(109)
+        seeded = [dense_workspace(rng, n_sets=5, n_entities=4, absent=0.15) for _ in range(5)]
+        for ws in [running_example] + seeded:
+            unread, read = build_bundle(ws), build_bundle(ws)
+            for payload in read.level2.payloads.values():
+                dict(payload.models)
+            text, dot = to_json(unread), lattice_to_dot(unread.level2)
+            assert to_json(read) == text and lattice_to_dot(read.level2) == dot
+            for payload in unread.level2.payloads.values():
+                dict(payload.models)
+            assert to_json(unread) == text
 
     def test_each_distinct_model_is_minimized_once(self, running_example, monkeypatch):
         import fsmcompare.levels
