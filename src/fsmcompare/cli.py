@@ -1,10 +1,10 @@
 """Command-line front door: compare, diff, logs2nfa, validate.
 
-Exit codes: 0 on success, 1 on input parse or layout errors or an output
-that cannot be written, 2 when an option value is refused or lattice
-completion hits the node cap. ``compare`` renders every output and makes
-every output directory before it writes a file, and writes ``report.json``
-last, so a run that fails to write leaves no new ``report.json``.
+Exit codes: 0 on success, 1 on input parse or layout errors, an unknown
+``--entity`` or variant, or an output that cannot be written, 2 when an
+option value is refused or lattice completion hits the node cap. ``compare``
+renders every output and makes every output directory before it writes a
+file, and writes ``report.json`` last, so a failed write leaves no new one.
 """
 
 from __future__ import annotations

@@ -286,23 +286,24 @@ def load_workspace(root: Path | str, hiding: HidingConfig | None = None) -> Work
 
     Missing entity files become empty machines; hiding is applied to every
     machine before any comparison. Read and parse errors are aggregated per file.
+    Directories and files whose names start with "." are ignored.
     """
     hiding = hiding or HidingConfig()
     root = Path(root)
     if not root.is_dir():
         raise WorkspaceLoadError([f"input directory {root} does not exist"])
     with os.scandir(root) as listing:
-        set_dirs = [root / name for name in sorted(e.name for e in listing if e.is_dir())]
+        set_dirs = sorted(root / e.name for e in listing if e.is_dir() and e.name[0] != ".")
     if not set_dirs:
         raise WorkspaceLoadError([f"no model sets found under {root}"])
 
     # Each model set's directory is listed once; its regular *.nfa files are the
-    # only ones opened. ``Path.stem`` keeps a bare ".nfa" whole.
+    # only ones opened, and a hidden one is never looked up.
     files: list[set[str]] = []
     for directory in set_dirs:
         with os.scandir(directory) as listing:
             files.append({e.name for e in listing if e.name.endswith(".nfa") and e.is_file()})
-    entities = sorted({Path(name).stem for names in files for name in names})
+    entities = sorted({Path(name).stem for names in files for name in names if name[0] != "."})
     errors: list[str] = []
     model_sets: list[ModelSet] = []
     for directory, names in zip(set_dirs, files):

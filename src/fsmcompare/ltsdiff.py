@@ -19,12 +19,12 @@ and is cut off at a max-norm change of convergence_epsilon.
 
 The iteration runs on a flat list of floats. A pair whose states share no
 outgoing and no incoming event is constant after the first step and is
-computed once; each other pair reads one entry per shared event, and an
-event with several neighbour pairs adds one entry per pair, so a step is
-linear in the number of these groups and their members. Sums and products
-are evaluated in the order the formula above gives, each average's sum
-folded left to right, so the scores are exactly those of the dense n x m
-iteration, on every Python version.
+computed once. The other pairs are grouped by shape: their numbers of
+successor and predecessor terms, one per shared event, each the score of
+a neighbour pair or the maximum of several. A step folds each side of a
+shape column by column, left to right, column i holding term i of every
+pair, and evaluates each product and sum in the formula's order, so the
+scores equal the dense n x m iteration's on every Python version.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain
 from operator import add, sub
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .automata import Nfa
 
@@ -239,28 +237,41 @@ def _rows(flat: list[float], n: int, m: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
 
 
+def _mean(columns: list[list[int]], own: list[float], get) -> Iterable[float]:
+    """Each pair's terms summed left to right, column by column, over their number.
+
+    A side with no terms averages to its pair's S0, and one term to itself
+    (x / 1 == x). Not sum(), which compensates float rounding from Python
+    3.12; a list per partial sum keeps chains of iterators off the C stack.
+    """
+    if not columns:
+        return own
+    total = map(get, columns[0])
+    if len(columns) == 1:
+        return total
+    for column in columns[1:]:
+        total = list(map(add, total, map(get, column)))
+    n = len(columns)
+    return [x / n for x in total]
+
+
 def global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
     """Fixed point of the damped neighborhood recurrence seeded by local scores."""
     left, right, s0, succ_groups, pred_groups = _pair_tables(a, b)
 
-    # The value list holds, in this order: the pairs with at most one group
-    # per side, the other pairs that change, the pairs that share no event
-    # (constant after the first step), a copy of S0 for every side of a
-    # changing pair that shares no event, and the maximum of every group of
-    # several pairs, refreshed at the start of each step.
-    simple: list[int] = []
-    general: list[int] = []
+    # The value list holds the pairs that change, shape by shape, then the pairs
+    # that share no event (constant after the first step), then the maximum of
+    # every group of several pairs, refreshed at the start of each step.
+    shapes: dict[tuple[int, int], list[int]] = {}
     constant: list[int] = []
     for f, (sg, pg) in enumerate(zip(succ_groups, pred_groups)):
-        if not sg and not pg:
-            constant.append(f)
-        elif len(sg or ()) <= 1 and len(pg or ()) <= 1:
-            simple.append(f)
+        if sg or pg:
+            shapes.setdefault((len(sg or ()), len(pg or ())), []).append(f)
         else:
-            general.append(f)
-    n_changing = len(simple) + len(general)
+            constant.append(f)
+    changing = [f for members in shapes.values() for f in members]
     pos = [0] * len(s0)
-    for p, f in enumerate(chain(simple, general, constant)):
+    for p, f in enumerate(changing + constant):
         pos[f] = p
 
     # k * 0.5 * x evaluates as (k * 0.5) * x, so hoisting both constants
@@ -269,46 +280,33 @@ def global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
     half = k * 0.5
     static = [(1.0 - k) * s0[f] + half * (s0[f] + s0[f]) for f in constant]
     static_delta = max((abs(v - s0[f]) for v, f in zip(static, constant)), default=0.0)
-    maxima_at = len(s0) + sum(
-        not succ_groups[f] or not pred_groups[f] for f in chain(simple, general)
-    )
     multi: list[tuple[int, ...]] = []
 
-    def side(f: int, groups) -> tuple[int, ...]:
-        """Positions of a side's terms, in event order; one S0 copy if it has none."""
-        if not groups:
-            static.append(s0[f])
-            return (n_changing + len(static) - 1,)
-        slots = []
-        for g in groups:
-            if isinstance(g, int):
-                slots.append(pos[g])
-            else:
-                slots.append(maxima_at + len(multi))
-                multi.append(tuple(pos[h] for h in g))
-        return tuple(slots)
+    def slot(group) -> int:
+        if isinstance(group, int):
+            return pos[group]
+        multi.append(tuple(pos[h] for h in group))
+        return len(s0) + len(multi) - 1
 
-    simple_specs = []
-    for f in simple:
-        (x,), (y,) = side(f, succ_groups[f]), side(f, pred_groups[f])
-        simple_specs.append(((1.0 - k) * s0[f], x, y))
-    general_specs = []
-    for f in general:
-        succ, pred = side(f, succ_groups[f]), side(f, pred_groups[f])
-        general_specs.append(((1.0 - k) * s0[f], succ, len(succ), pred, len(pred)))
-    current = [s0[f] for f in chain(simple, general, constant)] + static[len(constant) :]
+    # Per shape: its pairs' S0, then each side's columns: column i holds term i.
+    steps = []
+    for (n_succ, n_pred), members in shapes.items():
+        succ = [[slot(succ_groups[f][i]) for f in members] for i in range(n_succ)]
+        pred = [[slot(pred_groups[f][i]) for f in members] for i in range(n_pred)]
+        steps.append(([s0[f] for f in members], succ, pred))
+    fixed = [(1.0 - k) * s0[f] for f in changing]
+    current = [s0[f] for f in changing + constant]
     # Free the setup tables before the steps allocate their lists.
-    del succ_groups, pred_groups, simple, general, constant
+    del succ_groups, pred_groups, shapes, changing, constant
     for _ in range(params.max_iterations):
         get = current.__getitem__
         current += [max(map(get, g)) for g in multi]
-        # A one-term side averages to its term: x / 1 == x. Other sides fold
-        # left to right, since sum() of floats compensates its rounding from 3.12.
-        nxt = [c + half * (get(x) + get(y)) for c, x, y in simple_specs]
-        nxt += [
-            c + half * (reduce(add, map(get, succ)) / n_succ + reduce(add, map(get, pred)) / n_pred)
-            for c, succ, n_succ, pred, n_pred in general_specs
-        ]
+        xs: list[float] = []
+        ys: list[float] = []
+        for own, succ, pred in steps:
+            xs += _mean(succ, own, get)
+            ys += _mean(pred, own, get)
+        nxt = [c + half * (x + y) for c, x, y in zip(fixed, xs, ys)]
         delta = max(static_delta, max(map(abs, map(sub, nxt, current)), default=0.0))
         static_delta = 0.0
         current = nxt + static

@@ -575,16 +575,17 @@ def oracle_load_workspace(root: Path | str, hiding: HidingConfig | None = None) 
 
     ``ingest.load_workspace`` lists each directory once and opens only the
     files its listings returned; both read the same files, in the same order,
-    and fail with the same texts.
+    and fail with the same texts. Both skip names that start with ".".
     """
     hiding = hiding or HidingConfig()
     root = Path(root)
     if not root.is_dir():
         raise WorkspaceLoadError([f"input directory {root} does not exist"])
-    set_dirs = sorted(p for p in root.iterdir() if p.is_dir())
+    set_dirs = sorted(p for p in root.iterdir() if p.is_dir() and not p.name.startswith("."))
     if not set_dirs:
         raise WorkspaceLoadError([f"no model sets found under {root}"])
-    entities = sorted({p.stem for d in set_dirs for p in d.glob("*.nfa") if p.is_file()})
+    files = [p for d in set_dirs for p in d.glob("*.nfa") if not p.name.startswith(".")]
+    entities = sorted({p.stem for p in files if p.is_file()})
     errors: list[str] = []
     model_sets: list[ModelSet] = []
     for directory in set_dirs:

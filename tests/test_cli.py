@@ -240,6 +240,43 @@ class TestCompare:
         assert (out / "level6" / "E2" / "B-C.dot").is_file()
         assert not (out / "level5" / "E1.dot").exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--levels", "1,x"), "cannot parse levels '1,x'"),
+            (("--levels", "0"), "levels must be a non-empty subset of 1-6"),
+            (("--levels", "7"), "levels must be a non-empty subset of 1-6"),
+            (("--levels", ","), "levels must be a non-empty subset of 1-6"),
+            (("--from", "B"), "--from and --to must be given together"),
+            (("--from", "B", "--to", "C"), "--from/--to require --entity"),
+        ],
+    )
+    def test_refused_option_values_exit_two(self, running_example_dir, tmp_path, args, message):
+        out = tmp_path / "out"
+        result = run("compare", "--input", running_example_dir, "--output", out, *args)
+        assert result.exit_code == 2
+        assert f"Invalid value: {message}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--levels", "5", "--entity", "NOPE"), "NOPE"),
+            (
+                ("--levels", "6", "--entity", "E2", "--from", "Z", "--to", "C"),
+                "variant 'Z' does not exist at entity 'E2'",
+            ),
+        ],
+    )
+    def test_unknown_entity_or_variant_exits_one(
+        self, running_example_dir, tmp_path, args, message
+    ):
+        out = tmp_path / "out"
+        result = run("compare", "--input", running_example_dir, "--output", out, *args)
+        assert result.exit_code == 1
+        assert result.output == f"unknown selection: {message}\n"
+        assert not out.exists()
+
     def test_hide_patterns(self, tmp_path):
         for name, lines in {
             "legacy": [

@@ -497,6 +497,26 @@ class TestLoadWorkspace:
         (tmp_path / "S2" / "junk.nfa").mkdir()
         assert load_workspace(tmp_path).entities == ("e",)
 
+    def test_hidden_directories_and_files_are_ignored(self, tmp_path):
+        # Each hidden entry would fail to parse if it were read.
+        layout = {
+            "S1/a.nfa": "nfa v1\nstate s initial accepting\n",
+            "S2/a.nfa": "nfa v1\nstate s initial\n",
+            "S1/.nfa": "garbage\n",
+            "S2/.hidden.nfa": "garbage\n",
+            ".git/a.nfa": "garbage\n",
+            ".git/HEAD": "ref: refs/heads/main\n",
+        }
+        for name, text in layout.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        ws = load_workspace(tmp_path)
+        assert ws.entities == ("a",)
+        assert [ms.name for ms in ws.model_sets] == ["S1", "S2"]
+        (tmp_path / ".git" / ".objects").mkdir()
+        with pytest.raises(WorkspaceLoadError, match="no model sets found"):
+            load_workspace(tmp_path / ".git")
+
     def test_deterministic_given_directory_content(self, running_example_dir):
         assert load_workspace(running_example_dir) == load_workspace(running_example_dir)
 
@@ -547,15 +567,15 @@ class TestLoadWorkspace:
             got = outcome(load_workspace, where)
             assert got == outcome(oracle_load_workspace, where)
             errors, files = got
-            # S1's ".nfa" is entity ".nfa", whose file in S3 is ".nfa.nfa".
-            assert len(errors) == 2 and len(files) == 6
+            # ".nfa", "..nfa" and ".nfa.nfa" are hidden: no entity, never read.
+            assert len(errors) == 2 and len(files) == 4
         assert outcome(load_workspace, "./ws/")[0][0].startswith("ws/S2/e.nfa:1: ")
         (root / "S2" / "e.nfa").write_text(machine)
         (root / "S3" / "h.nfa").write_text(machine)
         for where in ("./ws/", root):
             ws, files = outcome(load_workspace, where)
             assert (ws, files) == outcome(oracle_load_workspace, where)
-            assert ws.entities == (".", ".nfa", "e", "g", "h")
+            assert ws.entities == ("e", "g", "h")
             assert [ms.name for ms in ws.model_sets] == ["S1", "S2", "S3", "S4"]
         for where in ("nope", "ws/S1/e.nfa", tmp_path / "empty"):
             (tmp_path / "empty").mkdir(exist_ok=True)

@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from fsmcompare import (
     global_scores,
     select_landmarks,
 )
-from fsmcompare.ltsdiff import _candidates
+from fsmcompare.ltsdiff import _candidates, _pair_tables
 
 from conftest import (
     build_nfa,
@@ -169,6 +170,13 @@ def oracle_pairs(seed: int, count: int):
         yield (a, a) if n % 3 == 0 else (a, b)
 
 
+def converged_sample():
+    """``oracle_pairs(41, 60)`` and ten pairs of event-rich machines of up to 16 states."""
+    rng = random.Random(47)
+    larger = [(event_rich_nfa(rng, 16), event_rich_nfa(rng, 16)) for _ in range(10)]
+    return [*oracle_pairs(41, 60), *larger]
+
+
 def has_lone_state(machine):
     touched = {s for src, _, dst in machine.transitions for s in (src, dst)}
     return bool(machine.states - touched)
@@ -189,10 +197,27 @@ class TestScoresAgainstDenseOracle:
         assert any(has_lone_state(m) for m in machines)
         assert any(has_multi_target(m) for m in machines)
 
+    def test_pair_sample_covers_every_kind_of_shape(self):
+        """Changing pairs are grouped by their numbers of successor and
+        predecessor terms; the sample has empty sides, long sides, shapes of
+        several pairs and terms that read several neighbour pairs."""
+        shapes, crowded, several = set(), False, False
+        for a, b in converged_sample():
+            _, _, _, succ_groups, pred_groups = _pair_tables(a, b)
+            sides = [(sg or [], pg or []) for sg, pg in zip(succ_groups, pred_groups) if sg or pg]
+            counts = Counter((len(sg), len(pg)) for sg, pg in sides)
+            shapes |= counts.keys()
+            crowded |= max(counts.values(), default=0) > 1
+            several |= any(isinstance(g, tuple) for sg, pg in sides for g in sg + pg)
+        assert any(n_succ == 0 for n_succ, _ in shapes)
+        assert any(n_pred == 0 for _, n_pred in shapes)
+        assert any(n_succ >= 3 and n_pred >= 3 for n_succ, n_pred in shapes)
+        assert crowded and several
+
     @pytest.mark.parametrize("attenuation", [1e-12, 0.3, 0.5, 0.9])
     def test_converged_tables_are_equal(self, attenuation):
         params = DiffParams(attenuation=attenuation)
-        for a, b in oracle_pairs(41, 60):
+        for a, b in converged_sample():
             assert global_scores(a, b, params) == oracle_global_scores(a, b, params)
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
