@@ -2,13 +2,16 @@
 
 Exit codes: 0 on success, 1 on input parse or layout errors, an unknown
 ``--entity`` or variant, or an output that cannot be written, 2 when an
-option value is refused or lattice completion hits the node cap. ``compare``
-renders every output and makes every output directory before it writes a
-file, and writes ``report.json`` last, so a failed write leaves no new one.
+option value is refused or lattice completion hits the node cap. ``--entity``
+is refused unless level 5 or 6 runs, and ``--from``/``--to`` unless level 6
+runs. ``compare`` renders every output and makes every output directory
+before it writes a file, and writes ``report.json`` last, so a failed write
+leaves no new one. The cyclic garbage collector is off while a command runs.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -86,8 +89,15 @@ def _params(options: dict[str, float]) -> DiffParams:
 
 @click.group()
 @click.version_option(__version__)
-def main() -> None:
+@click.pass_context
+def main(ctx: click.Context) -> None:
     """Compare the behavior of systems modeled as sets of finite state machines."""
+    # A command builds acyclic data and then the process exits, so collecting
+    # cycles would only walk live objects again and again. A caller that had
+    # turned the collector off keeps it off.
+    if gc.isenabled():
+        gc.disable()
+        ctx.call_on_close(gc.enable)
 
 
 @main.command("compare")
@@ -120,6 +130,10 @@ def cmd_compare(
         raise click.BadParameter("--from and --to must be given together")
     if from_variant is not None and entity is None:
         raise click.BadParameter("--from/--to require --entity")
+    if entity is not None and not {5, 6} & set(selected):
+        raise click.BadParameter("--entity requires level 5 or 6")
+    if from_variant is not None and 6 not in selected:
+        raise click.BadParameter("--from/--to require level 6")
 
     try:
         workspace = load_workspace(Path(input_dir), HidingConfig(tuple(hide)))

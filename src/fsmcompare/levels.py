@@ -516,7 +516,7 @@ def _entity_lattice(
 ) -> tuple[list[LatticeNode], dict[str, Nfa], list[tuple[str, str]]]:
     """The entity's level-5 nodes, payloads by label, and cover edges as label pairs."""
     if entity not in workspace.entities:
-        raise KeyError(entity)
+        raise KeyError(f"entity {entity!r} does not exist")
     languages = {} if languages is None else languages
     lang = _table(workspace, languages, entity)
     if node_cap in lang.lattices:

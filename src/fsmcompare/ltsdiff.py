@@ -19,12 +19,21 @@ and is cut off at a max-norm change of convergence_epsilon.
 
 The iteration runs on a flat list of floats. A pair whose states share no
 outgoing and no incoming event is constant after the first step and is
-computed once. The other pairs are grouped by shape: their numbers of
-successor and predecessor terms, one per shared event, each the score of
-a neighbour pair or the maximum of several. A step folds each side of a
-shape column by column, left to right, column i holding term i of every
-pair, and evaluates each product and sum in the formula's order, so the
-scores equal the dense n x m iteration's on every Python version.
+computed once. Every other pair has one term per event its states share, on
+each side: the score of a neighbour pair, or the maximum of a group of
+several. Each side reads one slot: its single term's, a derived slot that
+holds the mean of two or more terms, or, for a side with no terms, the
+pair's own S0 from a parallel list. A step first refreshes the derived
+slots, the group maxima and then the means, folding their terms column by
+column, left to right, column i holding term i of every row. Then it
+computes the changing pairs, one comprehension per side pattern: both
+sides, successors only, predecessors only. Each product and sum is
+evaluated in the formula's order, so the scores equal the dense n x m
+iteration's on every Python version. The stopping test first reads a
+witness, the pair that changed most in the last full pass: while its change
+exceeds the epsilon, so does the max-norm. Only otherwise does a full pass
+read every change, which also picks the next witness, so the iteration
+stops at the dense iteration's step.
 """
 
 from __future__ import annotations
@@ -32,9 +41,10 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
-from operator import add, sub
-from typing import Iterable, Iterator, NamedTuple
+from operator import add, indexOf, sub, truediv
+from typing import Iterator, NamedTuple
 
 from .automata import Nfa
 
@@ -237,81 +247,120 @@ def _rows(flat: list[float], n: int, m: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n))
 
 
-def _mean(columns: list[list[int]], own: list[float], get) -> Iterable[float]:
-    """Each pair's terms summed left to right, column by column, over their number.
+class _Rows:
+    """Derived slots, one per row of terms, numbered from ``start`` longest row first.
 
-    A side with no terms averages to its pair's S0, and one term to itself
-    (x / 1 == x). Not sum(), which compensates float rounding from Python
-    3.12; a list per partial sum keeps chains of iterators off the C stack.
+    ``columns[i]`` holds term i of every row of more than i terms. Those rows
+    come first, so each column covers a prefix of the rows, and ``sizes``
+    holds each row's number of terms.
     """
-    if not columns:
-        return own
-    total = map(get, columns[0])
-    if len(columns) == 1:
-        return total
-    for column in columns[1:]:
-        total = list(map(add, total, map(get, column)))
-    n = len(columns)
-    return [x / n for x in total]
+
+    def __init__(self, lengths: Counter, start: int) -> None:
+        self.start = start
+        self.next_slot: dict[int, int] = {}
+        self.sizes: list[int] = []
+        for n in sorted(lengths, reverse=True):
+            self.next_slot[n] = start + len(self.sizes)
+            self.sizes += [n] * lengths[n]
+        self.columns = [
+            [0] * sum(count for n, count in lengths.items() if n > i)
+            for i in range(max(lengths, default=0))
+        ]
+
+    def add(self, row: list[int]) -> int:
+        slot = self.next_slot[len(row)]
+        self.next_slot[len(row)] = slot + 1
+        for column, entry in zip(self.columns, row):
+            column[slot - self.start] = entry
+        return slot
 
 
 def global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
     """Fixed point of the damped neighborhood recurrence seeded by local scores."""
     left, right, s0, succ_groups, pred_groups = _pair_tables(a, b)
 
-    # The value list holds the pairs that change, shape by shape, then the pairs
-    # that share no event (constant after the first step), then the maximum of
-    # every group of several pairs, refreshed at the start of each step.
-    shapes: dict[tuple[int, int], list[int]] = {}
+    # The value list holds the pairs that change, those with terms on both sides,
+    # then successor terms only, then predecessor terms only; then the pairs that
+    # share no event (constant after the first step); then the derived slots,
+    # refreshed at the start of each step: the maximum of every group of several
+    # pairs, then the mean of every side of two or more terms.
+    both: list[int] = []
+    succ_only: list[int] = []
+    pred_only: list[int] = []
     constant: list[int] = []
     for f, (sg, pg) in enumerate(zip(succ_groups, pred_groups)):
-        if sg or pg:
-            shapes.setdefault((len(sg or ()), len(pg or ())), []).append(f)
+        if sg:
+            (both if pg else succ_only).append(f)
         else:
-            constant.append(f)
-    changing = [f for members in shapes.values() for f in members]
+            (pred_only if pg else constant).append(f)
+    order = both + succ_only + pred_only + constant
     pos = [0] * len(s0)
-    for p, f in enumerate(changing + constant):
+    for p, f in enumerate(order):
         pos[f] = p
+
+    sides = [side for groups in (succ_groups, pred_groups) for side in groups if side]
+    groups = Counter(len(g) for side in sides for g in side if type(g) is tuple)
+    maxima = _Rows(groups, len(s0))
+    means = _Rows(Counter(len(side) for side in sides if len(side) > 1), len(s0) + groups.total())
+    del sides
+
+    def slot(side: list) -> int:
+        terms = [pos[g] if type(g) is int else maxima.add([pos[h] for h in g]) for g in side]
+        return terms[0] if len(terms) == 1 else means.add(terms)
 
     # k * 0.5 * x evaluates as (k * 0.5) * x, so hoisting both constants
     # keeps every float of the recurrence in the module docstring.
     k = params.attenuation
     half = k * 0.5
+    eps = params.convergence_epsilon
     static = [(1.0 - k) * s0[f] + half * (s0[f] + s0[f]) for f in constant]
     static_delta = max((abs(v - s0[f]) for v, f in zip(static, constant)), default=0.0)
-    multi: list[tuple[int, ...]] = []
-
-    def slot(group) -> int:
-        if isinstance(group, int):
-            return pos[group]
-        multi.append(tuple(pos[h] for h in group))
-        return len(s0) + len(multi) - 1
-
-    # Per shape: its pairs' S0, then each side's columns: column i holds term i.
-    steps = []
-    for (n_succ, n_pred), members in shapes.items():
-        succ = [[slot(succ_groups[f][i]) for f in members] for i in range(n_succ)]
-        pred = [[slot(pred_groups[f][i]) for f in members] for i in range(n_pred)]
-        steps.append(([s0[f] for f in members], succ, pred))
-    fixed = [(1.0 - k) * s0[f] for f in changing]
-    current = [s0[f] for f in changing + constant]
+    # Per side pattern: each pair's (1 - k) * S0, and each side's slot, or the
+    # pair's own S0 for a side with no terms.
+    both_c = [(1.0 - k) * s0[f] for f in both]
+    both_x = [slot(succ_groups[f]) for f in both]
+    both_y = [slot(pred_groups[f]) for f in both]
+    succ_y = [s0[f] for f in succ_only]
+    succ_c = [(1.0 - k) * x for x in succ_y]
+    succ_x = [slot(succ_groups[f]) for f in succ_only]
+    pred_x = [s0[f] for f in pred_only]
+    pred_c = [(1.0 - k) * x for x in pred_x]
+    pred_y = [slot(pred_groups[f]) for f in pred_only]
+    current = [s0[f] for f in order]
+    max_columns, mean_columns, sizes = maxima.columns, means.columns, means.sizes
     # Free the setup tables before the steps allocate their lists.
-    del succ_groups, pred_groups, shapes, changing, constant
+    del succ_groups, pred_groups, both, succ_only, pred_only, constant, order, maxima, means
+    witness = None
     for _ in range(params.max_iterations):
         get = current.__getitem__
-        current += [max(map(get, g)) for g in multi]
-        xs: list[float] = []
-        ys: list[float] = []
-        for own, succ, pred in steps:
-            xs += _mean(succ, own, get)
-            ys += _mean(pred, own, get)
-        nxt = [c + half * (x + y) for c, x, y in zip(fixed, xs, ys)]
-        delta = max(static_delta, max(map(abs, map(sub, nxt, current)), default=0.0))
-        static_delta = 0.0
+        # Each column folds into the prefix of the rows it covers, left to
+        # right. max() keeps the first of equal maxima, and so does y > x;
+        # not sum(), which compensates float rounding from Python 3.12.
+        if max_columns:
+            best = list(map(get, max_columns[0]))
+            for column in max_columns[1:]:
+                best[: len(column)] = [y if y > x else x for x, y in zip(best, map(get, column))]
+            current += best
+        if mean_columns:
+            total = list(map(get, mean_columns[0]))
+            for column in mean_columns[1:]:
+                total[: len(column)] = map(add, total, map(get, column))
+            current += map(truediv, total, sizes)
+        nxt = [c + half * (x + y) for c, x, y in zip(both_c, map(get, both_x), map(get, both_y))]
+        nxt += [c + half * (x + y) for c, x, y in zip(succ_c, map(get, succ_x), succ_y)]
+        nxt += [c + half * (x + y) for c, x, y in zip(pred_c, pred_x, map(get, pred_y))]
+        # The witness is the pair that changed most in the last full pass: while
+        # its change exceeds eps, so does the max-norm, and no full pass is run.
+        if witness is not None and abs(nxt[witness] - current[witness]) > eps:
+            current = nxt + static
+            continue
+        delta = max(map(abs, map(sub, nxt, current)), default=0.0)
+        if delta > eps:
+            witness = indexOf(map(abs, map(sub, nxt, current)), delta)
         current = nxt + static
-        if delta <= params.convergence_epsilon:
+        if max(static_delta, delta) <= eps:
             break
+        static_delta = 0.0
     flat = list(map(current.__getitem__, pos))
     return ScoreTable(left, right, _rows(flat, len(left), len(right)))
 

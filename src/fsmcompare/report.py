@@ -10,7 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import sys
 from dataclasses import asdict, dataclass, field
+from functools import partial
+from json.encoder import encode_basestring_ascii as _string
 
 from . import __version__
 from .ingest import Workspace
@@ -260,9 +264,55 @@ def bundle_doc(bundle: ReportBundle) -> dict:
     return doc
 
 
+def _dumps(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, built by joining each
+    container's encoded members; object keys must be strings.
+
+    Before Python 3.13, ``json`` encodes indented output in pure Python,
+    one small string at a time, which this writer outruns.
+    """
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        members = [_string(v) if type(v) is str else _dumps(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        members = [
+            _string(k) + ": " + (_string(v) if type(v) is str else _dumps(v, inner))
+            for k, v in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# From Python 3.13 on, json encodes indented output in C, faster than _dumps.
+_encode = _dumps if sys.version_info < (3, 13) else partial(json.dumps, sort_keys=True, indent=2)
+
+
 def to_json(bundle: ReportBundle) -> str:
     """Single JSON document with stable key order."""
-    return json.dumps(bundle_doc(bundle), sort_keys=True, indent=2) + "\n"
+    return _encode(bundle_doc(bundle)) + "\n"
 
 
 def _quote(text: str) -> str:

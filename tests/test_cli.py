@@ -1,5 +1,6 @@
 """End-to-end CLI tests via click's runner."""
 
+import gc
 import json
 import os
 import random
@@ -12,7 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 import fsmcompare
-from fsmcompare import DiffParams, parse_log, parse_nfa
+from fsmcompare import DiffParams, build_bundle, parse_log, parse_nfa
+from fsmcompare import cli
 from fsmcompare.cli import main
 
 from conftest import oracle_language
@@ -249,6 +251,15 @@ class TestCompare:
             (("--levels", ","), "levels must be a non-empty subset of 1-6"),
             (("--from", "B"), "--from and --to must be given together"),
             (("--from", "B", "--to", "C"), "--from/--to require --entity"),
+            (("--levels", "1", "--entity", "NOPE"), "--entity requires level 5 or 6"),
+            (
+                ("--levels", "1,2", "--entity", "E2", "--from", "Z", "--to", "Q"),
+                "--entity requires level 5 or 6",
+            ),
+            (
+                ("--levels", "5", "--entity", "E2", "--from", "Z", "--to", "Q"),
+                "--from/--to require level 6",
+            ),
         ],
     )
     def test_refused_option_values_exit_two(self, running_example_dir, tmp_path, args, message):
@@ -261,7 +272,7 @@ class TestCompare:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (("--levels", "5", "--entity", "NOPE"), "NOPE"),
+            (("--levels", "5", "--entity", "NOPE"), "entity 'NOPE' does not exist"),
             (
                 ("--levels", "6", "--entity", "E2", "--from", "Z", "--to", "C"),
                 "variant 'Z' does not exist at entity 'E2'",
@@ -329,6 +340,46 @@ class TestCompare:
             run_in_subprocess(seed, "compare", "--input", running_example_dir, "--output", out)
             trees.append(tree_bytes(out))
         assert trees[0] and trees[0] == trees[1]
+
+
+class TestCyclicCollector:
+    """A command runs with the cyclic garbage collector off and restores it."""
+
+    def test_off_while_compare_runs(self, running_example_dir, tmp_path, monkeypatch):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return build_bundle(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_bundle", spy)
+        assert gc.isenabled()
+        result = run("compare", "--input", running_example_dir, "--output", tmp_path / "out")
+        assert result.exit_code == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (("--levels", "1"), 0),
+            (("--levels", "5", "--entity", "NOPE"), 1),
+            (("--levels", "9"), 2),
+        ],
+    )
+    def test_on_again_after_every_exit(self, running_example_dir, tmp_path, args, code):
+        result = run("compare", "--input", running_example_dir, "--output", tmp_path / "o", *args)
+        assert result.exit_code == code
+        assert gc.isenabled()
+
+    def test_stays_off_when_the_caller_turned_it_off(self, running_example_dir, tmp_path):
+        gc.disable()
+        try:
+            result = run("compare", "--input", running_example_dir, "--output", tmp_path / "out")
+            assert result.exit_code == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestDiff:

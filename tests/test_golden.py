@@ -10,6 +10,7 @@ from test_cli import tree_bytes
 
 REPO_ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "data" / "golden"
+FIG2 = Path(__file__).parent / "data" / "fig2"
 
 
 def test_full_run_matches_goldens(tmp_path, monkeypatch):
@@ -27,3 +28,11 @@ def test_full_run_matches_goldens(tmp_path, monkeypatch):
     assert sorted(actual) == sorted(expected)
     for name in expected:
         assert actual[name] == expected[name], f"{name} differs from golden"
+
+
+def test_fig2_diff_matches_its_golden():
+    result = CliRunner().invoke(
+        main, ["diff", str(FIG2 / "source.nfa"), str(FIG2 / "target.nfa")]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (FIG2 / "diff.txt").read_bytes()

@@ -2,6 +2,7 @@
 
 import hashlib
 import heapq
+import itertools
 import math
 import random
 from collections import Counter
@@ -140,17 +141,18 @@ class TestGlobalScores:
             assert all(0.0 <= v <= 1.0 for row in scores.values for v in row)
 
 
-def event_rich_nfa(rng: random.Random, max_states: int = 8) -> Nfa:
-    """Most states have most of eight events, a few with two targets, so
-    pairs share several events and summation order shows in the low bits.
-    About a third of the states have no outgoing transitions."""
+def event_rich_nfa(rng: random.Random, max_states: int = 8, targets=(1, 1, 1, 2)) -> Nfa:
+    """Most states have most of eight events, each with a number of targets
+    drawn from ``targets`` (a few with two by default), so pairs share
+    several events and summation order shows in the low bits. About a third
+    of the states have no outgoing transitions."""
     states = [f"s{i}" for i in range(rng.randint(1, max_states))]
     transitions = set()
     for state in states:
         density = rng.choice([0.0, 0.6, 0.6])
         for event in "abcdefgh":
             if rng.random() < density:
-                for _ in range(rng.choice([1, 1, 1, 2])):
+                for _ in range(rng.choice(targets)):
                     transitions.add((state, event, rng.choice(states)))
     return build_nfa(
         transitions=transitions,
@@ -170,11 +172,23 @@ def oracle_pairs(seed: int, count: int):
         yield (a, a) if n % 3 == 0 else (a, b)
 
 
+def stepping_sample():
+    """Three pairs of small machines with up to three targets per event, in
+    both argument orders: their groups hold 2, 3, 4 and more pairs."""
+    rng = random.Random(64)
+    pairs = [
+        (event_rich_nfa(rng, 6, (1, 2, 3)), event_rich_nfa(rng, 6, (1, 2, 3))) for _ in range(3)
+    ]
+    return [pair for a, b in pairs for pair in ((a, b), (b, a))]
+
+
 def converged_sample():
-    """``oracle_pairs(41, 60)`` and ten pairs of event-rich machines of up to 16 states."""
+    """``oracle_pairs(41, 60)``, ten pairs of event-rich machines of up to 16
+    states and ``stepping_sample()``, each pair in both argument orders."""
     rng = random.Random(47)
     larger = [(event_rich_nfa(rng, 16), event_rich_nfa(rng, 16)) for _ in range(10)]
-    return [*oracle_pairs(41, 60), *larger]
+    pairs = [*oracle_pairs(41, 60), *larger]
+    return [*pairs, *((b, a) for a, b in pairs), *stepping_sample()]
 
 
 def has_lone_state(machine):
@@ -198,27 +212,47 @@ class TestScoresAgainstDenseOracle:
         assert any(has_multi_target(m) for m in machines)
 
     def test_pair_sample_covers_every_kind_of_shape(self):
-        """Changing pairs are grouped by their numbers of successor and
-        predecessor terms; the sample has empty sides, long sides, shapes of
-        several pairs and terms that read several neighbour pairs."""
-        shapes, crowded, several = set(), False, False
-        for a, b in converged_sample():
-            _, _, _, succ_groups, pred_groups = _pair_tables(a, b)
-            sides = [(sg or [], pg or []) for sg, pg in zip(succ_groups, pred_groups) if sg or pg]
-            counts = Counter((len(sg), len(pg)) for sg, pg in sides)
-            shapes |= counts.keys()
-            crowded |= max(counts.values(), default=0) > 1
-            several |= any(isinstance(g, tuple) for sg, pg in sides for g in sg + pg)
-        assert any(n_succ == 0 for n_succ, _ in shapes)
-        assert any(n_pred == 0 for _, n_pred in shapes)
-        assert any(n_succ >= 3 and n_pred >= 3 for n_succ, n_pred in shapes)
-        assert crowded and several
+        """A changing pair has terms on both sides, on its successor side
+        only or on its predecessor side only; each sample has pairs of every
+        such pattern, sides of three or more terms, and terms that read the
+        maximum of 2, 3, and 4 or more neighbour pairs."""
+        for sample in (converged_sample(), stepping_sample()):
+            patterns, long_sides, group_sizes = Counter(), 0, set()
+            for a, b in sample:
+                _, _, _, succ_groups, pred_groups = _pair_tables(a, b)
+                for sg, pg in zip(succ_groups, pred_groups):
+                    patterns[bool(sg), bool(pg)] += 1
+                    for side in (sg or [], pg or []):
+                        long_sides += len(side) >= 3
+                        group_sizes |= {len(g) for g in side if isinstance(g, tuple)}
+            assert all(patterns[p] > 1 for p in [(True, True), (True, False), (False, True)])
+            assert long_sides > 1
+            assert {2, 3} <= group_sizes and max(group_sizes) >= 4
 
-    @pytest.mark.parametrize("attenuation", [1e-12, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("attenuation", [1e-12, 0.1, 0.3, 0.5, 0.9])
     def test_converged_tables_are_equal(self, attenuation):
         params = DiffParams(attenuation=attenuation)
         for a, b in converged_sample():
             assert global_scores(a, b, params) == oracle_global_scores(a, b, params)
+        # Every step up to convergence, so the step at which the iteration
+        # stops is the oracle's: each max_iterations up to it, and an epsilon
+        # equal to the exact max-norm change of each step, which must stop
+        # the iteration at that step.
+        for a, b in stepping_sample():
+            previous = local_scores(a, b).values
+            for steps in itertools.count(1):
+                capped = DiffParams(attenuation, max_iterations=steps)
+                expected = oracle_global_scores(a, b, capped)
+                assert global_scores(a, b, capped) == expected
+                change = max(
+                    (abs(x - y) for xs, ys in zip(expected.values, previous) for x, y in zip(xs, ys)),
+                    default=0.0,
+                )
+                exact = DiffParams(attenuation, convergence_epsilon=change, max_iterations=steps + 1)
+                assert global_scores(a, b, exact) == oracle_global_scores(a, b, exact)
+                if change <= params.convergence_epsilon:
+                    break
+                previous = expected.values
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
     def test_truncated_iterations_are_equal(self, steps):

@@ -1,13 +1,21 @@
 """Serialization tests: JSON stability, DOT structure and grammar, CSV layout."""
 
+import functools
+import importlib.util
 import json
+import math
 import random
 import re
+import sys
+from pathlib import Path
+
+import pytest
 
 from fsmcompare import (
     CanonicalDfa,
     Change,
     DiffParams,
+    HidingConfig,
     ModelSet,
     Workspace,
     build_bundle,
@@ -18,11 +26,17 @@ from fsmcompare import (
     level4,
     level5,
     level6,
+    load_workspace,
+    minimal_pta,
     minimize,
+    parse_log,
     to_json,
     with_alphabet,
+    write_nfa,
 )
 from fsmcompare.report import (
+    _dumps,
+    bundle_doc,
     default_meta,
     diff_to_dot,
     lattice_to_dot,
@@ -219,6 +233,81 @@ class TestJson:
         assert changes.count("removed") == 1
         removed = next(s for s in doc["states"] if s["change"] == "removed")
         assert removed["left"] == "s4" and removed["right"] is None
+
+
+@functools.cache
+def _generator():
+    """The benchmark's workload generator, ``perfbench/generate.py``."""
+    path = Path(__file__).parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def shaped_bundle(root: Path, workload: str, seed: int):
+    """The bundle of the benchmark's full compare of one workload shape."""
+    generate = _generator()
+    if workload == "logs":
+        logs = root / "logs"
+        for model_set, entity in generate.write_logs(logs, workload, seed):
+            text = (logs / model_set / f"{entity}.log").read_text(encoding="utf-8")
+            machine = minimal_pta(parse_log(text)).to_nfa()
+            (root / "ws" / model_set).mkdir(parents=True, exist_ok=True)
+            (root / "ws" / model_set / f"{entity}.nfa").write_text(write_nfa(machine))
+        return build_bundle(
+            load_workspace(root / "ws", HidingConfig(("log*",))), levels=(1, 3, 4)
+        )
+    generate.write_workspace(root / "ws", workload, seed)
+    levels = (1, 2, 3, 4) if workload == "lattice" else (4, 5, 6)
+    return build_bundle(load_workspace(root / "ws", HidingConfig(())), levels=levels)
+
+
+# Every kind of value json spells in its own way.
+SYNTHETIC = {
+    "empty": [[], {}, [[], {}], {"a": [], "b": {"c": {}}}],
+    "strings": [
+        "",
+        'say "hi"',
+        "back\\slash",
+        "\x00\x01\x1f\x7f\b\f\n\r\t",
+        "line\u2028separator\u2029",
+        "caf\u00e9 \u00fc \u4e2d",
+        "\U0001f600 \U00010000",
+    ],
+    "numbers": [True, 1, False, 0, None, -1, 2**63, -(2**64) - 1, 10**40],
+    "floats": [0.1, 1e-9, 1e16, 5e-324, -0.0, 0.0, 1.0, math.inf, -math.inf, math.nan],
+    "tuple": (1, ("a", [])),
+    "keys": {"b": 1, "a": {"\u00e9": 2, "A": 3, "": 4, '"': 5, "\\": 6, "\u2028": 7}},
+}
+
+
+class TestJsonWriter:
+    """``_dumps`` writes exactly ``json.dumps(doc, sort_keys=True, indent=2)``."""
+
+    def test_golden_report(self):
+        golden = Path(__file__).parent / "data" / "golden" / "report.json"
+        text = golden.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert _dumps(doc) + "\n" == json.dumps(doc, sort_keys=True, indent=2) + "\n" == text
+
+    @pytest.mark.parametrize("workload", ["lattice", "structural", "logs"])
+    def test_seeded_bundles_of_every_workload_shape(self, tmp_path, workload):
+        bundle = shaped_bundle(tmp_path, workload, seed=3)
+        expected = json.dumps(bundle_doc(bundle), sort_keys=True, indent=2)
+        assert _dumps(bundle_doc(bundle)) == expected
+        assert to_json(bundle) == expected + "\n"
+
+    def test_synthetic_document(self):
+        assert _dumps(SYNTHETIC) == json.dumps(SYNTHETIC, sort_keys=True, indent=2)
+        for value in [*SYNTHETIC.values(), *SYNTHETIC["floats"], "", 0, None]:
+            assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError):
+            _dumps({"a": [object()]})
 
 
 class TestBuildBundle:
