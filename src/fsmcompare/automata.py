@@ -115,7 +115,7 @@ class CanonicalDfa:
         initial = frozenset() if sink == 0 else frozenset({"q0"})
         accepting = frozenset(names[i] for i in self.accepting)
         alphabet = frozenset(self.alphabet)
-        _check_names("event", alphabet)  # a trace set's events come from outside
+        _check_names("event", alphabet)  # a value may be built from outside
         return _derived(states, alphabet, trans, initial, accepting)
 
 
@@ -143,7 +143,7 @@ def with_alphabet(machine: Nfa, events: Iterable[str]) -> Nfa:
 #: A sparse DFA table: row ``i`` lists its ``(event index, row)`` pairs in
 #: event order. An event missing from a row leads to a dead state, one from
 #: which no accepting row can be reached.
-Rows = list[list[tuple[int, int]]]
+Rows = list[Sequence[tuple[int, int]]]
 
 
 def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int]]:
@@ -193,7 +193,7 @@ def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalD
     form one dead block. Hopcroft's algorithm refines the live rows over
     live-to-live transitions only: the dead block is never a splitter, so
     the work follows the transitions present, not rows times events.
-    ``_renumber`` then numbers the blocks.
+    ``_numbering`` then numbers the blocks.
     """
     n = len(rows)
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -276,30 +276,33 @@ def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalD
                 pending.append(new)
 
     members = [rows[elems[f]] for f in first]
-    return _renumber(events, members, block, block[0], {block[s] for s in accepting})
+    number, order = _numbering(members, block, block[0], len(events))
+    sink = number[-1]
+    trans = []
+    for c in order:
+        line = [sink] * len(events)
+        for k, t in members[c] if c >= 0 else ():  # the dead class's row is all sink
+            line[k] = number[block[t]]
+        trans.append(tuple(line))
+    acc = frozenset(number[block[s]] for s in accepting)
+    return CanonicalDfa(tuple(events), tuple(trans), acc, sink if sink >= 0 else None)
 
 
-def _renumber(
-    events: list[str], rows: Rows, class_of: Sequence[int], start: int, accepting: set[int]
-) -> CanonicalDfa:
-    """Canonical numbering of a table's classes of equivalent states.
+def _numbering(rows: Rows, class_of: Sequence[int], start: int, width: int) -> tuple[list, list]:
+    """Canonical breadth-first numbering of a table's classes of equivalent states.
 
-    ``rows[c]`` is the sparse row (see ``Rows``) of one member of class
-    ``c``, and ``class_of[t]`` is the class of its target ``t``. Class -1,
-    which ``start`` and ``class_of`` may give, is the dead class, and a
-    missing event leads there too. Classes are numbered breadth-first from
-    ``start`` over the (lexicographically sorted) events; the dead class is
-    numbered where it is first reached, by a missing event or a transition,
-    and only then.
+    ``rows[c]`` is the sparse row (see ``Rows``) over ``width`` events of a
+    member of class ``c``, and ``class_of`` maps its targets to classes.
+    Classes are numbered breadth-first from ``start`` over the events in
+    order; the dead class (-1, where missing events lead) where a missing
+    event or a transition first reaches it, a number ``minimal_pta`` skips.
+    Returns ``number``, each class's number (-1 if unreached, the dead
+    class's last), and ``order``, the reached classes by number.
     """
-    width = len(events)
-    # Lists indexed by class have one extra slot at the end for the dead class,
-    # which index -1 reaches.
     number = [-1] * (len(rows) + 1)
     number[start] = 0
-    bfs = [start]
-    trans = []
-    for c in bfs:  # grows while it is walked
+    order = [start]
+    for c in order:  # grows while it is walked
         row = rows[c] if c >= 0 else ()
         targets = [class_of[t] for _, t in row]
         if number[-1] < 0 and len(row) < width:
@@ -307,15 +310,9 @@ def _renumber(
             targets.insert(next((i for i, (k, _) in enumerate(row) if k != i), len(row)), -1)
         for t in targets:
             if number[t] < 0:
-                number[t] = len(bfs)
-                bfs.append(t)
-        line = [number[-1]] * width
-        for k, t in row:
-            line[k] = number[class_of[t]]
-        trans.append(tuple(line))
-    acc = frozenset(number[c] for c in accepting)
-    sink = number[-1] if number[-1] >= 0 else None
-    return CanonicalDfa(tuple(events), tuple(trans), acc, sink)
+                number[t] = len(order)
+                order.append(t)
+    return number, order
 
 
 def minimize(machine: Nfa) -> CanonicalDfa:

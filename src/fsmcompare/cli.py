@@ -214,15 +214,10 @@ def cmd_diff(left: str, right: str, **diff_options: float) -> None:
 @click.option("--minimize", "do_minimize", is_flag=True, help="Minimize the prefix tree.")
 def cmd_logs2nfa(log_file: str, output: str, do_minimize: bool) -> None:
     """Build a prefix-tree acceptor from an execution log."""
-    try:
-        text = Path(log_file).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        click.echo(f"{log_file}: {exc}", err=True)
-        sys.exit(1)
-    traces = parse_log(text)
-    try:
-        machine = minimal_pta(traces).to_nfa() if do_minimize else build_pta(traces)
-    except ValueError as exc:  # an event name the .nfa format cannot hold
+    try:  # an unreadable log, or an event name the .nfa format cannot hold
+        traces = parse_log(Path(log_file).read_text(encoding="utf-8"))
+        machine = minimal_pta(traces) if do_minimize else build_pta(traces)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         click.echo(f"{log_file}: {exc}", err=True)
         sys.exit(1)
     _write([(Path(output), write_nfa(machine))])

@@ -27,10 +27,11 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .automata import CanonicalDfa, Nfa, Rows, Trace, _renumber, hide_events
+from .automata import Nfa, Rows, Trace, _check_names, _derived, _numbering, hide_events
 
 __all__ = [
     "HidingConfig",
@@ -74,14 +75,15 @@ class HidingConfig:
     patterns: tuple[str, ...] = ()
 
     def hidden_events(self, alphabet) -> frozenset[str]:
-        if not self.patterns:
-            return frozenset()
+        return frozenset(filter(self._fullmatch, alphabet)) if self.patterns else frozenset()
+
+    @cached_property
+    def _fullmatch(self):  # one regex of every pattern, compiled once per config
         alternatives = [
             "".join(".*" if ch == "*" else re.escape(ch) for ch in pattern)
             for pattern in self.patterns
         ]
-        rx = re.compile("|".join(f"(?:{alt})" for alt in alternatives))
-        return frozenset(e for e in alphabet if rx.fullmatch(e))
+        return re.compile("|".join(f"(?:{alt})" for alt in alternatives)).fullmatch
 
     def apply(self, machine: Nfa) -> Nfa:
         return hide_events(machine, self.hidden_events(machine.alphabet))
@@ -151,21 +153,21 @@ def parse_nfa(text: str, path: str | None = None) -> Nfa:
 
 
 def write_nfa(machine: Nfa) -> str:
-    """Canonical serialization; parsing it back reproduces the machine."""
+    """Canonical serialization; parsing it back reproduces the machine.
+
+    The ``state`` lines and the ``trans`` lines are each sorted as strings: no
+    name holds a character at or below U+0020, so a name's trailing space sorts
+    before any extension of it, and lines fall in the order of their tuples.
+    """
     lines = ["nfa v1"]
-    used = {e for _, e, _ in machine.transitions}
-    extra = sorted(machine.alphabet - used)
+    extra = sorted(machine.alphabet - {e for _, e, _ in machine.transitions})
     if extra:
         lines.append("alphabet " + " ".join(extra))
-    for state in sorted(machine.states):
-        flags = ""
-        if state in machine.initial:
-            flags += " initial"
-        if state in machine.accepting:
-            flags += " accepting"
-        lines.append(f"state {state}{flags}")
-    for src, event, dst in sorted(machine.transitions):
-        lines.append(f"trans {src} {event} {dst}")
+    init, acc = machine.initial, machine.accepting
+    lines += sorted(
+        f"state {s}" + " initial" * (s in init) + " accepting" * (s in acc) for s in machine.states
+    )
+    lines += sorted([f"trans {src} {event} {dst}" for src, event, dst in machine.transitions])
     return "\n".join(lines) + "\n"
 
 
@@ -223,35 +225,41 @@ def build_pta(traces: list[Trace]) -> Nfa:
     )
 
 
-def minimal_pta(traces: list[Trace]) -> CanonicalDfa:
-    """Canonical minimal DFA of the trace set; equal to ``minimize(build_pta(traces))``.
+def minimal_pta(traces: list[Trace]) -> Nfa:
+    """The minimal machine of the trace set, ``minimize(build_pta(traces)).to_nfa()``.
 
-    The prefix tree is acyclic, so it is minimized in one pass without
-    partition refinement (Revuz 1992): walked children first, each node gets
-    the class of its signature, whether a trace ends there and its sorted
-    (event, child class) pairs, with one dict lookup per node. Every node of
-    a non-empty trace set lies on a trace, so no class is dead.
+    The prefix tree is acyclic, so one pass minimizes it without partition refinement
+    (Revuz 1992): walked children first, each node gets the class of its signature,
+    whether a trace ends there and its sorted (event, child class) pairs; every node lies
+    on a trace, so no class is dead. State ``q<i>`` is the class ``_numbering`` numbers
+    ``i``; the number it gives the dead class, where missing events lead, names no state.
     """
     if not traces:
-        return _renumber([], [], (), -1, set())
+        return Nfa.empty()
     children, ends = _trie(traces)
     events = sorted({e for kids in children for e in kids})
+    _check_names("event", frozenset(events))  # a trace set's events come from outside
     column = {event: k for k, event in enumerate(events)}
     class_of = [0] * len(children)
     index: dict[tuple, int] = {}
     classes: Rows = []  # each class's (event index, class) pairs
-    accepting: set[int] = set()
     for node in range(len(children) - 1, -1, -1):  # children before parents
-        pairs = sorted([(column[e], class_of[child]) for e, child in children[node].items()])
-        end = node in ends
-        c = index.setdefault((end, *pairs), len(classes))
+        kids = children[node]
+        if len(kids) == 1:  # most nodes; nothing to sort
+            for e, child in kids.items():
+                signature = (node in ends, (column[e], class_of[child]))
+        else:
+            signature = (node in ends, *sorted([(column[e], class_of[x]) for e, x in kids.items()]))
+        c = class_of[node] = index.setdefault(signature, len(classes))
         if c == len(classes):  # a new signature
-            classes.append(pairs)
-            if end:
-                accepting.add(c)
-        class_of[node] = c
-    # The classes' rows already hold classes as targets.
-    return _renumber(events, classes, range(len(classes)), class_of[0], accepting)
+            classes.append(signature[1:])
+    accepting = [c for signature, c in index.items() if signature[0]]
+    del children, ends, index  # the output needs only the classes
+    number, _ = _numbering(classes, range(len(classes)), class_of[0], len(events))
+    q = [f"q{i}" for i in number[:-1]]  # each class's state
+    steps = frozenset((q[c], events[k], q[t]) for c, row in enumerate(classes) for k, t in row)
+    accept = frozenset(q[c] for c in accepting)
+    return _derived(frozenset(q), frozenset(events), steps, frozenset({"q0"}), accept)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ the pipeline's canonical-DFA algebra or to build inputs.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import pytest
 
@@ -250,6 +251,29 @@ def oracle_parse_nfa(text: str, path: str | None = None) -> Nfa:
         )
     except ValueError as exc:
         raise NfaParseError(str(exc), path=path) from exc
+
+
+def oracle_write_nfa(machine: Nfa) -> str:
+    """The .nfa writer that sorts the name tuples, then formats each line.
+
+    ``ingest.write_nfa`` formats first and sorts the lines as strings; both
+    give the same text for every valid machine.
+    """
+    lines = ["nfa v1"]
+    used = {e for _, e, _ in machine.transitions}
+    extra = sorted(machine.alphabet - used)
+    if extra:
+        lines.append("alphabet " + " ".join(extra))
+    for state in sorted(machine.states):
+        flags = ""
+        if state in machine.initial:
+            flags += " initial"
+        if state in machine.accepting:
+            flags += " accepting"
+        lines.append(f"state {state}{flags}")
+    for src, event, dst in sorted(machine.transitions):
+        lines.append(f"trans {src} {event} {dst}")
+    return "\n".join(lines) + "\n"
 
 
 def oracle_hide_events(machine: Nfa, hidden) -> Nfa:
@@ -727,11 +751,11 @@ def _oracle_jaccard(a: set[str], b: set[str]) -> float:
     return len(a & b) / len(a | b)
 
 
-def oracle_global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
+def oracle_score_steps(a: Nfa, b: Nfa, attenuation: float) -> Iterator[tuple[ScoreTable, float]]:
     """Dense score iteration: every pair, every step, nested-list tables.
 
-    The float expressions and their evaluation order are the library's
-    contract, so results must compare equal with ``==``, not approximately.
+    Yields each step's table with its max-norm change from the step before,
+    without end; ``oracle_global_scores`` stops it as the library does.
     """
     left = tuple(sorted(a.states))
     right = tuple(sorted(b.states))
@@ -761,9 +785,10 @@ def oracle_global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
         [groups(i, j, pred_a, pred_b, in_a[p] & in_b[q]) for j, q in enumerate(right)]
         for i, p in enumerate(left)
     ]
-    k = params.attenuation
+    k = attenuation
     current = [row[:] for row in s0]
-    for _ in range(params.max_iterations):
+    yield ScoreTable(left, right, tuple(tuple(row) for row in current)), 0.0
+    while True:
         delta = 0.0
         nxt = []
         for i in range(len(left)):
@@ -781,9 +806,21 @@ def oracle_global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
                 row.append(value)
             nxt.append(row)
         current = nxt
+        yield ScoreTable(left, right, tuple(tuple(row) for row in current)), delta
+
+
+def oracle_global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
+    """The table of ``oracle_score_steps`` at which the library's iteration stops.
+
+    The float expressions and their evaluation order are the library's
+    contract, so results must compare equal with ``==``, not approximately.
+    """
+    steps = oracle_score_steps(a, b, params.attenuation)
+    table, _ = next(steps)  # S0, the table after zero steps
+    for table, delta in itertools.islice(steps, params.max_iterations):
         if delta <= params.convergence_epsilon:
             break
-    return ScoreTable(left, right, tuple(tuple(row) for row in current))
+    return table
 
 
 def oracle_compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) -> Matching:

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from fsmcompare.cli import main
@@ -11,6 +12,7 @@ from test_cli import tree_bytes
 REPO_ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FIG2 = Path(__file__).parent / "data" / "fig2"
+LOGS = Path(__file__).parent / "data" / "logs"
 
 
 def test_full_run_matches_goldens(tmp_path, monkeypatch):
@@ -36,3 +38,13 @@ def test_fig2_diff_matches_its_golden():
     )
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (FIG2 / "diff.txt").read_bytes()
+
+
+@pytest.mark.parametrize("flags, golden", [((), "pta.nfa"), (("--minimize",), "minimal.nfa")])
+def test_logs2nfa_matches_its_goldens(tmp_path, flags, golden):
+    # A seeded log with log* noise, duplicate traces, empty traces and a
+    # non-ASCII event name.
+    out = tmp_path / golden
+    result = CliRunner().invoke(main, ["logs2nfa", str(LOGS / "trace.log"), str(out), *flags])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (LOGS / golden).read_bytes()

@@ -31,6 +31,7 @@ from conftest import (
     oracle_load_workspace,
     oracle_parse_nfa,
     oracle_subset_table,
+    oracle_write_nfa,
     random_nfa,
 )
 
@@ -284,6 +285,27 @@ class TestWriteNfa:
             assert parse_nfa(write_nfa(machine)) == machine
         assert 50 <= written <= 250
 
+    def test_matches_the_tuple_sorting_oracle(self):
+        # Names on both sides of the space: "!" (U+0021) sorts right above it,
+        # names extend one another, and some are non-ASCII or beyond the BMP.
+        names = ["!", "a", "a!", "a0", "a~", "a\u00e9", "\u00e9", "\U0001d538", "a\U0001f600", "~"]
+        machines = [
+            Nfa.empty(),
+            build_nfa([("a", "a!", "a0")], ["a"], ["a!"], alphabet=["!", "a~"]),  # unused events
+        ]
+        rng = random.Random(163)
+        for _ in range(300):
+            states = rng.sample(names, rng.randint(1, len(names)))
+            events = rng.sample(names, rng.randint(1, 4))
+            transitions = [
+                (rng.choice(states), rng.choice(events), rng.choice(states))
+                for _ in range(rng.randint(0, 12))
+            ]
+            initial, accepting = rng.sample(states, len(states) // 2), rng.sample(states, 1)
+            machines.append(build_nfa(transitions, initial, accepting, states, events))
+        for machine in machines:
+            assert write_nfa(machine) == oracle_write_nfa(machine)
+
 
 class TestParseLog:
     def test_traces_and_empty_lines(self):
@@ -355,7 +377,7 @@ def walk_logs(rng: random.Random) -> list[tuple[str, ...]]:
 
 
 class TestMinimalPta:
-    """The children-first merge must match minimize(build_pta(...)) and the Moore oracle."""
+    """The children-first merge must match minimize(build_pta(...)).to_nfa() and the Moore oracle."""
 
     def test_edge_cases(self):
         for traces in (
@@ -368,7 +390,8 @@ class TestMinimalPta:
             [("b",), ("a", "b")],
         ):
             expected = oracle_canonical(*oracle_subset_table(build_pta(traces)))
-            assert minimal_pta(traces) == minimize(build_pta(traces)) == expected
+            assert minimize(build_pta(traces)) == expected
+            assert minimal_pta(traces) == minimize(build_pta(traces)).to_nfa() == expected.to_nfa()
 
     def test_seeded_logs(self):
         rng = random.Random(101)
@@ -379,20 +402,22 @@ class TestMinimalPta:
                 for _ in range(rng.randint(0, 40))
             ]
             traces += rng.sample(traces, len(traces) // 3)  # duplicates
-            assert minimal_pta(traces) == minimize(build_pta(traces))
+            assert minimal_pta(traces) == minimize(build_pta(traces)).to_nfa()
 
     def test_long_trace(self):
         rng = random.Random(79)
         traces = [tuple(rng.choice("abcdefgh") for _ in range(5000))]
-        canonical = minimal_pta(traces)
-        assert canonical.num_states == 5002  # 5,001 tree nodes and the sink
-        assert canonical == minimize(build_pta(traces))
+        machine = minimal_pta(traces)
+        assert len(machine.states) == 5001  # 5,001 tree nodes; the sink is left out
+        assert machine == minimize(build_pta(traces)).to_nfa()
 
     def test_very_long_trace_needs_no_recursion(self):
         rng = random.Random(83)
-        canonical = minimal_pta([tuple(rng.choice("abcdefgh") for _ in range(200_000))])
-        assert canonical.num_states == 200_002  # 200,001 tree nodes and the sink
-        assert canonical.sink is not None and len(canonical.accepting) == 1
+        machine = minimal_pta([tuple(rng.choice("abcdefgh") for _ in range(200_000))])
+        assert len(machine.states) == 200_001  # 200,001 tree nodes; the sink is left out
+        # The sink's number, one of the 200,002, names no state.
+        assert len({f"q{i}" for i in range(200_002)} - machine.states) == 1
+        assert len(machine.accepting) == 1
 
     def test_benchmark_shaped_logs(self):
         rng = random.Random(89)
@@ -403,7 +428,7 @@ class TestMinimalPta:
             first_use_unsorted += first_use != sorted(first_use)
             with_empty_trace += () in traces
             expected = oracle_canonical(*oracle_subset_table(build_pta(traces)))
-            assert minimal_pta(traces) == expected
+            assert minimal_pta(traces) == expected.to_nfa()
         assert first_use_unsorted > 200 and with_empty_trace > 30
 
     def test_never_refines_a_partition(self, monkeypatch):
@@ -415,7 +440,7 @@ class TestMinimalPta:
         rng = random.Random(97)
         for _ in range(20):
             traces = walk_logs(rng)
-            assert minimal_pta(traces).num_states > 0
+            assert minimal_pta(traces).states
 
 
 class TestHidingConfig:
@@ -434,6 +459,18 @@ class TestHidingConfig:
         config = HidingConfig()
         machine = build_nfa(transitions=[("s", "log", "s")], initial=["s"], accepting=["s"])
         assert config.apply(machine) == machine
+
+    def test_pattern_is_compiled_once_per_config(self, monkeypatch, running_example_dir):
+        compile_ = fsmcompare.ingest.re.compile
+        patterns = []
+        monkeypatch.setattr(
+            fsmcompare.ingest.re, "compile", lambda p, *a: patterns.append(p) or compile_(p, *a)
+        )
+        config = HidingConfig(("S*", "e?"))
+        workspace = load_workspace(running_example_dir, config)
+        assert len(patterns) == 1 and len(workspace.model_sets) > 1
+        # The compiled pattern is no field: equality and hashing ignore it.
+        assert config == HidingConfig(("S*", "e?")) and hash(config) == hash(HidingConfig(("S*", "e?")))
 
 
 class TestLoadWorkspace:

@@ -2,7 +2,6 @@
 
 import hashlib
 import heapq
-import itertools
 import math
 import random
 from collections import Counter
@@ -31,6 +30,7 @@ from conftest import (
     oracle_build_diff,
     oracle_compute_matching,
     oracle_global_scores,
+    oracle_score_steps,
     random_nfa,
     running_example_machines,
     score,
@@ -237,22 +237,20 @@ class TestScoresAgainstDenseOracle:
         # Every step up to convergence, so the step at which the iteration
         # stops is the oracle's: each max_iterations up to it, and an epsilon
         # equal to the exact max-norm change of each step, which must stop
-        # the iteration at that step.
+        # the iteration at the first step that changed no more. One walk of
+        # the oracle's steps gives every expected table.
         for a, b in stepping_sample():
-            previous = local_scores(a, b).values
-            for steps in itertools.count(1):
+            oracle = oracle_score_steps(a, b, attenuation)
+            next(oracle)  # S0
+            walked = []  # each step's table and change so far
+            for steps, (expected, change) in enumerate(oracle, start=1):
                 capped = DiffParams(attenuation, max_iterations=steps)
-                expected = oracle_global_scores(a, b, capped)
                 assert global_scores(a, b, capped) == expected
-                change = max(
-                    (abs(x - y) for xs, ys in zip(expected.values, previous) for x, y in zip(xs, ys)),
-                    default=0.0,
-                )
+                walked.append((expected, change))
                 exact = DiffParams(attenuation, convergence_epsilon=change, max_iterations=steps + 1)
-                assert global_scores(a, b, exact) == oracle_global_scores(a, b, exact)
+                assert global_scores(a, b, exact) == next(t for t, c in walked if c <= change)
                 if change <= params.convergence_epsilon:
                     break
-                previous = expected.values
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5])
     def test_truncated_iterations_are_equal(self, steps):

@@ -254,7 +254,7 @@ def shaped_bundle(root: Path, workload: str, seed: int):
         logs = root / "logs"
         for model_set, entity in generate.write_logs(logs, workload, seed):
             text = (logs / model_set / f"{entity}.log").read_text(encoding="utf-8")
-            machine = minimal_pta(parse_log(text)).to_nfa()
+            machine = minimal_pta(parse_log(text))
             (root / "ws" / model_set).mkdir(parents=True, exist_ok=True)
             (root / "ws" / model_set / f"{entity}.nfa").write_text(write_nfa(machine))
         return build_bundle(
