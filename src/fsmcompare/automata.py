@@ -4,7 +4,8 @@ Machines are immutable NFAs over named events. ``minimize`` reduces one to
 its canonical minimal DFA, so languages are compared by comparing DFAs; the
 levels first widen every machine of an entity to one alphabet
 (``with_alphabet``), so machines observed with different event sets compare
-the way one would expect.
+the way one would expect. ``build_pta`` and ``minimal_pta`` turn a log's
+traces into its prefix tree and into that tree's minimal machine.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ __all__ = [
     "CanonicalDfa",
     "Nfa",
     "Trace",
+    "build_pta",
     "hide_events",
+    "minimal_pta",
     "minimize",
     "with_alphabet",
 ]
@@ -326,6 +329,84 @@ def minimize(machine: Nfa) -> CanonicalDfa:
     minimize each distinct model once per run into their language tables.
     """
     return _canonical(*_subset_table(machine))
+
+
+def _trie(traces: Iterable[Trace]) -> tuple[list[str], list[dict[str, int]], set[int]]:
+    """The prefix tree of the traces, read once: (events, children, ends).
+
+    ``events`` are sorted and checked once. Nodes are numbered from the root 0,
+    every child after its parent; ``children[node]`` maps an event to a child,
+    and ``ends`` holds the nodes where a trace ends.
+    """
+    children: list[dict[str, int]] = [{}]
+    ends: set[int] = set()
+    for trace in traces:
+        node = 0
+        for event in trace:
+            nxt = children[node].get(event)
+            if nxt is None:
+                nxt = children[node][event] = len(children)
+                children.append({})
+            node = nxt
+        ends.add(node)
+    events = sorted({e for kids in children for e in kids})
+    _check_names("event", frozenset(events))  # a trace set's events come from outside
+    return events, children, ends
+
+
+def build_pta(traces: list[Trace]) -> Nfa:
+    """Prefix-tree acceptor accepting exactly the given trace set.
+
+    State ``s<i>`` is the ``i``-th tree node ``_numbering`` walks at width 0 (no
+    dead class): breadth-first with events in lexicographic order, so the
+    result does not depend on input order.
+    """
+    if not traces:
+        return Nfa.empty()
+    events, rows, ends = _trie(traces)
+    for node, kids in enumerate(rows):  # in place, so one copy of the tree lives
+        rows[node] = sorted(kids.items())  # (event, child) pairs; width 0 reads only children
+    number = _numbering(rows, range(len(rows)), 0, 0)[0]
+    s = [f"s{i}" for i in number[:-1]]  # each tree node's state
+    steps = frozenset((s[node], e, s[t]) for node, row in enumerate(rows) for e, t in row)
+    del rows, number  # the machine needs only the names
+    accept = frozenset(s[node] for node in ends)
+    return _derived(frozenset(s), frozenset(events), steps, frozenset({"s0"}), accept)
+
+
+def minimal_pta(traces: list[Trace]) -> Nfa:
+    """The minimal machine of the trace set, ``minimize(build_pta(traces)).to_nfa()``.
+
+    The prefix tree is acyclic, so one pass minimizes it without partition refinement
+    (Revuz 1992): walked children first, each node gets the class of its signature,
+    whether a trace ends there and its sorted (event, child class) pairs; every node lies
+    on a trace, so no class is dead. State ``q<i>`` is the class ``_numbering`` numbers
+    ``i``; the number it gives the dead class, where missing events lead, names no state.
+    """
+    if not traces:
+        return Nfa.empty()
+    events, children, ends = _trie(traces)
+    column = {event: k for k, event in enumerate(events)}
+    class_of = [0] * len(children)
+    index: dict[tuple, int] = {}
+    classes: Rows = []  # each class's (event index, class) pairs
+    for node in range(len(children) - 1, -1, -1):  # children before parents
+        kids = children[node]
+        if len(kids) == 1:  # most nodes; nothing to sort
+            for e, child in kids.items():
+                signature = (node in ends, (column[e], class_of[child]))
+        else:
+            signature = (node in ends, *sorted([(column[e], class_of[x]) for e, x in kids.items()]))
+        c = class_of[node] = index.setdefault(signature, len(classes))
+        if c == len(classes):  # a new signature
+            classes.append(signature[1:])
+    accepting = [c for signature, c in index.items() if signature[0]]
+    del children, ends, index  # the output needs only the classes
+    number, _ = _numbering(classes, range(len(classes)), class_of[0], len(events))
+    q = [f"q{i}" for i in number[:-1]]  # each class's state
+    steps = frozenset((q[c], events[k], q[t]) for c, row in enumerate(classes) for k, t in row)
+    accept = frozenset(q[c] for c in accepting)
+    return _derived(frozenset(q), frozenset(events), steps, frozenset({"q0"}), accept)
 
 
 def _product_table(dfas: list[CanonicalDfa]) -> tuple[Rows, list[int]]:

@@ -18,13 +18,12 @@ from pathlib import Path
 import click
 
 from . import __version__
+from .automata import build_pta, minimal_pta
 from .ingest import (
     HidingConfig,
     NfaParseError,
     WorkspaceLoadError,
-    build_pta,
     load_workspace,
-    minimal_pta,
     parse_log,
     parse_nfa,
     write_nfa,

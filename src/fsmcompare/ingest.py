@@ -31,7 +31,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .automata import Nfa, Rows, Trace, _check_names, _derived, _numbering, hide_events
+from .automata import Nfa, Trace, hide_events
 
 __all__ = [
     "HidingConfig",
@@ -39,9 +39,7 @@ __all__ = [
     "NfaParseError",
     "Workspace",
     "WorkspaceLoadError",
-    "build_pta",
     "load_workspace",
-    "minimal_pta",
     "parse_log",
     "parse_nfa",
     "write_nfa",
@@ -174,92 +172,6 @@ def write_nfa(machine: Nfa) -> str:
 def parse_log(text: str) -> list[Trace]:
     """One trace per line; an empty line is the empty trace."""
     return [tuple(line.split()) for line in text.splitlines()]
-
-
-def _trie(traces: list[Trace]) -> tuple[list[dict[str, int]], set[int]]:
-    """The prefix tree of the traces: (children, ends).
-
-    Nodes are ints in creation order, so every child comes after its
-    parent; ``children[node]`` maps an event to a child, and ``ends`` holds
-    the nodes where a trace ends. Node 0 is the root, present even when
-    there are no traces.
-    """
-    children: list[dict[str, int]] = [{}]
-    ends: set[int] = set()
-    for trace in traces:
-        node = 0
-        for event in trace:
-            nxt = children[node].get(event)
-            if nxt is None:
-                nxt = children[node][event] = len(children)
-                children.append({})
-            node = nxt
-        ends.add(node)
-    return children, ends
-
-
-def build_pta(traces: list[Trace]) -> Nfa:
-    """Prefix-tree acceptor accepting exactly the given trace set.
-
-    State ``s<i>`` is the ``i``-th node of a breadth-first walk of the prefix
-    tree with events in lexicographic order, so the result does not depend
-    on input order.
-    """
-    if not traces:
-        return Nfa.empty()
-    children, ends = _trie(traces)
-    name = ["s0"] * len(children)  # each tree node's state; every child is renamed
-    order = [0]  # the tree nodes, breadth-first
-    steps = []
-    for node in order:  # grows while it is walked
-        for event, child in sorted(children[node].items()):
-            name[child] = f"s{len(order)}"
-            steps.append((name[node], event, name[child]))
-            order.append(child)
-    return Nfa(
-        frozenset(name),
-        frozenset(e for kids in children for e in kids),
-        frozenset(steps),
-        frozenset({"s0"}),
-        frozenset(name[node] for node in ends),
-    )
-
-
-def minimal_pta(traces: list[Trace]) -> Nfa:
-    """The minimal machine of the trace set, ``minimize(build_pta(traces)).to_nfa()``.
-
-    The prefix tree is acyclic, so one pass minimizes it without partition refinement
-    (Revuz 1992): walked children first, each node gets the class of its signature,
-    whether a trace ends there and its sorted (event, child class) pairs; every node lies
-    on a trace, so no class is dead. State ``q<i>`` is the class ``_numbering`` numbers
-    ``i``; the number it gives the dead class, where missing events lead, names no state.
-    """
-    if not traces:
-        return Nfa.empty()
-    children, ends = _trie(traces)
-    events = sorted({e for kids in children for e in kids})
-    _check_names("event", frozenset(events))  # a trace set's events come from outside
-    column = {event: k for k, event in enumerate(events)}
-    class_of = [0] * len(children)
-    index: dict[tuple, int] = {}
-    classes: Rows = []  # each class's (event index, class) pairs
-    for node in range(len(children) - 1, -1, -1):  # children before parents
-        kids = children[node]
-        if len(kids) == 1:  # most nodes; nothing to sort
-            for e, child in kids.items():
-                signature = (node in ends, (column[e], class_of[child]))
-        else:
-            signature = (node in ends, *sorted([(column[e], class_of[x]) for e, x in kids.items()]))
-        c = class_of[node] = index.setdefault(signature, len(classes))
-        if c == len(classes):  # a new signature
-            classes.append(signature[1:])
-    accepting = [c for signature, c in index.items() if signature[0]]
-    del children, ends, index  # the output needs only the classes
-    number, _ = _numbering(classes, range(len(classes)), class_of[0], len(events))
-    q = [f"q{i}" for i in number[:-1]]  # each class's state
-    steps = frozenset((q[c], events[k], q[t]) for c, row in enumerate(classes) for k, t in row)
-    accept = frozenset(q[c] for c in accepting)
-    return _derived(frozenset(q), frozenset(events), steps, frozenset({"q0"}), accept)
 
 
 @dataclass(frozen=True)

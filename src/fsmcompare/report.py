@@ -73,7 +73,8 @@ def build_bundle(
 
     Levels 5 and 6 cover the selected entity, or every entity with at least
     two variants when none is selected. Level 6 emits the diff for each
-    level-5 cover edge unless a specific variant pair is requested. All
+    level-5 cover edge unless a specific variant pair is requested; a
+    requested cover edge reuses level 5's diff when level 5 runs too. All
     levels share one dict of language tables, so each distinct model of an
     entity is minimized once in the run.
     """
@@ -103,15 +104,18 @@ def build_bundle(
                 for e in selected
             }
         if 6 in wanted and targeted:
-            machine = level6(
-                workspace,
-                entity,
-                from_variant,
-                to_variant,
-                params,
-                node_cap=node_cap,
-                languages=languages,
-            )
+            # A cover edge's diff was made by level 5 when it ran.
+            machine = lattices[entity].diffs.get((from_variant, to_variant)) if lattices else None
+            if machine is None:
+                machine = level6(
+                    workspace,
+                    entity,
+                    from_variant,
+                    to_variant,
+                    params,
+                    node_cap=node_cap,
+                    languages=languages,
+                )
             entries.append(Level6Entry(entity, from_variant, to_variant, machine))
         elif 6 in wanted:
             # One entry per cover edge, reusing the diffs behind its label.
@@ -155,8 +159,6 @@ def _partition_doc(partition: VariantPartition) -> dict:
     for cls in partition.classes:
         for member in cls.members:
             variants[member] = cls.variant
-    for member in partition.absent:
-        variants[member] = "absent"
     return {
         "variants": variants,
         "classes": [

@@ -143,6 +143,15 @@ class TestNfaConstruction:
         with pytest.raises(ValueError):
             Nfa(frozenset({"a"}), frozenset(), frozenset(), frozenset({"b"}), frozenset())
 
+    def test_names_an_undeclared_transition_source(self):
+        steps = frozenset({("b", "x", "a")})
+        with pytest.raises(ValueError, match="^transition source 'b' is not a declared state$"):
+            Nfa(frozenset("a"), frozenset("x"), steps, frozenset(), frozenset())
+
+    def test_rejects_accepting_outside_states(self):
+        with pytest.raises(ValueError, match="^accepting states must be a subset of states$"):
+            Nfa(frozenset({"a"}), frozenset(), frozenset(), frozenset(), frozenset({"b"}))
+
     def test_rejects_whitespace_in_event_names(self):
         with pytest.raises(ValueError):
             build_nfa(transitions=[("a", "x y", "a")])

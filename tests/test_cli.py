@@ -277,6 +277,10 @@ class TestCompare:
                 ("--levels", "6", "--entity", "E2", "--from", "Z", "--to", "C"),
                 "variant 'Z' does not exist at entity 'E2'",
             ),
+            (
+                ("--levels", "5,6", "--entity", "E2", "--from", "Z", "--to", "C"),
+                "variant 'Z' does not exist at entity 'E2'",
+            ),
         ],
     )
     def test_unknown_entity_or_variant_exits_one(

@@ -351,6 +351,26 @@ class TestBuildPta:
         traces = [("a", "b"), ("c",), ("a",)]
         assert build_pta(traces) == build_pta(list(reversed(traces)))
 
+    def test_event_names_are_checked_once_per_build(self, monkeypatch):
+        checks = []
+        check = fsmcompare.automata._check_names
+
+        def counting_check(kind, names):
+            checks.append((kind, names))
+            check(kind, names)
+
+        monkeypatch.setattr(fsmcompare.automata, "_check_names", counting_check)
+        traces = [("a", "b"), ("c",), ("a",)]
+        for build in (build_pta, minimal_pta):
+            checks.clear()
+            build(traces)
+            assert checks == [("event", frozenset("abc"))]
+
+    def test_traces_are_read_once(self):
+        traces = [("a", "b"), ("c",), ("a",)]
+        for build in (build_pta, minimal_pta):
+            assert build(iter(traces)) == build(traces)
+
 
 def walk_logs(rng: random.Random) -> list[tuple[str, ...]]:
     """Logs shaped like the benchmark's: walks of a hidden machine with noise and duplicates.
@@ -436,7 +456,6 @@ class TestMinimalPta:
             raise AssertionError("minimal_pta ran Hopcroft refinement")
 
         monkeypatch.setattr(fsmcompare.automata, "_canonical", refuse)
-        monkeypatch.setattr(fsmcompare.ingest, "_canonical", refuse, raising=False)
         rng = random.Random(97)
         for _ in range(20):
             traces = walk_logs(rng)

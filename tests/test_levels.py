@@ -90,6 +90,14 @@ class TestLevel1:
         assert partition.classes[0].representative.name == "S1"
 
 
+class TestLabelOf:
+    def test_unknown_member(self, running_example):
+        with pytest.raises(KeyError):
+            level1(running_example).label_of("S9")
+        with pytest.raises(KeyError):
+            level4(running_example)["E2"].label_of("S9")
+
+
 class TestLevel2:
     def test_running_example_node_count(self, running_example):
         lattice = level2(level1(running_example))
@@ -133,6 +141,10 @@ class TestLevel2:
         with pytest.raises(LatticeCapExceeded):
             level2(level1(running_example), node_cap=4)
 
+    def test_refuses_an_entity_scope_partition(self, running_example):
+        with pytest.raises(ValueError, match="expects the model-set scope partition"):
+            level2(level4(running_example)["E2"])
+
 
 class TestLevel3:
     def test_running_example_matrix(self, running_example):
@@ -151,6 +163,10 @@ class TestLevel3:
     def test_value_accessor_symmetry(self, running_example):
         matrix = level3(running_example)
         assert matrix.value(0, 3) == matrix.value(3, 0) == 3
+
+    def test_diagonal_cells_hold_no_count(self, running_example):
+        with pytest.raises(ValueError, match="diagonal"):
+            level3(running_example).value(1, 1)
 
 
 class TestLevel4:
@@ -732,6 +748,19 @@ class TestComputedLevel2Payloads:
                     assert machines.setdefault((e, machine), machine) is machine
                     empty += not has_behavior(machine)
         assert computed > 100 and empty > 10
+
+    def test_membership_and_repr(self, running_example, monkeypatch):
+        lattice = level2(level1(running_example))
+        computed = [n.variant for n in lattice.nodes if n.kind == "computed"]
+        models = lattice.payloads[computed[0]].models
+
+        def refuse(*args):
+            raise AssertionError("a membership test reduced a language")
+
+        monkeypatch.setattr(fsmcompare.levels, "_canonical", refuse)
+        assert "E1" in models and "S1" not in models
+        monkeypatch.undo()
+        assert repr(models) == repr(dict(models))
 
     def test_threads_reading_one_payload_get_the_same_machines(self):
         interval = sys.getswitchinterval()

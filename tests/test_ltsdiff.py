@@ -350,6 +350,12 @@ class TestSelectLandmarks:
         landmarks = select_landmarks(scores, twin, twin, DiffParams())
         assert landmarks == frozenset({("p", "p")})
 
+    def test_a_dominant_pair_whose_row_is_taken_is_skipped(self):
+        # With ratio 1 a tie dominates: (p, q) and then (p, r) both qualify.
+        scores = ScoreTable(("p", "s"), ("q", "r"), ((1.0, 1.0), (0.0, 0.0)))
+        params = DiffParams(landmark_fraction=1.0, landmark_ratio=1.0)
+        assert select_landmarks(scores, E1, E1, params) == frozenset({("p", "q")})
+
     def test_empty_machine_yields_empty_matching(self):
         scores = global_scores(Nfa.empty(), E1, DiffParams())
         assert select_landmarks(scores, Nfa.empty(), E1, DiffParams()) == frozenset()
@@ -423,6 +429,10 @@ class TestBuildDiff:
     def test_rejects_non_injective_matching(self):
         with pytest.raises(ValueError):
             build_diff(E1, E1, frozenset({("s1", "s1"), ("s2", "s1")}))
+
+    def test_rejects_a_pair_with_an_unknown_state(self):
+        with pytest.raises(ValueError, match=r"pair \('s1', 'nope'\) references unknown states"):
+            build_diff(E1, E1, frozenset({("s1", "nope")}))
 
     def test_projections_for_partial_matching(self):
         source, target = fig2_machines()

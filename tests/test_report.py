@@ -339,6 +339,29 @@ class TestBuildBundle:
         )
         assert bundle.level6[0].machine == bundle.level5["E2"].diffs[("B", "C")]
 
+    def test_a_requested_cover_edge_reuses_the_level5_diff(self, running_example, monkeypatch):
+        import fsmcompare.levels
+
+        calls = []
+
+        def counting_diff(*args):
+            calls.append(args)
+            return diff(*args)
+
+        monkeypatch.setattr(fsmcompare.levels, "diff", counting_diff)
+        query = dict(levels=(5, 6), entity="E2", to_variant="C")
+        bundle = build_bundle(running_example, from_variant="B", **query)
+        edges = bundle.level5["E2"].edges
+        assert ("B", "C") in {(edge.lower, edge.upper) for edge in edges}
+        assert len(calls) == len(edges) == 7
+        assert bundle.level6[0].machine is bundle.level5["E2"].diffs[("B", "C")]
+
+        # D -> C is no cover edge, so level 6 makes its own diff.
+        calls.clear()
+        bundle = build_bundle(running_example, from_variant="D", **query)
+        assert ("D", "C") not in bundle.level5["E2"].diffs
+        assert len(calls) == 8
+
     def test_a_targeted_level5_and_level6_query_closes_the_lattice_once(
         self, running_example, monkeypatch
     ):
