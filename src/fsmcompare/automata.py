@@ -4,14 +4,16 @@ Machines are immutable NFAs over named events. ``minimize`` reduces one to
 its canonical minimal DFA, so languages are compared by comparing DFAs; the
 levels first widen every machine of an entity to one alphabet
 (``with_alphabet``), so machines observed with different event sets compare
-the way one would expect. ``build_pta`` and ``minimal_pta`` turn a log's
-traces into its prefix tree and into that tree's minimal machine.
+the way one would expect. Acyclic tables, which include every log-derived
+machine and the products of their languages, are reduced children first in
+one pass; cyclic ones by Hopcroft's partition refinement. ``build_pta`` and
+``minimal_pta`` turn a log's traces into its prefix tree and into that tree's
+minimal machine.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -158,9 +160,16 @@ def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int]]:
     """
     events = sorted(machine.alphabet)
     column = {event: k for k, event in enumerate(events)}
-    succ: defaultdict[str, defaultdict[int, set[str]]] = defaultdict(lambda: defaultdict(set))
+    succ: dict[str, dict[int, set[str]]] = {}  # each state's targets by event index
     for src, event, dst in machine.transitions:
-        succ[src][column[event]].add(dst)
+        k = column[event]
+        by_event = succ.get(src)
+        if by_event is None:
+            succ[src] = {k: {dst}}
+        elif k in by_event:
+            by_event[k].add(dst)
+        else:
+            by_event[k] = {dst}
     start = frozenset(machine.initial)
     index: dict[frozenset[str], int] = {start: 0}
     order: list[frozenset[str]] = [start]
@@ -170,17 +179,18 @@ def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int]]:
             (state,) = subset
             by_event = succ.get(state, {})
         else:
-            by_event = defaultdict(set)
+            by_event = {}
             for state in subset:
                 for k, targets in succ.get(state, {}).items():
-                    by_event[k] |= targets
+                    union = by_event.get(k)
+                    by_event[k] = targets if union is None else union | targets
         row = []
-        for k in sorted(by_event):
-            targets = frozenset(by_event[k])
-            j = index.get(targets)
+        for k, targets in sorted(by_event.items()):
+            target = frozenset(targets)
+            j = index.get(target)
             if j is None:
-                j = index[targets] = len(order)
-                order.append(targets)
+                j = index[target] = len(order)
+                order.append(target)
             row.append((k, j))
         rows.append(row)
     accepting = {i for i, subset in enumerate(order) if not subset.isdisjoint(machine.accepting)}
@@ -192,12 +202,68 @@ def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalD
 
     Precondition: a missing event leads to a dead state, and every row is
     reachable from row 0 once each missing event is read as a transition
-    to every dead row. Rows from which no accepting row can be reached
-    form one dead block. Hopcroft's algorithm refines the live rows over
-    live-to-live transitions only: the dead block is never a splitter, so
-    the work follows the transitions present, not rows times events.
-    ``_numbering`` then numbers the blocks.
+    to every dead row. An acyclic table, which every log-derived machine and
+    every product of their languages gives, is reduced children first in one
+    pass (``_acyclic_classes``). A cyclic one goes to Hopcroft's algorithm:
+    rows from which no accepting row can be reached form one dead block, and
+    the live rows are refined over live-to-live transitions only, so the dead
+    block is never a splitter and the work follows the transitions present,
+    not rows times events. ``_numbering`` then numbers the classes.
     """
+    block, members = _acyclic_classes(rows, accepting) or _hopcroft_classes(rows, accepting)
+    number, order = _numbering(members, block, block[0], len(events))
+    sink = number[-1]
+    trans = []
+    for c in order:
+        line = [sink] * len(events)
+        for k, t in members[c] if c >= 0 else ():  # the dead class's row is all sink
+            line[k] = number[block[t]]
+        trans.append(tuple(line))
+    acc = frozenset(number[block[s]] for s in accepting)
+    return CanonicalDfa(tuple(events), tuple(trans), acc, sink if sink >= 0 else None)
+
+
+def _acyclic_classes(rows: Rows, accepting: set[int]) -> tuple[list[int], Rows] | None:
+    """Each row's class and each class's row, or None if a cycle is reachable from row 0.
+
+    A depth-first walk from row 0, with an explicit stack since a prefix tree
+    is as deep as its longest trace, gives each row, children first, the class
+    of its signature (Revuz 1992): whether it accepts and its (event, child
+    class) pairs, dead children left out. A rejecting row without a live child
+    is dead (-1), as is every row the walk does not reach. The walk gives up
+    at its first back edge, even one among dead rows.
+    """
+    class_of = [-1] * len(rows)
+    state = [0] * len(rows)  # 1 while on the walk's path, 2 once classed
+    index: dict[tuple, int] = {}
+    members: Rows = []
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        if s >= 0:
+            if state[s]:  # pushed again by another parent and classed since
+                continue
+            state[s] = 1
+            stack.append(~s)  # classed once everything pushed after it is
+            for _, t in rows[s]:
+                if not state[t]:
+                    stack.append(t)
+                elif state[t] == 1:
+                    return None
+        else:
+            s = ~s
+            state[s] = 2
+            row = rows[s]
+            signature = (s in accepting, *[(k, class_of[t]) for k, t in row if class_of[t] >= 0])
+            if len(signature) > 1 or signature[0]:
+                c = class_of[s] = index.setdefault(signature, len(members))
+                if c == len(members):  # a new signature
+                    members.append(row)
+    return class_of, members
+
+
+def _hopcroft_classes(rows: Rows, accepting: set[int]) -> tuple[list[int], Rows]:
+    """Each row's block and each block's row, by Hopcroft's partition refinement."""
     n = len(rows)
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for s, row in enumerate(rows):
@@ -278,17 +344,7 @@ def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalD
                     block[s] = new
                 pending.append(new)
 
-    members = [rows[elems[f]] for f in first]
-    number, order = _numbering(members, block, block[0], len(events))
-    sink = number[-1]
-    trans = []
-    for c in order:
-        line = [sink] * len(events)
-        for k, t in members[c] if c >= 0 else ():  # the dead class's row is all sink
-            line[k] = number[block[t]]
-        trans.append(tuple(line))
-    acc = frozenset(number[block[s]] for s in accepting)
-    return CanonicalDfa(tuple(events), tuple(trans), acc, sink if sink >= 0 else None)
+    return block, [rows[elems[f]] for f in first]
 
 
 def _numbering(rows: Rows, class_of: Sequence[int], start: int, width: int) -> tuple[list, list]:
@@ -322,9 +378,10 @@ def minimize(machine: Nfa) -> CanonicalDfa:
     """Canonical minimal complete DFA for the machine's language.
 
     Determinizes into a sparse table (see ``Rows``), merges
-    language-equivalent states with Hopcroft's algorithm over the live
-    transitions, and renumbers breadth-first over lexicographically sorted
-    events. The result is a canonical form: equal values exactly for equal
+    language-equivalent states, children first in one pass when the table is
+    acyclic and with Hopcroft's algorithm over the live transitions when it is
+    not, and renumbers breadth-first over lexicographically sorted events.
+    The result is a canonical form: equal values exactly for equal
     languages over the machine's alphabet. Nothing is cached: the levels
     minimize each distinct model once per run into their language tables.
     """
@@ -456,12 +513,12 @@ def hide_events(machine: Nfa, hidden: Iterable[str]) -> Nfa:
         return machine
 
     silent: dict[str, list[str]] = {}
-    visible: dict[str, list[tuple[str, str]]] = {}
-    for src, event, dst in machine.transitions:
-        if event in hidden_set:
-            silent.setdefault(src, []).append(dst)
+    visible: list[tuple[str, str, str]] = []
+    for step in machine.transitions:
+        if step[1] in hidden_set:
+            silent.setdefault(step[0], []).append(step[2])
         else:
-            visible.setdefault(src, []).append((event, dst))
+            visible.append(step)
 
     # Only states with a silent step need a closure; any other state is its own.
     closure: dict[str, set[str]] = {}
@@ -474,12 +531,25 @@ def hide_events(machine: Nfa, hidden: Iterable[str]) -> Nfa:
                     seen.add(nxt)
                     stack.append(nxt)
         closure[state] = seen
+    # back[r]: every state whose closure holds r, for each r some closure holds.
+    # A state without a silent step is in its own closure, though not in ``closure``.
+    back: dict[str, list[str]] = {}
+    for state, reached in closure.items():
+        for r in reached:
+            back.setdefault(r, [] if r in closure else [r]).append(state)
 
+    # A visible step r -e-> d gives s -e-> t for every s whose closure holds r
+    # and every t in the closure of d.
     trans: set[tuple[str, str, str]] = set()
-    for state in machine.states:
-        for reached in closure.get(state, (state,)):
-            for event, dst in visible.get(reached, ()):
-                for target in closure.get(dst, (dst,)):
+    for step in visible:
+        src, event, dst = step
+        sources = back.get(src)
+        targets = closure.get(dst)
+        if sources is None and targets is None:
+            trans.add(step)
+        else:
+            for state in sources or (src,):
+                for target in targets or (dst,):
                     trans.add((state, event, target))
     accepting = machine.accepting.union(
         s for s, reached in closure.items() if not machine.accepting.isdisjoint(reached)

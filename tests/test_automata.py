@@ -244,6 +244,31 @@ def random_table(
     for r in range(n):
         if loops and rng.random() < loops:
             raw[r] = [(e, r) for e, _ in raw[r]]
+    return [f"e{i}" for i in range(k)], breadth_first(raw)
+
+
+def random_dag(rng: random.Random, max_rows: int = 12, max_events: int = 3):
+    """(events, sparse rows) of a random acyclic table, every row reachable from row 0.
+
+    Raw row ``r`` leads only to the next three raw rows, so no walk meets a
+    cycle, paths are long and a raw row often has several parents.
+    """
+    k = rng.randint(0, max_events)
+    n = rng.randint(1, max_rows)
+    presence = rng.choice([0.4, 0.7, 1.0])
+    raw = [
+        [
+            (e, rng.randrange(r + 1, min(n, r + 4)))
+            for e in range(k)
+            if r + 1 < n and rng.random() < presence
+        ]
+        for r in range(n)
+    ]
+    return [f"e{i}" for i in range(k)], breadth_first(raw)
+
+
+def breadth_first(raw):
+    """The raw sparse rows reachable from row 0, renumbered breadth-first from it."""
     index = {0: 0}
     order = [0]
     for r in order:  # grows while it is walked
@@ -251,7 +276,7 @@ def random_table(
             if t not in index:
                 index[t] = len(order)
                 order.append(t)
-    return [f"e{i}" for i in range(k)], [[(e, index[t]) for e, t in raw[r]] for r in order]
+    return [[(e, index[t]) for e, t in raw[r]] for r in order]
 
 
 def dead_rows(rows, accepting) -> int:
@@ -384,7 +409,58 @@ def largest_subset(machine: Nfa) -> int:
 
 
 class TestCanonicalAgainstMoore:
-    """Hopcroft refinement must give exactly the Moore oracle's canonical DFA."""
+    """Both reductions, children first and Hopcroft, must give exactly the Moore oracle's DFA."""
+
+    def test_random_acyclic_tables_take_the_children_first_path(self):
+        rng = random.Random(163)
+        seen: Counter = Counter()
+        for _ in range(600):
+            events, rows = random_dag(rng)
+            parents: Counter = Counter(t for row in rows for t in {t for _, t in row})
+            some = {i for i in range(len(rows)) if rng.random() < 0.3}
+            for accepting in (set(), some, set(range(len(rows)))):
+                table = (events, rows, accepting)
+                complete = complete_table(*table)
+                assert automata._acyclic_classes(rows, accepting) is not None
+                got = _canonical(*table)
+                assert got == oracle_canonical(*complete)
+                # Dead rows of the table, less the one complete_table may add.
+                dead = dead_rows(*complete[1:]) - (len(complete[1]) > len(rows))
+                seen["shared child"] += any(count > 1 for count in parents.values())
+                seen["dead start"] += got.num_states == 1 and not got.accepting
+                seen["dead rows beside live ones"] += bool(accepting) and dead > 0
+                seen["single row"] += len(rows) == 1
+                seen["empty alphabet"] += not events
+        assert len(seen) == 5 and min(seen.values()) > 50
+
+    def test_a_cycle_among_dead_rows_takes_the_hopcroft_path(self):
+        rng = random.Random(167)
+        seen: Counter = Counter()
+        for _ in range(300):
+            events, rows = random_dag(rng, max_events=rng.randint(1, 3))
+            missing = [
+                (r, e)
+                for r, row in enumerate(rows)
+                for e in range(len(events))
+                if e not in dict(row)
+            ]
+            if not missing:
+                continue
+            # A rejecting cycle of 1-3 rows, entered on one missing event.
+            length = rng.randint(1, 3)
+            cycle = list(range(len(rows), len(rows) + length))
+            rows = [list(row) for row in rows]
+            rows += [[(0, cycle[(i + 1) % length])] for i in range(length)]
+            r, e = rng.choice(missing)
+            rows[r] = sorted(rows[r] + [(e, cycle[0])])
+            some = {i for i in range(cycle[0]) if rng.random() < 0.3}
+            for accepting in (set(), some, set(range(cycle[0]))):
+                table = (events, rows, accepting)
+                assert automata._acyclic_classes(rows, accepting) is None
+                assert _canonical(*table) == oracle_canonical(*complete_table(*table))
+                seen["self-loop" if length == 1 else "longer cycle"] += 1
+                seen["entered from a live row"] += r in accepting
+        assert len(seen) == 3 and min(seen.values()) > 100
 
     def test_random_nfas_with_dead_nonempty_subsets(self):
         rng = random.Random(61)
@@ -525,7 +601,7 @@ class TestCanonicalAgainstMoore:
 
     def test_long_trace_prefix_tree_minimizes_in_well_under_a_second(self):
         # Moore refinement would take one round per event of the trace here;
-        # Hopcroft's splits follow the transitions present.
+        # the children-first walk, 5,001 rows deep, classes each row once.
         rng = random.Random(79)
         pta = build_pta([tuple(rng.choice("abcdefgh") for _ in range(5000))])
         start = time.process_time()
@@ -533,6 +609,19 @@ class TestCanonicalAgainstMoore:
         elapsed = time.process_time() - start
         assert canonical.num_states == 5002  # 5,001 tree nodes and the sink
         assert canonical.sink is not None and len(canonical.accepting) == 1
+        assert elapsed < 1.0
+
+    def test_long_ring_minimizes_in_well_under_a_second(self):
+        # Cyclic, but the walk meets its one back edge only at its last row,
+        # and then Hopcroft reduces the ring.
+        n = 5000
+        ring = build_nfa([(f"r{i}", "a", f"r{(i + 1) % n}") for i in range(n)], ["r0"], ["r7"])
+        start = time.process_time()
+        canonical = minimize(ring)
+        elapsed = time.process_time() - start
+        assert automata._acyclic_classes(*_subset_table(ring)[1:]) is None
+        assert canonical.num_states == n and canonical.sink is None
+        assert canonical.accepting == {7}
         assert elapsed < 1.0
 
 
@@ -720,6 +809,33 @@ class TestHideEventsAgainstOracle:
                 seen["out of initial"] += any(s in machine.initial for s, _ in silent)
                 seen["out of accepting"] += any(s in machine.accepting for s, _ in silent)
             assert not hide_events(machine, machine.alphabet).alphabet
+        assert len(seen) == 4 and min(seen.values()) > 100
+
+    def test_log_derived_machines(self):
+        # The logs path: a minimal prefix tree, its log* noise hidden, then minimized.
+        rng = random.Random(173)
+        seen: Counter = Counter()
+        for _ in range(150):
+            traces = []
+            for _ in range(rng.randint(1, 30)):
+                trace = []
+                for _ in range(rng.randint(0, 10)):
+                    while rng.random() < 0.3:
+                        trace.append(rng.choice(["log0", "log1"]))
+                    trace.append(rng.choice("abcd"))
+                while rng.random() < 0.3:
+                    trace.append(rng.choice(["log0", "log1"]))
+                traces.append(tuple(trace))
+                noise = [e.startswith("log") for e in trace]
+                seen["consecutive noise"] += any(map(operator.and_, noise, noise[1:]))
+                seen["noise first"] += noise[:1] == [True]
+                seen["noise last"] += noise[-1:] == [True]
+            machine = minimal_pta(traces)
+            hidden = {e for e in machine.alphabet if e.startswith("log")}
+            result = hide_events(machine, hidden)
+            assert result == oracle_hide_events(machine, hidden)
+            assert minimize(result) == oracle_canonical(*oracle_subset_table(result))
+            seen["several states per subset"] += largest_subset(result) > 1
         assert len(seen) == 4 and min(seen.values()) > 100
 
     def test_nothing_hidden_returns_the_same_machine(self):
