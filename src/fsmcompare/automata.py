@@ -1,14 +1,15 @@
 """Finite automata and the language-level algorithms everything else builds on.
 
 Machines are immutable NFAs over named events. ``minimize`` reduces one to
-its canonical minimal DFA, so languages are compared by comparing DFAs; the
-levels first widen every machine of an entity to one alphabet
-(``with_alphabet``), so machines observed with different event sets compare
-the way one would expect. Acyclic tables, which include every log-derived
-machine and the products of their languages, are reduced children first in
-one pass; cyclic ones by Hopcroft's partition refinement. ``build_pta`` and
-``minimal_pta`` turn a log's traces into its prefix tree and into that tree's
-minimal machine.
+its canonical minimal DFA, so languages are compared by comparing DFAs;
+where only equality is asked, ``_same_language`` decides it on the fly
+without building either DFA. The levels first widen every machine of an
+entity to one alphabet (``with_alphabet``), so machines observed with
+different event sets compare the way one would expect. Acyclic tables,
+which include every log-derived machine and the products of their
+languages, are reduced children first in one pass; cyclic ones by
+Hopcroft's partition refinement. ``build_pta`` and ``minimal_pta`` turn a
+log's traces into its prefix tree and into that tree's minimal machine.
 """
 
 from __future__ import annotations
@@ -151,6 +152,36 @@ def with_alphabet(machine: Nfa, events: Iterable[str]) -> Nfa:
 Rows = list[Sequence[tuple[int, int]]]
 
 
+#: Each state's transitions out, the machine's own (source, event, target)
+#: triples; a state without a transition out has no entry.
+Successors = dict[str, list[tuple[str, str, str]]]
+
+
+def _successors(machine: Nfa) -> Successors:
+    """The machine's transitions, indexed by source."""
+    succ: Successors = {}
+    for step in machine.transitions:
+        steps = succ.get(step[0])
+        if steps is None:
+            succ[step[0]] = [step]
+        else:
+            steps.append(step)
+    return succ
+
+
+def _step(subset: frozenset[str], succ: Successors) -> dict[str, set[str]]:
+    """The targets of a subset of states, by event."""
+    by_event: dict[str, set[str]] = {}
+    for state in subset:
+        for _, event, target in succ.get(state, ()):
+            targets = by_event.get(event)
+            if targets is None:
+                by_event[event] = {target}
+            else:
+                targets.add(target)
+    return by_event
+
+
 def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int]]:
     """Subset construction; returns (events, sparse rows, accepting ids).
 
@@ -160,41 +191,84 @@ def _subset_table(machine: Nfa) -> tuple[list[str], Rows, set[int]]:
     """
     events = sorted(machine.alphabet)
     column = {event: k for k, event in enumerate(events)}
-    succ: dict[str, dict[int, set[str]]] = {}  # each state's targets by event index
-    for src, event, dst in machine.transitions:
-        k = column[event]
-        by_event = succ.get(src)
-        if by_event is None:
-            succ[src] = {k: {dst}}
-        elif k in by_event:
-            by_event[k].add(dst)
-        else:
-            by_event[k] = {dst}
+    succ = _successors(machine)
     start = frozenset(machine.initial)
     index: dict[frozenset[str], int] = {start: 0}
     order: list[frozenset[str]] = [start]
     rows: Rows = []
     for subset in order:  # grows while it is walked
-        if len(subset) == 1:
-            (state,) = subset
-            by_event = succ.get(state, {})
-        else:
-            by_event = {}
-            for state in subset:
-                for k, targets in succ.get(state, {}).items():
-                    union = by_event.get(k)
-                    by_event[k] = targets if union is None else union | targets
         row = []
-        for k, targets in sorted(by_event.items()):
+        for event, targets in sorted(_step(subset, succ).items()):
             target = frozenset(targets)
             j = index.get(target)
             if j is None:
                 j = index[target] = len(order)
                 order.append(target)
-            row.append((k, j))
+            row.append((column[event], j))
         rows.append(row)
     accepting = {i for i, subset in enumerate(order) if not subset.isdisjoint(machine.accepting)}
     return events, rows, accepting
+
+
+def _nonempty(machine: Nfa, succ: Successors) -> bool:
+    """Whether the machine accepts some word: an accepting state is reachable."""
+    seen = set(machine.initial)
+    stack = list(seen)
+    while stack:
+        state = stack.pop()
+        if state in machine.accepting:
+            return True
+        for _, _, target in succ.get(state, ()):
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return False
+
+
+def _same_language(a: tuple[Nfa, Successors], b: tuple[Nfa, Successors]) -> bool:
+    """Whether two machines accept the same words.
+
+    Each machine comes with its successor table (``_successors``). This is
+    Hopcroft and Karp's check (1971), run on the fly as Bonchi and Pous run
+    it (2013): it walks, breadth first, the pairs of subsets the two
+    machines reach on the same word. A union-find of the subsets skips any
+    pair already joined, so equal languages cost at most one walk of each
+    determinized machine. The walk stops at the first pair where exactly
+    one side accepts, reached on a shortest word that one language has and
+    the other lacks.
+    """
+    (machine_a, succ_a), (machine_b, succ_b) = a, b
+    accepting_a, accepting_b = machine_a.accepting, machine_b.accepting
+    start = frozenset(machine_a.initial), frozenset(machine_b.initial)
+    if accepting_a.isdisjoint(start[0]) != accepting_b.isdisjoint(start[1]):
+        return False
+    ids_a, ids_b = {start[0]: 0}, {start[1]: 1}  # each side's subsets, in one union-find
+    parent = [1, 1]
+    pairs = [start]
+    for subset_a, subset_b in pairs:  # grows while it is walked
+        by_a, by_b = _step(subset_a, succ_a), _step(subset_b, succ_b)
+        for k in by_a.keys() | by_b.keys():
+            target_a, target_b = frozenset(by_a.get(k, ())), frozenset(by_b.get(k, ()))
+            i = ids_a.get(target_a)
+            if i is None:
+                i = ids_a[target_a] = len(parent)
+                parent.append(i)
+            j = ids_b.get(target_b)
+            if j is None:
+                j = ids_b[target_b] = len(parent)
+                parent.append(j)
+            while parent[i] != i:  # path halving
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            while parent[j] != j:
+                parent[j] = parent[parent[j]]
+                j = parent[j]
+            if i != j:
+                if accepting_a.isdisjoint(target_a) != accepting_b.isdisjoint(target_b):
+                    return False
+                parent[i] = j
+                pairs.append((target_a, target_b))
+    return True
 
 
 def _canonical(events: list[str], rows: Rows, accepting: set[int]) -> CanonicalDfa:
@@ -382,8 +456,8 @@ def minimize(machine: Nfa) -> CanonicalDfa:
     acyclic and with Hopcroft's algorithm over the live transitions when it is
     not, and renumbers breadth-first over lexicographically sorted events.
     The result is a canonical form: equal values exactly for equal
-    languages over the machine's alphabet. Nothing is cached: the levels
-    minimize each distinct model once per run into their language tables.
+    languages over the machine's alphabet. Nothing is cached: a run that
+    reads DFAs minimizes each distinct model once into its language tables.
     """
     return _canonical(*_subset_table(machine))
 

@@ -31,7 +31,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .automata import Nfa, Trace, hide_events
+from .automata import Nfa, Trace, _check_names, _derived, hide_events
 
 __all__ = [
     "HidingConfig",
@@ -138,16 +138,21 @@ def parse_nfa(text: str, path: str | None = None) -> Nfa:
             name = dst if source else src
             raise NfaParseError(f"undeclared state {name!r} in transition", number, path)
         steps.append((source[0], event, target[0]))
+    # Every transition's states are declared and its event is in ``events``, so
+    # of ``Nfa``'s checks only the names' can fail.
+    names, alphabet = frozenset(states), frozenset(events)
     try:
-        return Nfa(
-            frozenset(states),
-            frozenset(events),
-            frozenset(steps),
-            frozenset(name for name, initial, _ in states.values() if initial),
-            frozenset(name for name, _, accepting in states.values() if accepting),
-        )
+        _check_names("state", names)
+        _check_names("event", alphabet)
     except ValueError as exc:
         raise NfaParseError(str(exc), path=path) from exc
+    return _derived(
+        names,
+        alphabet,
+        frozenset(steps),
+        frozenset(name for name, initial, _ in states.values() if initial),
+        frozenset(name for name, _, accepting in states.values() if accepting),
+    )
 
 
 def write_nfa(machine: Nfa) -> str:

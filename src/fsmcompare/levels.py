@@ -6,10 +6,16 @@ Levels 4-6 do the same per entity, ending in annotated structural diffs.
 
 Every level reads the per-entity models through one language table per
 entity, built over the entity's workspace alphabet when the entity is first
-used: each distinct model is minimized once into it and becomes a small int,
-so equal ints mean equal languages. ``build_bundle`` shares one dict of these
-tables across the levels of a run (the ``languages`` keyword); a level called
-alone builds its own. Both lattices are completed by one closure over the
+used: each distinct model becomes a small int, so equal ints mean equal
+languages. Levels 1, 3 and 4 ask only which models are equal and which are
+empty, so a run of those levels alone decides both on the fly, by Hopcroft
+and Karp's union-find check over the subsets the two machines reach, as
+Bonchi and Pous run it (``automata._same_language``), and by reachability,
+and builds no DFA. A run that includes level 2, 5 or 6 reads every DFA of
+the entities it touches, so its tables minimize each distinct model once as
+they intern it. ``build_bundle`` shares one dict of these tables across the
+levels of a run (the ``languages`` keyword); a level called alone builds its
+own. Both lattices are completed by one closure over the
 Boolean regions of the observed languages, where meet, join and inclusion
 are bitset operations (see ``_Regions``); a distinct computed language is
 reduced at most once from the regions' product table, which can reach the
@@ -35,7 +41,10 @@ from .automata import (
     CanonicalDfa,
     Nfa,
     _canonical,
+    _nonempty,
     _product_table,
+    _same_language,
+    _successors,
     minimize,
     with_alphabet,
 )
@@ -176,36 +185,86 @@ def heat_class(value: int, max_value: int) -> int:
 class _Languages:
     """The distinct languages of one entity, interned as small ints.
 
-    Each int holds its canonical DFA over the entity's alphabet, so equal
-    ints mean equal languages. Each distinct machine is minimized once. The
-    closures add their computed languages through ``_Regions``, which the
-    table keeps for the run, one per tuple of distinct observed languages:
-    levels 2 and 5 of one entity share it, so each computed language is
-    reduced at most once per run and region table, when it is first read.
+    Equal ints mean equal languages, numbered by first occurrence. A table
+    that minimizes (``minimize``) interns each distinct model's canonical DFA
+    over the entity's alphabet. One that does not decides, for each distinct
+    model, whether its language is empty and which interned language it
+    equals, on the fly (``_same_language``), and builds no DFA until one is
+    read (``dfas``). The closures add their computed languages through
+    ``_Regions``, which the table keeps for the run, one per tuple of
+    distinct observed languages: levels 2 and 5 of one entity share it, so
+    each computed language is reduced at most once per run and region
+    table, when it is first read.
     """
 
-    def __init__(self, alphabet: frozenset[str]) -> None:
+    def __init__(self, alphabet: frozenset[str], minimize: bool) -> None:
         self.alphabet = alphabet
-        self.dfas: list[CanonicalDfa] = []
+        self._dfas: list[CanonicalDfa] = []
+        self.empty: list[bool] = []  # whether each language is empty
         self._ids: dict[CanonicalDfa, int] = {}
         self._machines: dict[Nfa, int] = {}
+        self._models: list[Nfa] | None = None if minimize else []  # each language's first model
         self._nfas: dict[int, Nfa] = {}
         self.lattices: dict[int, tuple] = {}  # _entity_lattice's result by node cap
         self._regions: dict[tuple[int, ...], _Regions] = {}
         self.lock = threading.Lock()  # held by reads of computed level-2 payloads
 
-    def intern(self, machine: Nfa) -> int:
-        x = self._machines.get(machine)
-        if x is None:
-            dfa = minimize(with_alphabet(machine, self.alphabet))
-            x = self._machines[machine] = self.intern_dfa(dfa)
-        return x
+    def ids(self, models: list[Nfa]) -> list[int]:
+        """The language of each model: the first interned language it equals, else a new one.
+
+        Deciding on the fly, a model is checked only against the languages
+        of its own emptiness; the successor tables the checks read are built
+        once per distinct model of this call and dropped when it returns.
+        """
+        tables: dict = {}
+
+        def table(machine: Nfa) -> tuple:
+            t = tables.get(machine)
+            if t is None:
+                t = tables[machine] = machine, _successors(machine)
+            return t
+
+        ids = []
+        for machine in models:
+            x = self._machines.get(machine)
+            if x is None and self._models is None:
+                x = self.intern_dfa(minimize(with_alphabet(machine, self.alphabet)))
+            elif x is None:
+                a = table(machine)
+                empty = not _nonempty(*a)
+                for x, model in enumerate(self._models):
+                    if self.empty[x] == empty and (empty or _same_language(a, table(model))):
+                        break
+                else:
+                    x = len(self._models)
+                    self._models.append(machine)
+                    self.empty.append(empty)
+            self._machines[machine] = x
+            ids.append(x)
+        return ids
+
+    @property
+    def dfas(self) -> list[CanonicalDfa]:
+        """Every language's canonical DFA, by id.
+
+        A table deciding on the fly minimizes each language's first model at
+        the first read, and from then on minimizes as it interns.
+        """
+        if self._models is not None:
+            for model in self._models:
+                dfa = minimize(with_alphabet(model, self.alphabet))
+                self._ids[dfa] = len(self._dfas)
+                self._dfas.append(dfa)
+            self._models = None
+        return self._dfas
 
     def intern_dfa(self, dfa: CanonicalDfa) -> int:
+        dfas = self.dfas  # a language is looked up among every DFA
         x = self._ids.get(dfa)
         if x is None:
-            x = self._ids[dfa] = len(self.dfas)
-            self.dfas.append(dfa)
+            x = self._ids[dfa] = len(dfas)
+            dfas.append(dfa)
+            self.empty.append(not dfa.accepting)
         return x
 
     def regions(self, column: tuple[int, ...]) -> _Regions:
@@ -258,18 +317,33 @@ class _Regions:
         return x
 
 
-def _table(workspace: Workspace, languages: dict[str, _Languages], entity: str) -> _Languages:
+class _Tables(dict):
+    """A run's language tables, entity -> ``_Languages``, each added on first use.
+
+    ``minimize`` is the mode of every table added: a run that reads DFAs
+    (level 2, 5 or 6) minimizes each distinct model as it is interned; one
+    that only asks which models are equal (levels 1, 3 and 4) decides that
+    on the fly.
+    """
+
+    def __init__(self, minimize: bool) -> None:
+        super().__init__()
+        self.minimize = minimize
+
+
+def _table(workspace: Workspace, languages: _Tables, entity: str) -> _Languages:
     """The entity's table in ``languages``, added on first use over its workspace alphabet."""
     if entity not in languages:
         models = (ms.models[entity] for ms in workspace.model_sets)
-        languages[entity] = _Languages(frozenset().union(*(m.alphabet for m in models)))
+        alphabet = frozenset().union(*(m.alphabet for m in models))
+        languages[entity] = _Languages(alphabet, languages.minimize)
     return languages[entity]
 
 
-def _ids(workspace: Workspace, languages: dict[str, _Languages], entity: str) -> list[int]:
+def _ids(workspace: Workspace, languages: _Tables, entity: str) -> list[int]:
     """The language of each model set's model of ``entity``, in model-set order."""
     lang = _table(workspace, languages, entity)
-    return [lang.intern(ms.models[entity]) for ms in workspace.model_sets]
+    return lang.ids([ms.models[entity] for ms in workspace.model_sets])
 
 
 def _classes(workspace: Workspace, keys: list, representatives: list) -> tuple[VariantClass, ...]:
@@ -289,13 +363,13 @@ def _classes(workspace: Workspace, keys: list, representatives: list) -> tuple[V
     )
 
 
-def level1(workspace: Workspace, *, languages: dict | None = None) -> VariantPartition:
+def level1(workspace: Workspace, *, languages: _Tables | None = None) -> VariantPartition:
     """Model set behavior variants, lettered by first occurrence.
 
     ``languages``, here and at the other levels, is a run's dict of language
     tables (see the module docstring).
     """
-    languages = {} if languages is None else languages
+    languages = _Tables(minimize=False) if languages is None else languages
     columns = [_ids(workspace, languages, e) for e in workspace.entities]
     keys = [tuple(column[i] for column in columns) for i in range(len(workspace.model_sets))]
     classes = _classes(workspace, keys, workspace.model_sets)
@@ -440,7 +514,10 @@ class _ComputedModels(Mapping):
 
 
 def level2(
-    partition: VariantPartition, *, node_cap: int = DEFAULT_NODE_CAP, languages: dict | None = None
+    partition: VariantPartition,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+    languages: _Tables | None = None,
 ) -> Lattice:
     """Complete the model-set variant order into a lattice.
 
@@ -452,11 +529,10 @@ def level2(
         raise ValueError("level2 expects the model-set scope partition of level1")
     reps: list[ModelSet] = [cls.representative for cls in partition.classes]
     entities = reps[0].entities() if reps else ()
-    shared = {} if languages is None else languages
+    shared = _Tables(minimize=True) if languages is None else languages
     languages = [_table(partition.workspace, shared, e) for e in entities]
-    observed = [
-        tuple(lang.intern(rep.models[e]) for lang, e in zip(languages, entities)) for rep in reps
-    ]
+    columns = [lang.ids([rep.models[e] for rep in reps]) for lang, e in zip(languages, entities)]
+    observed = [tuple(column[i] for column in columns) for i in range(len(reps))]
     regions, bitsets = _complete(observed, languages, node_cap)
 
     index = {e: k for k, e in enumerate(entities)}
@@ -482,9 +558,9 @@ def level2(
     return Lattice(None, tuple(nodes), tuple(edges), payloads_by_label)
 
 
-def level3(workspace: Workspace, *, languages: dict | None = None) -> DiffMatrix:
+def level3(workspace: Workspace, *, languages: _Tables | None = None) -> DiffMatrix:
     """Counts of entities with different behavior, for every model-set pair."""
-    languages = {} if languages is None else languages
+    languages = _Tables(minimize=False) if languages is None else languages
     columns = [_ids(workspace, languages, e) for e in workspace.entities]
     names = tuple(ms.name for ms in workspace.model_sets)
     cells = tuple(
@@ -496,33 +572,35 @@ def level3(workspace: Workspace, *, languages: dict | None = None) -> DiffMatrix
     return DiffMatrix(names, cells, heat)
 
 
-def _entity_partition(workspace: Workspace, entity: str, languages: dict) -> VariantPartition:
+def _entity_partition(workspace: Workspace, entity: str, languages: _Tables) -> VariantPartition:
     """One entity's level-4 partition, read from its table in ``languages``."""
     ids = _ids(workspace, languages, entity)
-    keys = [x if languages[entity].dfas[x].accepting else None for x in ids]
+    keys = [None if languages[entity].empty[x] else x for x in ids]
     absent = tuple(ms.name for ms, key in zip(workspace.model_sets, keys) if key is None)
     models = [ms.models[entity] for ms in workspace.model_sets]
     return VariantPartition(entity, _classes(workspace, keys, models), absent)
 
 
-def level4(workspace: Workspace, *, languages: dict | None = None) -> dict[str, VariantPartition]:
+def level4(
+    workspace: Workspace, *, languages: _Tables | None = None
+) -> dict[str, VariantPartition]:
     """Per-entity model variants; models without behavior are marked absent."""
-    languages = {} if languages is None else languages
+    languages = _Tables(minimize=False) if languages is None else languages
     return {e: _entity_partition(workspace, e, languages) for e in workspace.entities}
 
 
 def _entity_lattice(
-    workspace: Workspace, entity: str, node_cap: int, languages: dict | None
+    workspace: Workspace, entity: str, node_cap: int, languages: _Tables | None
 ) -> tuple[list[LatticeNode], dict[str, Nfa], list[tuple[str, str]]]:
     """The entity's level-5 nodes, payloads by label, and cover edges as label pairs."""
     if entity not in workspace.entities:
         raise KeyError(f"entity {entity!r} does not exist")
-    languages = {} if languages is None else languages
+    languages = _Tables(minimize=True) if languages is None else languages
     lang = _table(workspace, languages, entity)
     if node_cap in lang.lattices:
         return lang.lattices[node_cap]
     partition = _entity_partition(workspace, entity, languages)
-    observed = [(lang.intern(cls.representative),) for cls in partition.classes]
+    observed = [(x,) for x in lang.ids([cls.representative for cls in partition.classes])]
     regions, bitsets = _complete(observed, [lang], node_cap)
     payloads = [cls.representative for cls in partition.classes]
     payloads += [lang.machine(regions[0].language(u)) for (u,) in bitsets[len(payloads) :]]
@@ -538,7 +616,7 @@ def level5(
     params: DiffParams | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    languages: dict | None = None,
+    languages: _Tables | None = None,
 ) -> Lattice:
     """Entity model variant lattice with structural edge labels.
 
@@ -571,7 +649,7 @@ def level6(
     params: DiffParams | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    languages: dict | None = None,
+    languages: _Tables | None = None,
 ) -> DiffMachine:
     """Structural diff between two level-5 variants of one entity.
 

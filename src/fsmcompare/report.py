@@ -23,6 +23,7 @@ from .levels import (
     DiffMatrix,
     Lattice,
     VariantPartition,
+    _Tables,
     heat_class,
     level1,
     level2,
@@ -76,11 +77,13 @@ def build_bundle(
     level-5 cover edge unless a specific variant pair is requested; a
     requested cover edge reuses level 5's diff when level 5 runs too. All
     levels share one dict of language tables, so each distinct model of an
-    entity is minimized once in the run.
+    entity is interned once in the run: minimized when the run includes
+    level 2, 5 or 6, which read every DFA of the entities they touch, and
+    otherwise only checked for equality and emptiness on the fly.
     """
     params = params or DiffParams()
     wanted = set(levels)
-    languages: dict = {}
+    languages = _Tables(minimize=not wanted.isdisjoint({2, 5, 6}))
 
     partition = level1(workspace, languages=languages) if wanted & {1, 2} else None
     lattice2 = level2(partition, node_cap=node_cap, languages=languages) if 2 in wanted else None

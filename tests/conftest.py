@@ -44,7 +44,7 @@ from fsmcompare import (
     variant_letters,
     with_alphabet,
 )
-from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _table
+from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _table, _Tables
 from fsmcompare.ltsdiff import _pair_tables, _rows
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -567,6 +567,12 @@ def oracle_close(observed, tables, node_cap: int) -> list[tuple[int, ...]]:
     return nodes
 
 
+def interned(tables, nodes) -> list[tuple[int, ...]]:
+    """Each node, one machine per table, as the vector of its machines' ids in ``tables``."""
+    columns = [table.ids([node[k] for node in nodes]) for k, table in enumerate(tables)]
+    return [tuple(column[i] for column in columns) for i in range(len(nodes))]
+
+
 def eager_level2_payloads(
     partition: VariantPartition, node_cap: int = DEFAULT_NODE_CAP
 ) -> list[ModelSet]:
@@ -578,11 +584,9 @@ def eager_level2_payloads(
     """
     reps = [cls.representative for cls in partition.classes]
     entities = reps[0].entities() if reps else ()
-    shared: dict = {}
+    shared = _Tables(minimize=True)
     languages = [_table(partition.workspace, shared, e) for e in entities]
-    observed = [
-        tuple(lang.intern(rep.models[e]) for lang, e in zip(languages, entities)) for rep in reps
-    ]
+    observed = interned(languages, [[rep.models[e] for e in entities] for rep in reps])
     regions, bitsets = _complete(observed, languages, node_cap)
     vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]
     return reps + [

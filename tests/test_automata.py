@@ -738,6 +738,126 @@ class TestEquivalenceAndInclusion:
                     assert join(a, join(b, c)) == join(join(a, b), c)
 
 
+def same_language(a: Nfa, b: Nfa) -> bool:
+    """``automata._same_language`` of two machines."""
+    return automata._same_language((a, automata._successors(a)), (b, automata._successors(b)))
+
+
+def nonempty(machine: Nfa) -> bool:
+    return automata._nonempty(machine, automata._successors(machine))
+
+
+def oracle_dfa(machine: Nfa, sigma) -> CanonicalDfa:
+    return oracle_canonical(*oracle_subset_table(with_alphabet(machine, sigma)))
+
+
+def log_derived(rng: random.Random, traces) -> Nfa:
+    """The minimal prefix tree of the traces with random log* noise inserted, the noise hidden."""
+    noisy = []
+    for trace in traces:
+        trace = list(trace)
+        for _ in range(rng.randint(0, 3)):
+            trace.insert(rng.randint(0, len(trace)), rng.choice(["log0", "log1"]))
+        noisy.append(tuple(trace))
+    machine = minimal_pta(noisy)
+    return hide_events(machine, {e for e in machine.alphabet if e.startswith("log")})
+
+
+class TestSameLanguageAgainstOracle:
+    """The on-the-fly equality check and emptiness against canonical oracle DFAs."""
+
+    @staticmethod
+    def check(a: Nfa, b: Nfa, outcomes: Counter) -> None:
+        sigma = a.alphabet | b.alphabet
+        expected = oracle_dfa(a, sigma) == oracle_dfa(b, sigma)
+        assert same_language(a, b) == same_language(b, a) == expected
+        for machine in (a, b):
+            assert nonempty(machine) == bool(oracle_dfa(machine, machine.alphabet).accepting)
+        outcomes[expected] += 1
+
+    def test_random_nondeterministic_and_deterministic_pairs(self):
+        rng = random.Random(191)
+        outcomes: Counter = Counter()
+        for _ in range(300):
+            a = random_nfa(rng, max_states=6, max_events=3, density=rng.choice([1.0, 2.5]))
+            b = random_nfa(rng, max_states=6, max_events=3, density=rng.choice([1.0, 2.5]))
+            for x, y in ((a, b), (determinize(a), determinize(b)), (a, determinize(a))):
+                self.check(x, y, outcomes)
+        assert outcomes[True] > 300 and outcomes[False] > 300
+
+    def test_empty_machines_and_unreachable_or_dead_states(self):
+        # seeded_nfas gives machines with traps, without initial states or
+        # events, and the empty machine; with_trap adds a dead state to each.
+        rng = random.Random(193)
+        machines = list(seeded_nfas(197, 60))
+        unreachable = build_nfa([("s0", "a", "s0"), ("s1", "a", "s2")], ["s0"], ["s2"])
+        dead = build_nfa([("s0", "a", "s1"), ("s1", "b", "s1")], ["s0"], [])
+        machines += [unreachable, dead, Nfa.empty(), build_nfa([], ["s0"], ["s0"])]
+        outcomes: Counter = Counter()
+        for a in machines:
+            trapped = with_trap(rng, a) if a.alphabet else a
+            for b in (Nfa.empty(), unreachable, dead, trapped, rng.choice(machines)):
+                self.check(a, b, outcomes)
+        assert outcomes[True] > 60 and outcomes[False] > 60
+
+    def test_pairs_over_different_events(self):
+        rng = random.Random(199)
+        renamed = {"a": "a", "b": "x", "c": "y", "d": "d"}
+        outcomes: Counter = Counter()
+        for _ in range(200):
+            a = random_nfa(rng, max_states=6, max_events=4)
+            b = build_nfa(
+                transitions=[(s, renamed[e], t) for s, e, t in a.transitions],
+                initial=a.initial,
+                accepting=a.accepting,
+                states=a.states,
+                alphabet=[renamed[e] for e in a.alphabet],
+            )
+            for x, y in ((a, b), (a, with_alphabet(a, "xyz")), (with_alphabet(a, "x"), b)):
+                self.check(x, y, outcomes)
+        assert outcomes[True] > 300 and outcomes[False] > 50
+
+    def test_hidden_log_derived_machines(self):
+        # Machines of one trace set with different noise have one language once
+        # the noise is hidden; another trace set seldom has the same.
+        rng = random.Random(211)
+        outcomes: Counter = Counter()
+        for _ in range(80):
+            traces = [
+                tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
+                for _ in range(rng.randint(1, 8))
+            ]
+            other = traces[: rng.randint(0, len(traces))] + [tuple(rng.choice("abc") for _ in "ab")]
+            first = log_derived(rng, traces)
+            for b in (log_derived(rng, traces), log_derived(rng, other), Nfa.empty()):
+                self.check(first, b, outcomes)
+        assert outcomes[True] > 60 and outcomes[False] > 60
+
+    def test_a_model_and_its_minimal_machine(self):
+        # The one path on which two different machines share a language; the
+        # walk then joins every pair it reaches.
+        rng = random.Random(223)
+        outcomes: Counter = Counter()
+        for machine in list(seeded_nfas(227, 150)):
+            for sigma in (machine.alphabet, "xy"):
+                self.check(machine, minimize(with_alphabet(machine, sigma)).to_nfa(), outcomes)
+            self.check(log_derived(rng, [("a", "b"), ("b",)]), minimize(machine).to_nfa(), outcomes)
+        assert outcomes[True] == 302 and outcomes[False] > 50
+
+    def test_deep_prefix_tree_and_its_minimal_machine_in_well_under_a_second(self):
+        # 5,001 pairs deep, far past the default recursion limit: the walk
+        # keeps its pairs in a list and its union-find in a loop.
+        rng = random.Random(229)
+        trace = tuple(rng.choice("abcdefgh") for _ in range(5000))
+        pta, minimal = build_pta([trace]), minimal_pta([trace])
+        assert pta != minimal
+        start = time.process_time()
+        assert same_language(pta, minimal)
+        assert not same_language(pta, minimal_pta([trace[:-1]]))
+        elapsed = time.process_time() - start
+        assert elapsed < 1.0
+
+
 class TestHideEvents:
     def test_hide_nothing_is_identity(self):
         assert language_equivalent(hide_events(E1, set()), E1)

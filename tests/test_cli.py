@@ -53,6 +53,39 @@ def run_in_subprocess(hash_seed: str, *args) -> bytes:
     return result.stdout
 
 
+def log_workspace(root: Path, rng: random.Random) -> Path:
+    """A workspace of machines ``logs2nfa --minimize`` builds from logs like ``trace.log``.
+
+    Entity E1 of sets S1 and S2 reads the same traces with different log*
+    noise, and of S3 fewer traces; E2 of S1 reads every trace of the log, of
+    S2 a shuffled part, and S3 has none.
+    """
+    lines = (Path(__file__).parent / "data" / "logs" / "trace.log").read_text().splitlines()
+    traces = [[e for e in line.split() if not e.startswith("log")] for line in lines]
+
+    def noisy(trace):
+        trace = list(trace)
+        for _ in range(rng.randint(0, 2)):
+            trace.insert(rng.randint(0, len(trace)), rng.choice(["log_start", "log_tick"]))
+        return " ".join(trace)
+
+    logs = {
+        ("S1", "E1"): [noisy(t) for t in traces],
+        ("S2", "E1"): [noisy(t) for t in reversed(traces)],
+        ("S3", "E1"): [noisy(t) for t in traces if len(t) != 4],
+        ("S1", "E2"): lines,
+        ("S2", "E2"): rng.sample(lines, 12),
+    }
+    for (model_set, entity), log in logs.items():
+        (root / "logs" / model_set).mkdir(parents=True, exist_ok=True)
+        path = root / "logs" / model_set / f"{entity}.log"
+        path.write_text("".join(line + "\n" for line in log), encoding="utf-8")
+        target = root / "ws" / model_set / f"{entity}.nfa"
+        target.parent.mkdir(parents=True, exist_ok=True)
+        assert run("logs2nfa", path, target, "--minimize").exit_code == 0
+    return root / "ws"
+
+
 def assert_refused(path: Path, *args) -> str:
     """The command exits 1 naming ``path``, with no traceback; returns its stderr."""
     result = cli_process("0", *args)
@@ -344,6 +377,19 @@ class TestCompare:
             run_in_subprocess(seed, "compare", "--input", running_example_dir, "--output", out)
             trees.append(tree_bytes(out))
         assert trees[0] and trees[0] == trees[1]
+
+        # Levels 1, 3 and 4 alone decide equality on the fly, walking subsets
+        # in set order, over machines logs2nfa --minimize builds from logs.
+        workspace = log_workspace(tmp_path / "logs", random.Random(233))
+        trees = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"logs{seed}"
+            args = ["compare", "--input", workspace, "--output", out, "--levels", "1,3,4"]
+            run_in_subprocess(seed, *args, "--hide", "log*")
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+        level4 = trees[0]["level4.csv"].decode().split()
+        assert level4[1:] == ["A,A,B", "A,B,absent"]
 
 
 class TestCyclicCollector:

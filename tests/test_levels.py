@@ -29,7 +29,7 @@ from fsmcompare import (
 )
 import fsmcompare.automata
 import fsmcompare.levels
-from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _cover_edges, _Languages
+from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _cover_edges, _Languages, _Tables
 
 from conftest import (
     OracleLanguages,
@@ -39,6 +39,7 @@ from conftest import (
     diff_entity_counts,
     eager_level2_payloads,
     has_behavior,
+    interned,
     intersection,
     language_equivalent,
     language_included,
@@ -433,8 +434,8 @@ def closure(case, node_cap=DEFAULT_NODE_CAP):
     closure, as a read of a computed payload reads them.
     """
     alphabets, machines = case
-    tables = [_Languages(alphabet) for alphabet in alphabets]
-    observed = [tuple(lang.intern(m) for lang, m in zip(tables, node)) for node in machines]
+    tables = [_Languages(alphabet, minimize=True) for alphabet in alphabets]
+    observed = interned(tables, machines)
     regions, bitsets = _complete(observed, tables, node_cap)
     vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]
     return vectors, bitsets, tables
@@ -611,8 +612,8 @@ class TestCoverEdges:
         for alphabets, machines in many_entity_cases() + level5_cases(running_example):
             reductions.clear()
             products.clear()
-            tables = [_Languages(alphabet) for alphabet in alphabets]
-            observed = [tuple(t.intern(m) for t, m in zip(tables, node)) for node in machines]
+            tables = [_Languages(alphabet, minimize=True) for alphabet in alphabets]
+            observed = interned(tables, machines)
             models = [len({node[k] for node in machines}) for k in range(len(tables))]
             assert len(reductions) == sum(models)
             reductions.clear()
@@ -790,3 +791,18 @@ class TestComputedLevel2Payloads:
                     assert all(a is b for a, b in zip(out, reads[0]))
         finally:
             sys.setswitchinterval(interval)
+
+
+def test_tables_that_decided_on_the_fly_minimize_when_a_closure_reads_them(running_example):
+    # Levels 1, 3 and 4 alone leave tables without DFAs; a closure that reads
+    # those tables later must find the languages, and the ids, it would have.
+    rng = random.Random(239)
+    workspaces = [running_example] + [dense_workspace(rng, 5, 4, absent=0.15) for _ in range(8)]
+    for ws in workspaces:
+        tables = _Tables(minimize=False)
+        partition, matrix = level1(ws, languages=tables), level3(ws, languages=tables)
+        assert all(not table._dfas for table in tables.values())
+        assert level2(partition, languages=tables) == level2(level1(ws))
+        assert (partition, matrix) == (level1(ws), level3(ws))
+        for e in ws.entities:
+            assert level5(ws, e, languages=tables) == level5(ws, e)

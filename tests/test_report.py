@@ -7,6 +7,7 @@ import math
 import random
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -512,8 +513,8 @@ class TestBuildBundle:
         to_nfa = CanonicalDfa.to_nfa
 
         class RecordedLanguages(fsmcompare.levels._Languages):
-            def __init__(self, alphabet):
-                super().__init__(alphabet)
+            def __init__(self, alphabet, minimize):
+                super().__init__(alphabet, minimize)
                 tables.append(self)
 
         def counting_to_nfa(dfa):
@@ -546,3 +547,96 @@ class TestBuildBundle:
             for entry in bundle.level6:
                 machine = level6(ws, entry.entity, entry.from_variant, entry.to_variant)
                 assert machine == entry.machine
+
+    def test_levels_1_3_4_are_the_same_whether_the_run_minimizes_or_not(self, running_example):
+        # Without level 2 a run decides equality and emptiness on the fly;
+        # with it, the run minimizes every model. Both give the same levels.
+        rng = random.Random(113)
+        workspaces = [running_example]
+        workspaces += [random_workspace(rng) for _ in range(20)]
+        workspaces += [dense_workspace(rng, 5, rng.randint(2, 5), absent=0.2) for _ in range(20)]
+        # The same workspaces with "--hide a", and with an entity whose models are
+        # different machines of one language, and that language elsewhere.
+        hide = HidingConfig(("a",))
+        workspaces += [
+            Workspace(
+                ws.entities,
+                tuple(
+                    ModelSet(ms.name, {e: hide.apply(m) for e, m in ms.models.items()})
+                    for ms in ws.model_sets
+                ),
+            )
+            for ws in workspaces[1:]
+        ]
+        workspaces += [with_one_language_in_many_machines(ws, rng) for ws in workspaces[1:]]
+        seen = {"absent": 0, "one language, several machines": 0, "several variants": 0}
+        for ws in workspaces:
+            alone = build_bundle(ws, levels=(1, 3, 4))
+            minimized = build_bundle(ws, levels=(1, 2, 3, 4))
+            assert alone.level1 == minimized.level1
+            assert alone.level3 == minimized.level3
+            assert alone.level4 == minimized.level4
+            full = bundle_doc(minimized)
+            del full["level2"]
+            assert bundle_doc(alone) == full
+            models = {ms.name: ms.models for ms in ws.model_sets}
+            for e, partition in alone.level4.items():
+                seen["absent"] += bool(partition.absent)
+                seen["several variants"] += len(partition.classes) > 1
+                for cls in partition.classes:
+                    machines = {models[name][e] for name in cls.members}
+                    seen["one language, several machines"] += len(machines) > 1
+        assert min(seen.values()) > 20, seen
+
+    def test_levels_1_3_4_alone_build_no_dfa(self, running_example, monkeypatch):
+        import fsmcompare.automata
+        import fsmcompare.levels
+
+        calls = []
+
+        def refuse(name):
+            def refused(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} ran")
+
+            return refused
+
+        rng = random.Random(127)
+        workspaces = [running_example] + [dense_workspace(rng, 5, 4, absent=0.2) for _ in range(5)]
+        workspaces += [with_one_language_in_many_machines(ws, rng) for ws in workspaces[1:]]
+        expected = [build_bundle(ws, levels=(1, 3, 4)) for ws in workspaces]
+        for module in (fsmcompare.automata, fsmcompare.levels):
+            monkeypatch.setattr(module, "minimize", refuse("minimize"))
+            monkeypatch.setattr(module, "_canonical", refuse("_canonical"))
+        for ws, bundle in zip(workspaces, expected):
+            for levels in ((1,), (3,), (4,), (1, 3, 4)):
+                got = build_bundle(ws, levels=levels)
+                for n in (1, 3, 4):
+                    want = getattr(bundle, f"level{n}") if n in levels else None
+                    assert getattr(got, f"level{n}") == want
+            assert level1(ws) == bundle.level1
+            assert level3(ws) == bundle.level3
+            assert level4(ws) == bundle.level4
+        assert calls == []
+
+
+def with_one_language_in_many_machines(ws: Workspace, rng: random.Random) -> Workspace:
+    """``ws`` with a new entity: one model set's language, as a different machine in each set.
+
+    Every other set holds the machine ``minimize`` gives, that machine with an
+    unreachable state, or one over a wider alphabet; a random one keeps its own.
+    """
+    first = ws.model_sets[0].models[ws.entities[0]]
+    minimal = minimize(first).to_nfa()
+    variants = [
+        first,
+        minimal,
+        replace(minimal, states=minimal.states | {"island"}),
+        with_alphabet(first, {"z"}),
+    ]
+    sets = []
+    for i, ms in enumerate(ws.model_sets):
+        own = ms.models[ws.entities[-1]]
+        model = own if i and rng.random() < 0.25 else variants[i % len(variants)]
+        sets.append(ModelSet(ms.name, {**ms.models, "same": model}))
+    return Workspace(ws.entities + ("same",), tuple(sets))
