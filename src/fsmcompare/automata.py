@@ -128,8 +128,13 @@ class CanonicalDfa:
 def _derived(*fields: frozenset) -> Nfa:
     """An ``Nfa`` of the given fields, in order, without ``__post_init__``'s checks.
 
-    Only for machines derived from a checked machine or a canonical DFA, whose
-    names and transitions need no second check; public ``Nfa(...)`` keeps them all.
+    Only for machines whose fields already hold what those checks assert:
+    every transition's states are states and its event is in the alphabet,
+    the initial and accepting states are states, and every name passes
+    ``_check_names``. That holds for machines derived from a checked machine
+    or a canonical DFA, and for ``ingest.parse_nfa``'s, which looks up each
+    transition's states among the declared ones, adds its event to the
+    alphabet and checks the names itself. Public ``Nfa(...)`` keeps every check.
     """
     machine = object.__new__(Nfa)
     vars(machine).update(zip(Nfa.__dataclass_fields__, fields))

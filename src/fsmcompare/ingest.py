@@ -139,7 +139,7 @@ def parse_nfa(text: str, path: str | None = None) -> Nfa:
             raise NfaParseError(f"undeclared state {name!r} in transition", number, path)
         steps.append((source[0], event, target[0]))
     # Every transition's states are declared and its event is in ``events``, so
-    # of ``Nfa``'s checks only the names' can fail.
+    # of ``Nfa``'s checks only the names' can fail (see ``_derived``).
     names, alphabet = frozenset(states), frozenset(events)
     try:
         _check_names("state", names)

@@ -11,18 +11,22 @@ languages. Levels 1, 3 and 4 ask only which models are equal and which are
 empty, so a run of those levels alone decides both on the fly, by Hopcroft
 and Karp's union-find check over the subsets the two machines reach, as
 Bonchi and Pous run it (``automata._same_language``), and by reachability,
-and builds no DFA. A run that includes level 2, 5 or 6 reads every DFA of
-the entities it touches, so its tables minimize each distinct model once as
+and builds no DFA. That check compares each model with every language
+before it, so an entity with many distinct models minimizes instead (see
+``_OnTheFly``). A run that includes level 2, 5 or 6 reads every DFA of the
+entities it touches, so its tables minimize each distinct model once as
 they intern it. ``build_bundle`` shares one dict of these tables across the
 levels of a run (the ``languages`` keyword); a level called alone builds its
-own. Both lattices are completed by one closure over the
-Boolean regions of the observed languages, where meet, join and inclusion
-are bitset operations (see ``_Regions``); a distinct computed language is
-reduced at most once from the regions' product table, which can reach the
-product of the DFAs' sizes: only the node cap bounds the closure. A level-2
-node is a vector, one component per entity; a level-5 node is a vector of
-length one. Node sizes and cover edges read the bitsets alone, so level 2
-reduces a computed component only when its payload's model is read (see
+own. A caller may pass any dict, empty at first, to share tables across
+levels; its tables minimize, so every level can read them. Both lattices
+are completed by one closure over the Boolean regions of the observed
+languages, where meet, join and inclusion are bitset operations (see
+``_Regions``); a distinct computed language is reduced at most once from
+the regions' product table, which can reach the product of the DFAs'
+sizes: only the node cap bounds the closure. A level-2 node is a vector,
+one component per entity; a level-5 node is a vector of length one. Node
+sizes and cover edges read the bitsets alone, so level 2 reduces a
+computed component only when its payload's model is read (see
 ``_ComputedModels``); level 5 reduces every node, since its sizes and diffs
 read the machines. Each language becomes one machine per run, shared by
 every payload holding it; cover edges read inclusion from per-component
@@ -186,24 +190,25 @@ class _Languages:
     """The distinct languages of one entity, interned as small ints.
 
     Equal ints mean equal languages, numbered by first occurrence. A table
-    that minimizes (``minimize``) interns each distinct model's canonical DFA
-    over the entity's alphabet. One that does not decides, for each distinct
-    model, whether its language is empty and which interned language it
-    equals, on the fly (``_same_language``), and builds no DFA until one is
-    read (``dfas``). The closures add their computed languages through
-    ``_Regions``, which the table keeps for the run, one per tuple of
-    distinct observed languages: levels 2 and 5 of one entity share it, so
-    each computed language is reduced at most once per run and region
-    table, when it is first read.
+    that minimizes (``minimizes``) interns each distinct model's canonical
+    DFA over the entity's alphabet, and the closures add their computed
+    languages through ``_Regions``, which the table keeps for the run, one
+    per tuple of distinct observed languages: levels 2 and 5 of one entity
+    share it, so each computed language is reduced at most once per run and
+    region table, when it is first read. A table that does not minimize
+    decides, for each distinct model, whether its language is empty and
+    which interned language it equals, on the fly (``_same_language``), and
+    holds no DFA, so no closure may read it.
     """
 
     def __init__(self, alphabet: frozenset[str], minimize: bool) -> None:
         self.alphabet = alphabet
-        self._dfas: list[CanonicalDfa] = []
+        self.minimizes = minimize
+        self.dfas: list[CanonicalDfa] = []
         self.empty: list[bool] = []  # whether each language is empty
         self._ids: dict[CanonicalDfa, int] = {}
         self._machines: dict[Nfa, int] = {}
-        self._models: list[Nfa] | None = None if minimize else []  # each language's first model
+        self._models: list[Nfa] = []  # each language's first model, deciding on the fly
         self._nfas: dict[int, Nfa] = {}
         self.lattices: dict[int, tuple] = {}  # _entity_lattice's result by node cap
         self._regions: dict[tuple[int, ...], _Regions] = {}
@@ -227,7 +232,7 @@ class _Languages:
         ids = []
         for machine in models:
             x = self._machines.get(machine)
-            if x is None and self._models is None:
+            if x is None and self.minimizes:
                 x = self.intern_dfa(minimize(with_alphabet(machine, self.alphabet)))
             elif x is None:
                 a = table(machine)
@@ -243,32 +248,18 @@ class _Languages:
             ids.append(x)
         return ids
 
-    @property
-    def dfas(self) -> list[CanonicalDfa]:
-        """Every language's canonical DFA, by id.
-
-        A table deciding on the fly minimizes each language's first model at
-        the first read, and from then on minimizes as it interns.
-        """
-        if self._models is not None:
-            for model in self._models:
-                dfa = minimize(with_alphabet(model, self.alphabet))
-                self._ids[dfa] = len(self._dfas)
-                self._dfas.append(dfa)
-            self._models = None
-        return self._dfas
-
     def intern_dfa(self, dfa: CanonicalDfa) -> int:
-        dfas = self.dfas  # a language is looked up among every DFA
+        assert self.minimizes, "a table deciding on the fly holds no DFA"
         x = self._ids.get(dfa)
         if x is None:
-            x = self._ids[dfa] = len(dfas)
-            dfas.append(dfa)
+            x = self._ids[dfa] = len(self.dfas)
+            self.dfas.append(dfa)
             self.empty.append(not dfa.accepting)
         return x
 
     def regions(self, column: tuple[int, ...]) -> _Regions:
         """The regions of the distinct languages in ``column``, built on first use."""
+        assert self.minimizes, "a table deciding on the fly holds no DFA"
         xs = tuple(dict.fromkeys(column))
         regions = self._regions.get(xs)
         if regions is None:
@@ -277,6 +268,7 @@ class _Languages:
 
     def machine(self, x: int) -> Nfa:
         """Language ``x`` as a machine, converted on first use and shared after that."""
+        assert self.minimizes, "a table deciding on the fly holds no DFA"
         nfa = self._nfas.get(x)
         if nfa is None:
             nfa = self._nfas[x] = self.dfas[x].to_nfa()
@@ -317,30 +309,38 @@ class _Regions:
         return x
 
 
-class _Tables(dict):
-    """A run's language tables, entity -> ``_Languages``, each added on first use.
+#: Deciding on the fly checks each distinct model against every language
+#: interned before it, so its work grows with the square of an entity's
+#: distinct models, where minimizing each grows with their number. Over
+#: log-derived models of one hidden machine, whose languages first differ on
+#: long words, it took at most 0.6 of minimizing's time up to 8 models with
+#: two or more languages among them, and 1.3 to 1.6 times as long from 24;
+#: with one language in all, about as long at any count (Python 3.11, 2
+#: vCPUs). Past this many distinct models, an entity minimizes.
+_ON_THE_FLY_MODELS = 8
 
-    ``minimize`` is the mode of every table added: a run that reads DFAs
-    (level 2, 5 or 6) minimizes each distinct model as it is interned; one
-    that only asks which models are equal (levels 1, 3 and 4) decides that
-    on the fly.
+
+class _OnTheFly(dict):
+    """A run's language tables, entity -> ``_Languages``, for levels that read no DFA.
+
+    Levels 1, 3 and 4 ask only which models are equal and which are empty,
+    so the tables of this dict decide both on the fly, unless the entity
+    has more than ``_ON_THE_FLY_MODELS`` distinct models. Any other dict of
+    tables minimizes every model, as levels 2, 5 and 6 need.
     """
 
-    def __init__(self, minimize: bool) -> None:
-        super().__init__()
-        self.minimize = minimize
 
-
-def _table(workspace: Workspace, languages: _Tables, entity: str) -> _Languages:
+def _table(workspace: Workspace, languages: dict, entity: str) -> _Languages:
     """The entity's table in ``languages``, added on first use over its workspace alphabet."""
     if entity not in languages:
-        models = (ms.models[entity] for ms in workspace.model_sets)
+        models = {ms.models[entity] for ms in workspace.model_sets}
         alphabet = frozenset().union(*(m.alphabet for m in models))
-        languages[entity] = _Languages(alphabet, languages.minimize)
+        on_the_fly = isinstance(languages, _OnTheFly) and len(models) <= _ON_THE_FLY_MODELS
+        languages[entity] = _Languages(alphabet, minimize=not on_the_fly)
     return languages[entity]
 
 
-def _ids(workspace: Workspace, languages: _Tables, entity: str) -> list[int]:
+def _ids(workspace: Workspace, languages: dict, entity: str) -> list[int]:
     """The language of each model set's model of ``entity``, in model-set order."""
     lang = _table(workspace, languages, entity)
     return lang.ids([ms.models[entity] for ms in workspace.model_sets])
@@ -363,13 +363,14 @@ def _classes(workspace: Workspace, keys: list, representatives: list) -> tuple[V
     )
 
 
-def level1(workspace: Workspace, *, languages: _Tables | None = None) -> VariantPartition:
+def level1(workspace: Workspace, *, languages: dict | None = None) -> VariantPartition:
     """Model set behavior variants, lettered by first occurrence.
 
-    ``languages``, here and at the other levels, is a run's dict of language
-    tables (see the module docstring).
+    ``languages``, here and at the other levels, is a dict of language
+    tables shared across the levels of a run, empty at first (see the
+    module docstring).
     """
-    languages = _Tables(minimize=False) if languages is None else languages
+    languages = _OnTheFly() if languages is None else languages
     columns = [_ids(workspace, languages, e) for e in workspace.entities]
     keys = [tuple(column[i] for column in columns) for i in range(len(workspace.model_sets))]
     classes = _classes(workspace, keys, workspace.model_sets)
@@ -514,10 +515,7 @@ class _ComputedModels(Mapping):
 
 
 def level2(
-    partition: VariantPartition,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    languages: _Tables | None = None,
+    partition: VariantPartition, *, node_cap: int = DEFAULT_NODE_CAP, languages: dict | None = None
 ) -> Lattice:
     """Complete the model-set variant order into a lattice.
 
@@ -529,7 +527,7 @@ def level2(
         raise ValueError("level2 expects the model-set scope partition of level1")
     reps: list[ModelSet] = [cls.representative for cls in partition.classes]
     entities = reps[0].entities() if reps else ()
-    shared = _Tables(minimize=True) if languages is None else languages
+    shared = {} if languages is None else languages
     languages = [_table(partition.workspace, shared, e) for e in entities]
     columns = [lang.ids([rep.models[e] for rep in reps]) for lang, e in zip(languages, entities)]
     observed = [tuple(column[i] for column in columns) for i in range(len(reps))]
@@ -558,9 +556,9 @@ def level2(
     return Lattice(None, tuple(nodes), tuple(edges), payloads_by_label)
 
 
-def level3(workspace: Workspace, *, languages: _Tables | None = None) -> DiffMatrix:
+def level3(workspace: Workspace, *, languages: dict | None = None) -> DiffMatrix:
     """Counts of entities with different behavior, for every model-set pair."""
-    languages = _Tables(minimize=False) if languages is None else languages
+    languages = _OnTheFly() if languages is None else languages
     columns = [_ids(workspace, languages, e) for e in workspace.entities]
     names = tuple(ms.name for ms in workspace.model_sets)
     cells = tuple(
@@ -572,7 +570,7 @@ def level3(workspace: Workspace, *, languages: _Tables | None = None) -> DiffMat
     return DiffMatrix(names, cells, heat)
 
 
-def _entity_partition(workspace: Workspace, entity: str, languages: _Tables) -> VariantPartition:
+def _entity_partition(workspace: Workspace, entity: str, languages: dict) -> VariantPartition:
     """One entity's level-4 partition, read from its table in ``languages``."""
     ids = _ids(workspace, languages, entity)
     keys = [None if languages[entity].empty[x] else x for x in ids]
@@ -581,21 +579,19 @@ def _entity_partition(workspace: Workspace, entity: str, languages: _Tables) -> 
     return VariantPartition(entity, _classes(workspace, keys, models), absent)
 
 
-def level4(
-    workspace: Workspace, *, languages: _Tables | None = None
-) -> dict[str, VariantPartition]:
+def level4(workspace: Workspace, *, languages: dict | None = None) -> dict[str, VariantPartition]:
     """Per-entity model variants; models without behavior are marked absent."""
-    languages = _Tables(minimize=False) if languages is None else languages
+    languages = _OnTheFly() if languages is None else languages
     return {e: _entity_partition(workspace, e, languages) for e in workspace.entities}
 
 
 def _entity_lattice(
-    workspace: Workspace, entity: str, node_cap: int, languages: _Tables | None
+    workspace: Workspace, entity: str, node_cap: int, languages: dict | None
 ) -> tuple[list[LatticeNode], dict[str, Nfa], list[tuple[str, str]]]:
     """The entity's level-5 nodes, payloads by label, and cover edges as label pairs."""
     if entity not in workspace.entities:
         raise KeyError(f"entity {entity!r} does not exist")
-    languages = _Tables(minimize=True) if languages is None else languages
+    languages = {} if languages is None else languages
     lang = _table(workspace, languages, entity)
     if node_cap in lang.lattices:
         return lang.lattices[node_cap]
@@ -616,7 +612,7 @@ def level5(
     params: DiffParams | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    languages: _Tables | None = None,
+    languages: dict | None = None,
 ) -> Lattice:
     """Entity model variant lattice with structural edge labels.
 
@@ -649,7 +645,7 @@ def level6(
     params: DiffParams | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    languages: _Tables | None = None,
+    languages: dict | None = None,
 ) -> DiffMachine:
     """Structural diff between two level-5 variants of one entity.
 

@@ -23,7 +23,7 @@ from .levels import (
     DiffMatrix,
     Lattice,
     VariantPartition,
-    _Tables,
+    _OnTheFly,
     heat_class,
     level1,
     level2,
@@ -79,11 +79,12 @@ def build_bundle(
     levels share one dict of language tables, so each distinct model of an
     entity is interned once in the run: minimized when the run includes
     level 2, 5 or 6, which read every DFA of the entities they touch, and
-    otherwise only checked for equality and emptiness on the fly.
+    otherwise, for an entity with few distinct models, only checked for
+    equality and emptiness on the fly.
     """
     params = params or DiffParams()
     wanted = set(levels)
-    languages = _Tables(minimize=not wanted.isdisjoint({2, 5, 6}))
+    languages = {} if wanted & {2, 5, 6} else _OnTheFly()
 
     partition = level1(workspace, languages=languages) if wanted & {1, 2} else None
     lattice2 = level2(partition, node_cap=node_cap, languages=languages) if 2 in wanted else None

@@ -44,7 +44,7 @@ from fsmcompare import (
     variant_letters,
     with_alphabet,
 )
-from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _table, _Tables
+from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _table
 from fsmcompare.ltsdiff import _pair_tables, _rows
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -584,7 +584,7 @@ def eager_level2_payloads(
     """
     reps = [cls.representative for cls in partition.classes]
     entities = reps[0].entities() if reps else ()
-    shared = _Tables(minimize=True)
+    shared: dict = {}
     languages = [_table(partition.workspace, shared, e) for e in entities]
     observed = interned(languages, [[rep.models[e] for e in entities] for rep in reps])
     regions, bitsets = _complete(observed, languages, node_cap)

@@ -29,7 +29,7 @@ from fsmcompare import (
 )
 import fsmcompare.automata
 import fsmcompare.levels
-from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _cover_edges, _Languages, _Tables
+from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _cover_edges, _Languages, _OnTheFly
 
 from conftest import (
     OracleLanguages,
@@ -793,16 +793,26 @@ class TestComputedLevel2Payloads:
             sys.setswitchinterval(interval)
 
 
-def test_tables_that_decided_on_the_fly_minimize_when_a_closure_reads_them(running_example):
-    # Levels 1, 3 and 4 alone leave tables without DFAs; a closure that reads
-    # those tables later must find the languages, and the ids, it would have.
+def test_a_caller_shares_a_plain_dict_of_tables_across_every_level(running_example):
+    # A caller's dict minimizes, so levels 1 and 3 fill tables that levels 2
+    # and 5 read, with the results of levels called alone.
     rng = random.Random(239)
     workspaces = [running_example] + [dense_workspace(rng, 5, 4, absent=0.15) for _ in range(8)]
     for ws in workspaces:
-        tables = _Tables(minimize=False)
+        tables: dict = {}
         partition, matrix = level1(ws, languages=tables), level3(ws, languages=tables)
-        assert all(not table._dfas for table in tables.values())
+        assert all(table.minimizes for table in tables.values())
         assert level2(partition, languages=tables) == level2(level1(ws))
         assert (partition, matrix) == (level1(ws), level3(ws))
         for e in ws.entities:
             assert level5(ws, e, languages=tables) == level5(ws, e)
+
+
+def test_a_closure_refuses_tables_that_decided_on_the_fly(running_example):
+    tables = _OnTheFly()
+    partition = level1(running_example, languages=tables)
+    assert not any(table.minimizes or table.dfas for table in tables.values())
+    with pytest.raises(AssertionError, match="holds no DFA"):
+        level2(partition, languages=tables)
+    with pytest.raises(AssertionError, match="holds no DFA"):
+        level5(running_example, "E2", languages=tables)

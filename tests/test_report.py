@@ -555,6 +555,8 @@ class TestBuildBundle:
         workspaces = [running_example]
         workspaces += [random_workspace(rng) for _ in range(20)]
         workspaces += [dense_workspace(rng, 5, rng.randint(2, 5), absent=0.2) for _ in range(20)]
+        # Entities with more distinct models than deciding on the fly takes.
+        workspaces += [dense_workspace(rng, 12, 3, absent=0.1) for _ in range(4)]
         # The same workspaces with "--hide a", and with an entity whose models are
         # different machines of one language, and that language elsewhere.
         hide = HidingConfig(("a",))
@@ -587,6 +589,36 @@ class TestBuildBundle:
                     machines = {models[name][e] for name in cls.members}
                     seen["one language, several machines"] += len(machines) > 1
         assert min(seen.values()) > 20, seen
+
+    def test_an_entity_with_many_distinct_models_minimizes(self, monkeypatch):
+        # Deciding on the fly checks each model against every language before
+        # it, so past _ON_THE_FLY_MODELS distinct models an entity minimizes.
+        import fsmcompare.levels
+
+        cap = fsmcompare.levels._ON_THE_FLY_MODELS
+        calls = []
+        minimize = fsmcompare.levels.minimize
+
+        def counted(machine):
+            calls.append(machine)
+            return minimize(machine)
+
+        rng = random.Random(131)
+        outcomes = set()
+        for n_sets in (cap, cap + 1, 2 * cap, 2 * cap):
+            ws = dense_workspace(rng, n_sets, 3, absent=0.1)
+            expected = build_bundle(ws, levels=(1, 2, 3, 4))
+            calls.clear()
+            monkeypatch.setattr(fsmcompare.levels, "minimize", counted)
+            got = build_bundle(ws, levels=(1, 3, 4))
+            monkeypatch.undo()
+            distinct = [len({ms.models[e] for ms in ws.model_sets}) for e in ws.entities]
+            assert len(calls) == sum(n for n in distinct if n > cap)
+            outcomes |= {n > cap for n in distinct}
+            assert got.level1 == expected.level1
+            assert got.level3 == expected.level3
+            assert got.level4 == expected.level4
+        assert outcomes == {False, True}
 
     def test_levels_1_3_4_alone_build_no_dfa(self, running_example, monkeypatch):
         import fsmcompare.automata
