@@ -1,14 +1,16 @@
 """Finite automata and the language-level algorithms everything else builds on.
 
 Machines are immutable NFAs over named events. ``minimize`` reduces one to
-its canonical minimal DFA, so languages are compared by comparing DFAs;
-where only equality is asked, ``_same_language`` decides it on the fly
-without building either DFA. The levels first widen every machine of an
-entity to one alphabet (``with_alphabet``), so machines observed with
-different event sets compare the way one would expect. Acyclic tables,
-which include every log-derived machine and the products of their
-languages, are reduced children first in one pass; cyclic ones by
-Hopcroft's partition refinement. ``build_pta`` and ``minimal_pta`` turn a
+its canonical minimal DFA, so equal languages give equal DFAs.
+``_same_language`` decides equality on the fly without building either
+DFA, and ``_product_table`` walks the product of several machines' subset
+tables, whose reductions are the Boolean combinations of their languages.
+The levels first widen every machine of an entity to one alphabet
+(``with_alphabet``), so machines observed with different event sets
+compare the way one would expect. Acyclic tables, which include every
+log-derived machine and the products of their languages, are reduced
+children first in one pass; cyclic ones by Hopcroft's partition
+refinement. ``build_pta`` and ``minimal_pta`` turn a
 log's traces into its prefix tree and into that tree's minimal machine.
 """
 
@@ -461,8 +463,9 @@ def minimize(machine: Nfa) -> CanonicalDfa:
     acyclic and with Hopcroft's algorithm over the live transitions when it is
     not, and renumbers breadth-first over lexicographically sorted events.
     The result is a canonical form: equal values exactly for equal
-    languages over the machine's alphabet. Nothing is cached: a run that
-    reads DFAs minimizes each distinct model once into its language tables.
+    languages over the machine's alphabet. Nothing is cached. The levels
+    call it only to key the languages of an entity with many distinct
+    models; their lattices reduce products of subset tables instead.
     """
     return _canonical(*_subset_table(machine))
 
@@ -545,25 +548,35 @@ def minimal_pta(traces: list[Trace]) -> Nfa:
     return _derived(frozenset(q), frozenset(events), steps, frozenset({"q0"}), accept)
 
 
-def _product_table(dfas: list[CanonicalDfa]) -> tuple[Rows, list[int]]:
-    """The reachable product of canonical DFAs over one alphabet, walked once.
+def _product_table(tables: list[tuple[list[str], Rows, set[int]]]) -> tuple[Rows, list[int]]:
+    """The reachable product of sparse tables over one alphabet, walked once.
 
-    Returns sparse rows (see ``Rows``) and each row's pattern: bit ``i`` is
-    set when ``dfas[i]`` accepts there. Transitions into the tuple of all
-    sinks are left out: it has pattern 0 and loops to itself, so it is dead
-    whichever patterns ``_canonical`` is given as accepting.
+    Each table is ``_subset_table``'s (events, rows, accepting). Returns
+    sparse rows (see ``Rows``) and each row's pattern: bit ``i`` is set when
+    ``tables[i]`` accepts there. A component that reads an event its row
+    lacks is dead (-1) from then on. Transitions into the tuple of all dead
+    components are left out: it has pattern 0 and loops to itself, so it is
+    dead whichever patterns ``_canonical`` is given as accepting.
     """
-    if any(dfa.alphabet != dfas[0].alphabet for dfa in dfas):
+    events = tables[0][0]
+    if any(other != events for other, _, _ in tables):
         raise ValueError("a product needs aligned alphabets")
-    tables = [dfa.transitions for dfa in dfas]
-    dead = tuple(dfa.sink for dfa in dfas)
-    start = (0,) * len(dfas)
+    width = len(events)
+    dense = []  # each table's rows in full, then its dead row -1 that loops
+    for _, rows, _ in tables:
+        full = [[-1] * width for _ in range(len(rows) + 1)]
+        for line, row in zip(full, rows):
+            for k, t in row:
+                line[k] = t
+        dense.append(full)
+    dead = (-1,) * len(tables)
+    start = (0,) * len(tables)
     index = {start: 0}
     order = [start]
-    rows: Rows = []
+    product: Rows = []
     for state in order:  # grows while it is walked
         row = []
-        for k, target in enumerate(zip(*[table[s] for table, s in zip(tables, state)])):
+        for k, target in enumerate(zip(*[full[s] for full, s in zip(dense, state)])):
             if target == dead:
                 continue
             j = index.get(target)
@@ -571,13 +584,13 @@ def _product_table(dfas: list[CanonicalDfa]) -> tuple[Rows, list[int]]:
                 j = index[target] = len(order)
                 order.append(target)
             row.append((k, j))
-        rows.append(row)
-    accepting = [dfa.accepting for dfa in dfas]
+        product.append(row)
+    accepting = [acc for _, _, acc in tables]
     patterns = [
         sum(1 << i for i, (acc, s) in enumerate(zip(accepting, state)) if s in acc)
         for state in order
     ]
-    return rows, patterns
+    return product, patterns
 
 
 def hide_events(machine: Nfa, hidden: Iterable[str]) -> Nfa:

@@ -131,13 +131,14 @@ def parse_nfa(text: str, path: str | None = None) -> Nfa:
     if not header:
         raise NfaParseError("missing 'nfa v1' header", path=path)
 
-    steps = []
-    for src, event, dst, number in transitions:
-        source, target = states.get(src), states.get(dst)
-        if source is None or target is None:
-            name = dst if source else src
-            raise NfaParseError(f"undeclared state {name!r} in transition", number, path)
-        steps.append((source[0], event, target[0]))
+    try:
+        steps = frozenset((states[s][0], event, states[d][0]) for s, event, d, _ in transitions)
+    except KeyError:  # the first undeclared state, in line order, is named
+        for src, _, dst, number in transitions:
+            if src not in states or dst not in states:
+                name = dst if src in states else src
+                message = f"undeclared state {name!r} in transition"
+                raise NfaParseError(message, number, path) from None
     # Every transition's states are declared and its event is in ``events``, so
     # of ``Nfa``'s checks only the names' can fail (see ``_derived``).
     names, alphabet = frozenset(states), frozenset(events)
@@ -149,7 +150,7 @@ def parse_nfa(text: str, path: str | None = None) -> Nfa:
     return _derived(
         names,
         alphabet,
-        frozenset(steps),
+        steps,
         frozenset(name for name, initial, _ in states.values() if initial),
         frozenset(name for name, _, accepting in states.values() if accepting),
     )

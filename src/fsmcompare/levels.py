@@ -7,30 +7,29 @@ Levels 4-6 do the same per entity, ending in annotated structural diffs.
 Every level reads the per-entity models through one language table per
 entity, built over the entity's workspace alphabet when the entity is first
 used: each distinct model becomes a small int, so equal ints mean equal
-languages. Levels 1, 3 and 4 ask only which models are equal and which are
-empty, so a run of those levels alone decides both on the fly, by Hopcroft
-and Karp's union-find check over the subsets the two machines reach, as
-Bonchi and Pous run it (``automata._same_language``), and by reachability,
-and builds no DFA. That check compares each model with every language
-before it, so an entity with many distinct models minimizes instead (see
-``_OnTheFly``). A run that includes level 2, 5 or 6 reads every DFA of the
-entities it touches, so its tables minimize each distinct model once as
-they intern it. ``build_bundle`` shares one dict of these tables across the
-levels of a run (the ``languages`` keyword); a level called alone builds its
-own. A caller may pass any dict, empty at first, to share tables across
-levels; its tables minimize, so every level can read them. Both lattices
-are completed by one closure over the Boolean regions of the observed
-languages, where meet, join and inclusion are bitset operations (see
-``_Regions``); a distinct computed language is reduced at most once from
-the regions' product table, which can reach the product of the DFAs'
-sizes: only the node cap bounds the closure. A level-2 node is a vector,
-one component per entity; a level-5 node is a vector of length one. Node
-sizes and cover edges read the bitsets alone, so level 2 reduces a
-computed component only when its payload's model is read (see
-``_ComputedModels``); level 5 reduces every node, since its sizes and diffs
-read the machines. Each language becomes one machine per run, shared by
-every payload holding it; cover edges read inclusion from per-component
-up-sets.
+languages. The table decides which models are equal and which are empty on
+the fly, by Hopcroft and Karp's union-find check over the subsets the two
+machines reach, as Bonchi and Pous run it (``automata._same_language``), and
+by reachability, and builds no DFA. That check compares each model with
+every language before it, so an entity with many distinct models minimizes
+each one instead, only to key its languages by (see ``_ON_THE_FLY_MODELS``).
+``build_bundle`` shares one dict of these tables across the levels of a run
+(the ``languages`` keyword); a level called alone builds its own, and a
+caller may pass any dict, empty at first, to share tables across levels.
+Both lattices are completed by one closure over the Boolean regions of the
+observed languages, where meet, join and inclusion are bitset operations
+(see ``_Regions``). The regions come from one product of the observed
+languages' subset tables, determinized but not minimized, and no observed
+model is ever minimized for them; a bitset is reduced from that product
+only when a caller reads its language, at most once per run. The product
+can reach the product of the tables' sizes: only the node cap bounds the
+closure. A level-2 node is a vector, one component per entity; a level-5
+node is a vector of length one. Node sizes and cover edges read the
+bitsets alone, so level 2 reduces a component only when its payload's model
+is read (see ``_ComputedModels``); level 5 reduces every computed node,
+since its sizes and diffs read the machines. Each language becomes one
+machine per run, shared by every payload holding it; cover edges read
+inclusion from per-component up-sets.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .automata import (
     _nonempty,
     _product_table,
     _same_language,
+    _subset_table,
     _successors,
     minimize,
     with_alphabet,
@@ -189,27 +189,27 @@ def heat_class(value: int, max_value: int) -> int:
 class _Languages:
     """The distinct languages of one entity, interned as small ints.
 
-    Equal ints mean equal languages, numbered by first occurrence. A table
-    that minimizes (``minimizes``) interns each distinct model's canonical
-    DFA over the entity's alphabet, and the closures add their computed
+    Equal ints mean equal languages, numbered by first occurrence; each
+    language keeps its first model and whether it is empty. Both are decided
+    on the fly (``_same_language`` and ``_nonempty``), unless the entity has
+    more than ``_ON_THE_FLY_MODELS`` distinct models: then each distinct
+    model is minimized over the entity's alphabet, and its DFA serves only as
+    the key its language is found by. The closures add their computed
     languages through ``_Regions``, which the table keeps for the run, one
     per tuple of distinct observed languages: levels 2 and 5 of one entity
-    share it, so each computed language is reduced at most once per run and
-    region table, when it is first read. A table that does not minimize
-    decides, for each distinct model, whether its language is empty and
-    which interned language it equals, on the fly (``_same_language``), and
-    holds no DFA, so no closure may read it.
+    share it, so each bitset is reduced at most once per run and region
+    table, when it is first read, and each reduced language becomes one
+    machine (``machine``).
     """
 
-    def __init__(self, alphabet: frozenset[str], minimize: bool) -> None:
+    def __init__(self, alphabet: frozenset[str], distinct_models: int) -> None:
         self.alphabet = alphabet
-        self.minimizes = minimize
-        self.dfas: list[CanonicalDfa] = []
+        self.models: list[Nfa] = []  # each language's first model
         self.empty: list[bool] = []  # whether each language is empty
-        self._ids: dict[CanonicalDfa, int] = {}
-        self._machines: dict[Nfa, int] = {}
-        self._models: list[Nfa] = []  # each language's first model, deciding on the fly
-        self._nfas: dict[int, Nfa] = {}
+        self._ids: dict[Nfa, int] = {}
+        # Each language by its minimal DFA, past the models deciding on the fly takes.
+        self._keys = {} if distinct_models > _ON_THE_FLY_MODELS else None
+        self._nfas: dict[CanonicalDfa, Nfa] = {}
         self.lattices: dict[int, tuple] = {}  # _entity_lattice's result by node cap
         self._regions: dict[tuple[int, ...], _Regions] = {}
         self.lock = threading.Lock()  # held by reads of computed level-2 payloads
@@ -231,66 +231,61 @@ class _Languages:
 
         ids = []
         for machine in models:
-            x = self._machines.get(machine)
-            if x is None and self.minimizes:
-                x = self.intern_dfa(minimize(with_alphabet(machine, self.alphabet)))
-            elif x is None:
-                a = table(machine)
-                empty = not _nonempty(*a)
-                for x, model in enumerate(self._models):
-                    if self.empty[x] == empty and (empty or _same_language(a, table(model))):
-                        break
+            x = self._ids.get(machine)
+            if x is None:
+                new = len(self.models)
+                if self._keys is not None:
+                    dfa = minimize(with_alphabet(machine, self.alphabet))
+                    x, empty = self._keys.setdefault(dfa, new), not dfa.accepting
                 else:
-                    x = len(self._models)
-                    self._models.append(machine)
+                    a = table(machine)
+                    empty = not _nonempty(*a)
+                    for x, model in enumerate(self.models):
+                        if self.empty[x] == empty and (empty or _same_language(a, table(model))):
+                            break
+                    else:
+                        x = new
+                if x == new:
+                    self.models.append(machine)
                     self.empty.append(empty)
-            self._machines[machine] = x
+                self._ids[machine] = x
             ids.append(x)
         return ids
 
-    def intern_dfa(self, dfa: CanonicalDfa) -> int:
-        assert self.minimizes, "a table deciding on the fly holds no DFA"
-        x = self._ids.get(dfa)
-        if x is None:
-            x = self._ids[dfa] = len(self.dfas)
-            self.dfas.append(dfa)
-            self.empty.append(not dfa.accepting)
-        return x
-
     def regions(self, column: tuple[int, ...]) -> _Regions:
         """The regions of the distinct languages in ``column``, built on first use."""
-        assert self.minimizes, "a table deciding on the fly holds no DFA"
         xs = tuple(dict.fromkeys(column))
         regions = self._regions.get(xs)
         if regions is None:
             regions = self._regions[xs] = _Regions(self, xs)
         return regions
 
-    def machine(self, x: int) -> Nfa:
-        """Language ``x`` as a machine, converted on first use and shared after that."""
-        assert self.minimizes, "a table deciding on the fly holds no DFA"
-        nfa = self._nfas.get(x)
+    def machine(self, dfa: CanonicalDfa) -> Nfa:
+        """The language of ``dfa`` as a machine, converted on first use and shared after that."""
+        nfa = self._nfas.get(dfa)
         if nfa is None:
-            nfa = self._nfas[x] = self.dfas[x].to_nfa()
+            nfa = self._nfas[dfa] = dfa.to_nfa()
         return nfa
 
 
 class _Regions:
     """The Venn cells ("regions") of the distinct languages ``xs`` of one table.
 
-    Each reachable state of the product of the languages' DFAs has a
-    pattern, the set of the languages that accept there; each non-zero
-    pattern is one region. Regions are disjoint and non-empty, so every
-    Boolean combination of the languages is one bitset over them: meet is
-    ``&``, join is ``|``, ``u`` is included in ``v`` iff ``u & v == u``, and
-    equal bitsets are equal languages.
+    Each reachable state of the product of the languages' deterministic
+    tables (the subset tables of their first models over the entity's
+    alphabet, not their minimal DFAs) has a pattern, the set of the languages
+    that accept there; each non-zero pattern is one region. Regions are
+    disjoint and non-empty, so every Boolean combination of the languages is
+    one bitset over them: meet is ``&``, join is ``|``, ``u`` is included in
+    ``v`` iff ``u & v == u``, and equal bitsets are equal languages. Only the
+    product table is kept; a bitset is reduced when a caller reads it.
     """
 
     def __init__(self, lang: _Languages, xs: tuple[int, ...]) -> None:
         self.lang = lang
-        dfas = [lang.dfas[x] for x in xs]
-        self.events = list(dfas[0].alphabet) if dfas else []
-        self.rows, patterns = _product_table(dfas)
+        self.events = sorted(lang.alphabet)
+        models = [with_alphabet(lang.models[x], lang.alphabet) for x in xs]
+        self.rows, patterns = _product_table([_subset_table(m) for m in models])
         # Regions are numbered in the order the walk first reaches them.
         region = {p: 1 << i for i, p in enumerate(dict.fromkeys(filter(None, patterns)))}
         self.bits = [region.get(pattern, 0) for pattern in patterns]  # each row's region
@@ -298,15 +293,15 @@ class _Regions:
             x: sum(bit for pattern, bit in region.items() if pattern >> i & 1)
             for i, x in enumerate(xs)
         }
-        self._ids = {u: x for x, u in self.bitset.items()}
+        self._dfas: dict[int, CanonicalDfa] = {}
 
-    def language(self, u: int) -> int:
-        """The interned language of bitset ``u``, whose DFA is reduced from the product once."""
-        x = self._ids.get(u)
-        if x is None:
+    def language(self, u: int) -> CanonicalDfa:
+        """The canonical DFA of bitset ``u``, reduced from the product on first read."""
+        dfa = self._dfas.get(u)
+        if dfa is None:
             accepting = {s for s, bit in enumerate(self.bits) if bit & u}
-            x = self._ids[u] = self.lang.intern_dfa(_canonical(self.events, self.rows, accepting))
-        return x
+            dfa = self._dfas[u] = _canonical(self.events, self.rows, accepting)
+        return dfa
 
 
 #: Deciding on the fly checks each distinct model against every language
@@ -316,18 +311,9 @@ class _Regions:
 #: long words, it took at most 0.6 of minimizing's time up to 8 models with
 #: two or more languages among them, and 1.3 to 1.6 times as long from 24;
 #: with one language in all, about as long at any count (Python 3.11, 2
-#: vCPUs). Past this many distinct models, an entity minimizes.
+#: vCPUs). Past this many distinct models, an entity keys its languages by
+#: their minimal DFAs instead.
 _ON_THE_FLY_MODELS = 8
-
-
-class _OnTheFly(dict):
-    """A run's language tables, entity -> ``_Languages``, for levels that read no DFA.
-
-    Levels 1, 3 and 4 ask only which models are equal and which are empty,
-    so the tables of this dict decide both on the fly, unless the entity
-    has more than ``_ON_THE_FLY_MODELS`` distinct models. Any other dict of
-    tables minimizes every model, as levels 2, 5 and 6 need.
-    """
 
 
 def _table(workspace: Workspace, languages: dict, entity: str) -> _Languages:
@@ -335,8 +321,7 @@ def _table(workspace: Workspace, languages: dict, entity: str) -> _Languages:
     if entity not in languages:
         models = {ms.models[entity] for ms in workspace.model_sets}
         alphabet = frozenset().union(*(m.alphabet for m in models))
-        on_the_fly = isinstance(languages, _OnTheFly) and len(models) <= _ON_THE_FLY_MODELS
-        languages[entity] = _Languages(alphabet, minimize=not on_the_fly)
+        languages[entity] = _Languages(alphabet, len(models))
     return languages[entity]
 
 
@@ -370,7 +355,7 @@ def level1(workspace: Workspace, *, languages: dict | None = None) -> VariantPar
     tables shared across the levels of a run, empty at first (see the
     module docstring).
     """
-    languages = _OnTheFly() if languages is None else languages
+    languages = {} if languages is None else languages
     columns = [_ids(workspace, languages, e) for e in workspace.entities]
     keys = [tuple(column[i] for column in columns) for i in range(len(workspace.model_sets))]
     classes = _classes(workspace, keys, workspace.model_sets)
@@ -417,8 +402,8 @@ def _complete(
     """The closure of vectors of interned languages, one component per table.
 
     Returns each component's regions and the nodes in creation order as
-    region bitsets; no computed language is reduced here, ``language`` of
-    a component's regions does that when a caller reads it. The regions and
+    region bitsets; no language is reduced here, ``language`` of a
+    component's regions does that when a caller reads it. The regions and
     their product tables stay on the tables for the run, so another closure
     over the same observed languages reuses them.
     """
@@ -558,7 +543,7 @@ def level2(
 
 def level3(workspace: Workspace, *, languages: dict | None = None) -> DiffMatrix:
     """Counts of entities with different behavior, for every model-set pair."""
-    languages = _OnTheFly() if languages is None else languages
+    languages = {} if languages is None else languages
     columns = [_ids(workspace, languages, e) for e in workspace.entities]
     names = tuple(ms.name for ms in workspace.model_sets)
     cells = tuple(
@@ -581,7 +566,7 @@ def _entity_partition(workspace: Workspace, entity: str, languages: dict) -> Var
 
 def level4(workspace: Workspace, *, languages: dict | None = None) -> dict[str, VariantPartition]:
     """Per-entity model variants; models without behavior are marked absent."""
-    languages = _OnTheFly() if languages is None else languages
+    languages = {} if languages is None else languages
     return {e: _entity_partition(workspace, e, languages) for e in workspace.entities}
 
 

@@ -23,7 +23,6 @@ from .levels import (
     DiffMatrix,
     Lattice,
     VariantPartition,
-    _OnTheFly,
     heat_class,
     level1,
     level2,
@@ -77,14 +76,12 @@ def build_bundle(
     level-5 cover edge unless a specific variant pair is requested; a
     requested cover edge reuses level 5's diff when level 5 runs too. All
     levels share one dict of language tables, so each distinct model of an
-    entity is interned once in the run: minimized when the run includes
-    level 2, 5 or 6, which read every DFA of the entities they touch, and
-    otherwise, for an entity with few distinct models, only checked for
-    equality and emptiness on the fly.
+    entity is interned once in the run, checked for equality and emptiness
+    on the fly, and each computed language is reduced once, when it is read.
     """
     params = params or DiffParams()
     wanted = set(levels)
-    languages = {} if wanted & {2, 5, 6} else _OnTheFly()
+    languages: dict = {}
 
     partition = level1(workspace, languages=languages) if wanted & {1, 2} else None
     lattice2 = level2(partition, node_cap=node_cap, languages=languages) if 2 in wanted else None

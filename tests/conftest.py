@@ -477,6 +477,40 @@ def canonical_product(
     return automata._canonical(list(a.alphabet), rows, accepting)
 
 
+def oracle_product_table(dfas: list[CanonicalDfa]) -> tuple[list, list[int]]:
+    """The reachable product of canonical DFAs over one alphabet, walked once.
+
+    This is how the regions' product was built before it read subset tables:
+    every observed language was minimized first. Returns sparse rows (see
+    ``automata.Rows``) and each row's pattern, bit ``i`` set when ``dfas[i]``
+    accepts there; transitions into the tuple of all sinks are left out.
+    ``automata._product_table`` over the languages' subset tables must give
+    the same regions, and the same reduced DFA for every set of them.
+    """
+    tables = [dfa.transitions for dfa in dfas]
+    dead = tuple(dfa.sink for dfa in dfas)
+    start = (0,) * len(dfas)
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for state in order:  # grows while it is walked
+        row = []
+        for k, target in enumerate(zip(*[table[s] for table, s in zip(tables, state)])):
+            if target == dead:
+                continue
+            j = index.get(target)
+            if j is None:
+                j = index[target] = len(order)
+                order.append(target)
+            row.append((k, j))
+        rows.append(row)
+    patterns = [
+        sum(1 << i for i, (dfa, s) in enumerate(zip(dfas, state)) if s in dfa.accepting)
+        for state in order
+    ]
+    return rows, patterns
+
+
 def language_equivalent(a: Nfa, b: Nfa) -> bool:
     """True iff both machines accept the same language over the union of their alphabets."""
     sigma = a.alphabet | b.alphabet
@@ -580,7 +614,8 @@ def eager_level2_payloads(
 
     This is how ``level2`` built them before it reduced a computed component
     only when read: each computed node's models are a dict of
-    ``lang.machine(x)`` for the interned language ``x`` of each component.
+    ``lang.machine(r.language(u))`` for each component's regions ``r`` and
+    bitset ``u``.
     """
     reps = [cls.representative for cls in partition.classes]
     entities = reps[0].entities() if reps else ()
@@ -588,13 +623,15 @@ def eager_level2_payloads(
     languages = [_table(partition.workspace, shared, e) for e in entities]
     observed = interned(languages, [[rep.models[e] for e in entities] for rep in reps])
     regions, bitsets = _complete(observed, languages, node_cap)
-    vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]
     return reps + [
         ModelSet(
             variant_letters(i),
-            {e: lang.machine(x) for e, lang, x in zip(entities, languages, vectors[i])},
+            {
+                e: lang.machine(r.language(u))
+                for e, lang, r, u in zip(entities, languages, regions, bitsets[i])
+            },
         )
-        for i in range(len(reps), len(vectors))
+        for i in range(len(reps), len(bitsets))
     ]
 
 

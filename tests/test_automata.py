@@ -43,6 +43,7 @@ from conftest import (
     oracle_compare,
     oracle_hide_events,
     oracle_language,
+    oracle_product_table,
     oracle_subset_table,
     random_nfa,
     running_example_machines,
@@ -340,6 +341,55 @@ def complete_product(a, b, accept):
     return list(a.alphabet), rows, accepting
 
 
+#: Product operands a product of minimal DFAs never met: an NFA whose
+#: subset construction keeps non-empty dead subsets, on a cycle and not, the
+#: empty model, whose table has one row and no transitions, and the output
+#: of ``hide_events``; each over the alphabet abcd.
+PRODUCT_OPERANDS = [
+    build_nfa(
+        [("s", "a", "t"), ("s", "b", "dead"), ("s", "c", "loop"), ("loop", "d", "loop")],
+        ["s"],
+        ["s", "t"],
+        alphabet="abcd",
+    ),
+    with_alphabet(Nfa.empty(), "abcd"),
+    with_alphabet(
+        hide_events(
+            build_nfa(
+                [("s", "a", "t"), ("t", "b", "s"), ("t", "c", "u"), ("u", "a", "u")],
+                ["s"],
+                ["u"],
+            ),
+            "a",
+        ),
+        "abcd",
+    ),
+]
+
+
+def assert_same_regions_as_minimized_product(machines, rng):
+    """The product of the machines' subset tables against that of their minimal DFAs.
+
+    Both walks must reach the same regions, the non-zero patterns, in the same
+    order, and reduce to ``==`` DFAs for every set of regions: all of them
+    up to 8 regions, 200 random sets past that.
+    """
+    rows, patterns = automata._product_table([_subset_table(m) for m in machines])
+    oracle_rows, oracle_patterns = oracle_product_table([minimize(m) for m in machines])
+    regions = list(dict.fromkeys(filter(None, patterns)))
+    assert regions == list(dict.fromkeys(filter(None, oracle_patterns)))
+    events = sorted(machines[0].alphabet)
+    if len(regions) <= 8:
+        bitsets = range(1 << len(regions))
+    else:
+        bitsets = [rng.getrandbits(len(regions)) for _ in range(200)]
+    for u in bitsets:
+        chosen = {p for i, p in enumerate(regions) if u >> i & 1}
+        got = _canonical(events, rows, {s for s, p in enumerate(patterns) if p in chosen})
+        want = {s for s, p in enumerate(oracle_patterns) if p in chosen}
+        assert got == _canonical(events, oracle_rows, want)
+
+
 def without_empty_subset(machine: Nfa):
     """``oracle_subset_table`` less the empty subset, and the empty subset's oracle row.
 
@@ -551,15 +601,15 @@ class TestCanonicalAgainstMoore:
 
     def test_d_way_product_tables(self):
         rng = random.Random(107)
-        empty = minimize(with_alphabet(Nfa.empty(), "abcd"))
         for _ in range(40):
             count = rng.randint(1, 4)
-            dfas = [minimize(with_alphabet(random_nfa(rng), "abcd")) for _ in range(count)]
-            if rng.random() < 0.2:
-                dfas.append(empty)
-            rows, patterns = automata._product_table(dfas)
+            machines = [with_alphabet(random_nfa(rng), "abcd") for _ in range(count)]
+            machines += rng.sample(PRODUCT_OPERANDS, rng.randint(0, 2))
+            tables = [_subset_table(m) for m in machines]
+            rows, patterns = automata._product_table(tables)
             assert len(rows) == len(patterns)
-            events = list(dfas[0].alphabet)
+            events = tables[0][0]
+            dfas = [minimize(m) for m in machines]
             for i, dfa in enumerate(dfas):
                 own = {s for s, pattern in enumerate(patterns) if pattern >> i & 1}
                 assert _canonical(events, rows, own) == dfa
@@ -574,16 +624,19 @@ class TestCanonicalAgainstMoore:
             accepting = {s for s, p in enumerate(patterns) if p in chosen}
             expected = oracle_canonical(*complete_table(events, rows, accepting))
             assert _canonical(events, rows, accepting) == expected
+            assert_same_regions_as_minimized_product(machines, rng)
 
     def test_d_way_product_needs_aligned_alphabets(self):
         with pytest.raises(ValueError):
-            automata._product_table([minimize(E2_A), minimize(E2_C)])
+            automata._product_table([_subset_table(E2_A), _subset_table(E2_C)])
 
     def test_products_equal_the_complete_product_table(self):
         rng = random.Random(103)
-        operands = [minimize(with_alphabet(random_nfa(rng), "abcd")) for _ in range(40)]
-        operands += [minimize(with_alphabet(Nfa.empty(), "abcd"))]
-        operands += [minimize(build_nfa([("s", e, "s") for e in "abcd"], ["s"], ["s"]))]
+        operands = [with_alphabet(random_nfa(rng), "abcd") for _ in range(40)]
+        operands += [with_alphabet(Nfa.empty(), "abcd")]
+        operands += [build_nfa([("s", e, "s") for e in "abcd"], ["s"], ["s"])]
+        operands += PRODUCT_OPERANDS
+        dfas = [minimize(m) for m in operands]
         accepts_by_name = {
             "and": operator.and_,
             "or": operator.or_,
@@ -593,11 +646,35 @@ class TestCanonicalAgainstMoore:
             "true": lambda x, y: True,
             "false": lambda x, y: False,
         }
-        for i, a in enumerate(operands):
-            for b in operands[i:]:
+        for i, a in enumerate(dfas):
+            for j in range(i, len(dfas)):
+                b = dfas[j]
+                rows, patterns = automata._product_table(
+                    [_subset_table(operands[i]), _subset_table(operands[j])]
+                )
                 for accept in accepts_by_name.values():
                     expected = oracle_canonical(*complete_product(a, b, accept))
                     assert canonical_product(a, b, accept) == expected
+                    if not accept(False, False):  # the left-out dead tuple rejects
+                        accepting = {
+                            s for s, p in enumerate(patterns) if accept(bool(p & 1), bool(p & 2))
+                        }
+                        assert _canonical(list(a.alphabet), rows, accepting) == expected
+
+    def test_products_of_subset_tables_against_the_minimized_route(self):
+        dead_subsets, empty, hidden = PRODUCT_OPERANDS
+        # Rows 2 and 3, {dead} and {loop}, are non-empty and accept no word.
+        rows = [[(0, 1), (1, 2), (2, 3)], [], [], [(3, 3)]]
+        assert _subset_table(dead_subsets)[1:] == (rows, {0, 1})
+        assert _subset_table(empty)[1:] == ([[]], set())
+        assert hidden.alphabet == frozenset("abcd") and has_behavior(hidden)
+        rng = random.Random(109)
+        for _ in range(60):
+            machines = [with_alphabet(random_nfa(rng), "abcd") for _ in range(rng.randint(1, 3))]
+            machines.append(rng.choice(PRODUCT_OPERANDS))
+            machines.append(with_alphabet(hide_events(rng.choice(machines), "a"), "abcd"))
+            rng.shuffle(machines)
+            assert_same_regions_as_minimized_product(machines, rng)
 
     def test_long_trace_prefix_tree_minimizes_in_well_under_a_second(self):
         # Moore refinement would take one round per event of the trace here;

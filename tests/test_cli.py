@@ -378,18 +378,21 @@ class TestCompare:
             trees.append(tree_bytes(out))
         assert trees[0] and trees[0] == trees[1]
 
-        # Levels 1, 3 and 4 alone decide equality on the fly, walking subsets
-        # in set order, over machines logs2nfa --minimize builds from logs.
+        # Equality is decided on the fly, walking subsets in set order, over
+        # machines logs2nfa --minimize builds from logs; with level 2, the
+        # closure reads subset tables of the same machines.
         workspace = log_workspace(tmp_path / "logs", random.Random(233))
-        trees = []
-        for seed in ("0", "1"):
-            out = tmp_path / f"logs{seed}"
-            args = ["compare", "--input", workspace, "--output", out, "--levels", "1,3,4"]
-            run_in_subprocess(seed, *args, "--hide", "log*")
-            trees.append(tree_bytes(out))
-        assert trees[0] == trees[1]
-        level4 = trees[0]["level4.csv"].decode().split()
-        assert level4[1:] == ["A,A,B", "A,B,absent"]
+        for levels in ("1,3,4", "1,2,3,4"):
+            trees = []
+            for seed in ("0", "1"):
+                out = tmp_path / f"logs{seed}-{levels}"
+                args = ["compare", "--input", workspace, "--output", out, "--levels", levels]
+                run_in_subprocess(seed, *args, "--hide", "log*")
+                trees.append(tree_bytes(out))
+            assert trees[0] == trees[1]
+            level4 = trees[0]["level4.csv"].decode().split()
+            assert level4[1:] == ["A,A,B", "A,B,absent"]
+        assert b'"C" -> "B" [label="~1 +1"]' in trees[0]["level2.dot"]  # inclusion of regions
 
 
 class TestCyclicCollector:

@@ -29,7 +29,7 @@ from fsmcompare import (
 )
 import fsmcompare.automata
 import fsmcompare.levels
-from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _cover_edges, _Languages, _OnTheFly
+from fsmcompare.levels import DEFAULT_NODE_CAP, _complete, _cover_edges, _Languages
 
 from conftest import (
     OracleLanguages,
@@ -427,18 +427,25 @@ def level5_cases(ws):
     ]
 
 
-def closure(case, node_cap=DEFAULT_NODE_CAP):
-    """The region closure of a case: nodes as interned languages and as bitsets, and the tables.
-
-    The interned languages are read from each component's regions after the
-    closure, as a read of a computed payload reads them.
-    """
+def tables_of(case):
+    """One language table per component of a case, as ``levels._table`` builds them."""
     alphabets, machines = case
-    tables = [_Languages(alphabet, minimize=True) for alphabet in alphabets]
-    observed = interned(tables, machines)
-    regions, bitsets = _complete(observed, tables, node_cap)
+    return [
+        _Languages(alphabet, len({node[k] for node in machines}))
+        for k, alphabet in enumerate(alphabets)
+    ]
+
+
+def closure(case, node_cap=DEFAULT_NODE_CAP):
+    """The region closure of a case: nodes as canonical DFAs and as bitsets.
+
+    The DFAs are read from each component's regions after the closure, as a
+    read of a computed payload reads them.
+    """
+    tables = tables_of(case)
+    regions, bitsets = _complete(interned(tables, case[1]), tables, node_cap)
     vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]
-    return vectors, bitsets, tables
+    return vectors, bitsets
 
 
 def product_closure(case, node_cap=DEFAULT_NODE_CAP):
@@ -459,7 +466,7 @@ def many_entity_cases():
             continue
         case = level2_case(ws)
         try:
-            vectors, _, _ = closure(case, node_cap=200)
+            vectors, _ = closure(case, node_cap=200)
         except LatticeCapExceeded:
             continue
         if len(vectors) >= 30:
@@ -602,33 +609,28 @@ class TestCoverEdges:
             reductions.append(args)
             return canonical(*args)
 
-        def counting_product_table(dfas):
-            products.append(dfas)
-            return product_table(dfas)
+        def counting_product_table(tables):
+            products.append(tables)
+            return product_table(tables)
 
         monkeypatch.setattr(fsmcompare.automata, "_canonical", counting_canonical)
         monkeypatch.setattr(fsmcompare.levels, "_canonical", counting_canonical)
         monkeypatch.setattr(fsmcompare.levels, "_product_table", counting_product_table)
-        for alphabets, machines in many_entity_cases() + level5_cases(running_example):
+        for case in many_entity_cases() + level5_cases(running_example):
             reductions.clear()
             products.clear()
-            tables = [_Languages(alphabet, minimize=True) for alphabet in alphabets]
-            observed = interned(tables, machines)
-            models = [len({node[k] for node in machines}) for k in range(len(tables))]
-            assert len(reductions) == sum(models)
-            reductions.clear()
-
+            tables = tables_of(case)
+            observed = interned(tables, case[1])
             regions, bitsets = _complete(observed, tables, DEFAULT_NODE_CAP)
-            assert reductions == []  # the closure reduces nothing; reading does
-            given = [{node[k] for node in bitsets[: len(observed)]} for k in range(len(tables))]
-            computed = [{node[k] for node in bitsets} - given[k] for k in range(len(tables))]
+            assert reductions == []  # neither interning nor the closure reduces; reading does
+            read = [{node[k] for node in bitsets} for k in range(len(tables))]
             for _ in range(2):  # a second read reduces nothing more
                 for node in bitsets:
                     for r, u in zip(regions, node):
                         r.language(u)
-                assert len(reductions) == sum(map(len, computed))
+                assert len(reductions) == sum(map(len, read))
             # One product per component, of its distinct observed languages only.
-            assert [len(dfas) for dfas in products] == [len(set(ids)) for ids in zip(*observed)]
+            assert [len(t) for t in products] == [len(set(ids)) for ids in zip(*observed)]
 
 
 def assert_matches_product_closure(case):
@@ -637,12 +639,12 @@ def assert_matches_product_closure(case):
     Same node order and per-component equality, ``==`` DFAs for every node,
     the same cover edges and the same cap point.
     """
-    vectors, bitsets, tables = closure(case)
+    vectors, bitsets = closure(case)
     nodes, oracle_tables = product_closure(case)
-    assert [[t.dfas[x] for t, x in zip(tables, v)] for v in vectors] == [
+    assert [list(v) for v in vectors] == [
         [t.dfas[x] for t, x in zip(oracle_tables, v)] for v in nodes
     ]
-    for k in range(len(tables)):
+    for k in range(len(oracle_tables)):
         pairs = {(b[k], x[k]) for b, x in zip(bitsets, nodes)}
         assert len(pairs) == len({b for b, _ in pairs}) == len({x for _, x in pairs})
     assert _cover_edges(bitsets) == oracle_cover_edges(nodes, oracle_tables)
@@ -794,25 +796,14 @@ class TestComputedLevel2Payloads:
 
 
 def test_a_caller_shares_a_plain_dict_of_tables_across_every_level(running_example):
-    # A caller's dict minimizes, so levels 1 and 3 fill tables that levels 2
-    # and 5 read, with the results of levels called alone.
+    # Levels 1 and 3 fill tables that levels 2 and 5 read, with the results
+    # of levels called alone.
     rng = random.Random(239)
     workspaces = [running_example] + [dense_workspace(rng, 5, 4, absent=0.15) for _ in range(8)]
     for ws in workspaces:
         tables: dict = {}
         partition, matrix = level1(ws, languages=tables), level3(ws, languages=tables)
-        assert all(table.minimizes for table in tables.values())
         assert level2(partition, languages=tables) == level2(level1(ws))
         assert (partition, matrix) == (level1(ws), level3(ws))
         for e in ws.entities:
             assert level5(ws, e, languages=tables) == level5(ws, e)
-
-
-def test_a_closure_refuses_tables_that_decided_on_the_fly(running_example):
-    tables = _OnTheFly()
-    partition = level1(running_example, languages=tables)
-    assert not any(table.minimizes or table.dfas for table in tables.values())
-    with pytest.raises(AssertionError, match="holds no DFA"):
-        level2(partition, languages=tables)
-    with pytest.raises(AssertionError, match="holds no DFA"):
-        level5(running_example, "E2", languages=tables)

@@ -396,16 +396,22 @@ class TestBuildBundle:
         monkeypatch.setattr(fsmcompare.levels, "_canonical", counting_canonical)
         # E2's level-2 and level-5 closures start from the same observed
         # languages and compute the same 3; a run reduces them once, level 2
-        # only when its payloads are read.
+        # only when its payloads are read. Reading every computed level-2
+        # payload reduces each language they hold once, the observed ones
+        # among them too: 10 (entity, language) pairs.
         for levels, built in (((1, 2), 0), ((4, 5), 3), ((1, 2, 4, 5), 3), ((1, 2, 3, 4, 5, 6), 3)):
             reductions.clear()
             bundle = build_bundle(running_example, levels=levels)
             assert len(reductions) == built, levels
             if bundle.level2 is not None:
+                computed = [
+                    bundle.level2.payloads[node.variant].models
+                    for node in bundle.level2.nodes
+                    if node.kind == "computed"
+                ]
                 for _ in range(2):
-                    for payload in bundle.level2.payloads.values():
-                        dict(payload.models)
-                    assert len(reductions) == 3, levels
+                    held = {(e, models[e]) for models in computed for e in models}
+                    assert len(reductions) == len(held) == 10, levels
 
     def test_levels_1_to_4_reduce_a_computed_component_only_when_read(
         self, running_example, monkeypatch
@@ -442,24 +448,26 @@ class TestBuildBundle:
             computed = [bundle.level2.payloads[n.variant] for n in bundle.level2.nodes]
             computed = computed[len(bundle.level1.classes) :]
             assert len(computed) > 1
-            new = set()
+            read_before = set()
             for payload in computed:
                 for e in ws.entities:
                     before = len(reduced), len(converted)
                     machine = payload.models[e]
                     read = language(payload, e)
-                    # Only this component is reduced, and only if no read reduced it yet.
-                    if read in observed or read in new:
+                    # Only this component is reduced, from the product, and only if no
+                    # read reduced it yet, whether it is an observed language or not.
+                    if read in read_before:
                         assert len(reduced) == before[0]
                     else:
                         assert reduced[before[0] :] == [read[1]]
-                        new.add(read)
+                        read_before.add(read)
                     assert len(converted) <= before[1] + 1
                     after = len(reduced), len(converted)
                     assert payload.models[e] is machine
                     assert (len(reduced), len(converted)) == after
-            # Each language is converted to a machine once.
-            assert new and len(converted) == len({id(dfa) for dfa in converted})
+            # Each (entity, language) is converted to a machine once.
+            assert read_before - observed and read_before & observed
+            assert len(converted) == len(read_before)
 
     def test_report_is_the_same_whether_payloads_were_read_or_not(self, running_example):
         rng = random.Random(109)
@@ -474,7 +482,7 @@ class TestBuildBundle:
                 dict(payload.models)
             assert to_json(unread) == text
 
-    def test_each_distinct_model_is_minimized_once(self, running_example, monkeypatch):
+    def test_no_model_is_minimized_up_to_the_on_the_fly_count(self, running_example, monkeypatch):
         import fsmcompare.levels
 
         calls = []
@@ -483,56 +491,50 @@ class TestBuildBundle:
             calls.append(machine)
             return minimize(machine)
 
-        def distinct_models(ws, entities):
-            return {(e, ms.models[e]) for ms in ws.model_sets for e in entities}
-
         monkeypatch.setattr(fsmcompare.levels, "minimize", counting_minimize)
         # S5's models are equal to S1's, built anew.
         copy = ModelSet("S5", running_example_machines()["S1"])
         shared = Workspace(running_example.entities, running_example.model_sets + (copy,))
-        every = (1, 2, 3, 4, 5, 6)
-        for ws in (running_example, shared):
-            calls.clear()
-            build_bundle(ws, levels=every)
-            assert len(calls) == len(distinct_models(ws, ws.entities))
-        assert len(distinct_models(shared, shared.entities)) == len(
-            distinct_models(running_example, running_example.entities)
-        )
-
-        # A targeted query interns only its entity's models, and shares them.
         query = {"entity": "E2", "from_variant": "D", "to_variant": "A"}
-        for levels, entities in (((6,), ("E2",)), ((1, 4, 6), running_example.entities)):
-            calls.clear()
-            build_bundle(running_example, levels=levels, **query)
-            assert len(calls) == len(distinct_models(running_example, entities))
+        runs = [(ws, (1, 2, 3, 4, 5, 6), {}) for ws in (running_example, shared)]
+        runs += [(running_example, levels, query) for levels in ((6,), (1, 4, 6))]
+        for ws, levels, selection in runs:
+            bundle = build_bundle(ws, levels=levels, **selection)
+            for payload in bundle.level2.payloads.values() if bundle.level2 else ():
+                dict(payload.models)  # reads every computed component
+            assert calls == [], levels
 
     def test_each_language_becomes_a_machine_once(self, running_example, monkeypatch):
-        import fsmcompare.levels
-
-        tables, converted = [], []
+        converted = []
         to_nfa = CanonicalDfa.to_nfa
-
-        class RecordedLanguages(fsmcompare.levels._Languages):
-            def __init__(self, alphabet, minimize):
-                super().__init__(alphabet, minimize)
-                tables.append(self)
 
         def counting_to_nfa(dfa):
             converted.append(dfa)
             return to_nfa(dfa)
 
-        monkeypatch.setattr(fsmcompare.levels, "_Languages", RecordedLanguages)
         monkeypatch.setattr(CanonicalDfa, "to_nfa", counting_to_nfa)
         seeded = dense_workspace(random.Random(73), n_sets=5, n_entities=6, absent=0.15)
         for ws in (running_example, seeded):
-            tables.clear()
             converted.clear()
             bundle = build_bundle(ws, levels=(1, 2, 3, 4, 5, 6))
-            interned = [dfa for table in tables for dfa in table.dfas]
-            # At most one conversion per (entity, interned language).
-            assert len({id(dfa) for dfa in converted}) == len(converted) <= len(interned)
-            assert {id(dfa) for dfa in converted} <= {id(dfa) for dfa in interned}
-            assert len(tables) == len(ws.entities)
+            computed = [
+                bundle.level2.payloads[n.variant].models
+                for n in bundle.level2.nodes
+                if n.kind == "computed"
+            ]
+            computed += [
+                {e: lattice.payloads[n.variant]}
+                for e, lattice in bundle.level5.items()
+                for n in lattice.nodes
+                if n.kind == "computed"
+            ]
+            # Level 5 and the level-2 reads share one machine per (entity, language).
+            machines: dict = {}
+            for models in computed:
+                for e, machine in models.items():
+                    language = e, minimize(machine)
+                    assert machines.setdefault(language, machine) is machine
+            assert len(converted) == len(machines)
             assert sum(n.kind == "computed" for n in bundle.level2.nodes) > 1
 
     def test_standalone_levels_equal_bundled_levels(self, running_example):
@@ -548,9 +550,14 @@ class TestBuildBundle:
                 machine = level6(ws, entry.entity, entry.from_variant, entry.to_variant)
                 assert machine == entry.machine
 
-    def test_levels_1_3_4_are_the_same_whether_the_run_minimizes_or_not(self, running_example):
-        # Without level 2 a run decides equality and emptiness on the fly;
-        # with it, the run minimizes every model. Both give the same levels.
+    def test_levels_1_3_4_are_the_same_whether_the_run_minimizes_or_not(
+        self, running_example, monkeypatch
+    ):
+        # A run decides equality and emptiness on the fly; with no entity
+        # below the on-the-fly count, it keys every model by its minimal DFA.
+        # Both give the same levels.
+        import fsmcompare.levels
+
         rng = random.Random(113)
         workspaces = [running_example]
         workspaces += [random_workspace(rng) for _ in range(20)]
@@ -574,13 +581,13 @@ class TestBuildBundle:
         seen = {"absent": 0, "one language, several machines": 0, "several variants": 0}
         for ws in workspaces:
             alone = build_bundle(ws, levels=(1, 3, 4))
-            minimized = build_bundle(ws, levels=(1, 2, 3, 4))
+            with monkeypatch.context() as patch:
+                patch.setattr(fsmcompare.levels, "_ON_THE_FLY_MODELS", 0)
+                minimized = build_bundle(ws, levels=(1, 3, 4))
             assert alone.level1 == minimized.level1
             assert alone.level3 == minimized.level3
             assert alone.level4 == minimized.level4
-            full = bundle_doc(minimized)
-            del full["level2"]
-            assert bundle_doc(alone) == full
+            assert bundle_doc(alone) == bundle_doc(minimized)
             models = {ms.name: ms.models for ms in ws.model_sets}
             for e, partition in alone.level4.items():
                 seen["absent"] += bool(partition.absent)
@@ -605,17 +612,25 @@ class TestBuildBundle:
 
         rng = random.Random(131)
         outcomes = set()
-        for n_sets in (cap, cap + 1, 2 * cap, 2 * cap):
+        # The last workspace's lattice has 3,754 nodes, so its run leaves level 2 out.
+        every, without_2 = (1, 2, 3, 4), (1, 3, 4)
+        runs = [(cap, every), (cap + 1, every), (2 * cap, every), (2 * cap, without_2)]
+        for n_sets, levels in runs:
             ws = dense_workspace(rng, n_sets, 3, absent=0.1)
-            expected = build_bundle(ws, levels=(1, 2, 3, 4))
+            monkeypatch.setattr(fsmcompare.levels, "_ON_THE_FLY_MODELS", 4 * cap)
+            expected = build_bundle(ws, levels=levels)  # every entity on the fly
+            monkeypatch.undo()
             calls.clear()
             monkeypatch.setattr(fsmcompare.levels, "minimize", counted)
-            got = build_bundle(ws, levels=(1, 3, 4))
+            got = build_bundle(ws, levels=levels)
             monkeypatch.undo()
             distinct = [len({ms.models[e] for ms in ws.model_sets}) for e in ws.entities]
             assert len(calls) == sum(n for n in distinct if n > cap)
             outcomes |= {n > cap for n in distinct}
             assert got.level1 == expected.level1
+            if got.level2 is not None:  # the closure reads tables keyed by minimal DFAs
+                assert got.level2.nodes == expected.level2.nodes
+                assert got.level2.edges == expected.level2.edges
             assert got.level3 == expected.level3
             assert got.level4 == expected.level4
         assert outcomes == {False, True}
