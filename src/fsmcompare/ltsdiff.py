@@ -93,7 +93,11 @@ class DiffParams:
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Dense similarity scores for all state pairs of two machines."""
+    """Dense similarity scores for all state pairs of two machines.
+
+    ``left`` and ``right`` list each machine's states sorted, so index order
+    is name order: the ranking of pairs relies on it and refuses other tables.
+    """
 
     left: tuple[str, ...]
     right: tuple[str, ...]
@@ -365,16 +369,11 @@ def global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
     return ScoreTable(left, right, _rows(flat, len(left), len(right)))
 
 
-def _candidates(scores: ScoreTable) -> Iterator[tuple[float, str, str, int, int]]:
-    """Every pair as ``(-score, left name, right name, i, j)``, unordered.
-
-    In tuple order these rank higher scores first, then state names. Names
-    are unique, so the indices are never compared.
-    """
-    right = scores.right
-    for i, (p, row) in enumerate(zip(scores.left, scores.values)):
-        for j, score in enumerate(row):
-            yield (-score, p, right[j], i, j)
+def _flat_scores(scores: ScoreTable, a: Nfa, b: Nfa) -> list[float]:
+    """The scores by flat index i * len(right) + j, whose order is name order."""
+    if scores.left != tuple(sorted(a.states)) or scores.right != tuple(sorted(b.states)):
+        raise ValueError("score table must list each machine's states, sorted")
+    return [v for row in scores.values for v in row]
 
 
 def select_landmarks(scores: ScoreTable, a: Nfa, b: Nfa, params: DiffParams) -> Matching:
@@ -383,20 +382,20 @@ def select_landmarks(scores: ScoreTable, a: Nfa, b: Nfa, params: DiffParams) -> 
     Falls back to the pair of (lexicographically smallest) initial states
     when no pair qualifies.
     """
+    flat = _flat_scores(scores, a, b)
     values = scores.values
-    n_top = math.ceil(params.landmark_fraction * min(len(scores.left), len(scores.right)))
+    m = len(scores.right)
+    n_top = math.ceil(params.landmark_fraction * min(len(scores.left), m))
     selected: list[tuple[int, int]] = []
     used_left: set[int] = set()
     used_right: set[int] = set()
-    for _, _, _, i, j in heapq.nsmallest(n_top, _candidates(scores)):
-        score = values[i][j]
+    # nlargest keeps equal scores in index order, which is name order.
+    for f in heapq.nlargest(n_top, range(len(flat)), key=flat.__getitem__):
+        i, j = divmod(f, m)
+        score = flat[f]
         if score <= 0.0:
             continue
-        row_ok = all(
-            score >= params.landmark_ratio * values[i][j2]
-            for j2 in range(len(scores.right))
-            if j2 != j
-        )
+        row_ok = all(score >= params.landmark_ratio * values[i][j2] for j2 in range(m) if j2 != j)
         col_ok = all(
             score >= params.landmark_ratio * values[i2][j]
             for i2 in range(len(scores.left))
@@ -416,11 +415,15 @@ def select_landmarks(scores: ScoreTable, a: Nfa, b: Nfa, params: DiffParams) -> 
     return frozenset()
 
 
-def _check_injective(matching: Matching) -> None:
+def _check_matching(matching: Matching, a: Nfa, b: Nfa) -> None:
+    """Refuse a matching that is not injective or that names a state its machine lacks."""
     lefts = [p for p, _ in matching]
     rights = [q for _, q in matching]
     if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
         raise ValueError("matching must be injective in both coordinates")
+    for p, q in matching:
+        if p not in a.states or q not in b.states:
+            raise ValueError(f"matching pair ({p!r}, {q!r}) references unknown states")
 
 
 def compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) -> Matching:
@@ -428,24 +431,25 @@ def compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) ->
 
     Neighbor pairs of already-matched pairs are preferred; when none remain
     addable, the best unmatched pair with a positive score anywhere in the
-    table is taken, and growth resumes from there. "Best" is the order of
-    ``_candidates``: higher score first, then state names.
+    table is taken, and growth resumes from there. "Best" is the higher
+    score, then the pair's flat index in the table, which is name order.
     """
-    _check_injective(landmarks)
+    _check_matching(landmarks, a, b)
+    flat = _flat_scores(scores, a, b)
     left, right = scores.left, scores.right
+    m = len(right)
     lidx = {s: i for i, s in enumerate(left)}
     ridx = {s: j for j, s in enumerate(right)}
     succ_a, pred_a = _neighbours(a, left)
     succ_b, pred_b = _neighbours(b, right)
-    values = scores.values
 
     matched: list[tuple[int, int]] = sorted((lidx[p], ridx[q]) for p, q in landmarks)
     used_left = {i for i, _ in matched}
     used_right = {j for _, j in matched}
     # A used state stays used, so a pair that is not free now never will
-    # be: the pool heap drops such pairs when they surface, and the ranking
-    # of all pairs is walked once.
-    pool: list[tuple[float, str, str, int, int]] = []
+    # be: the pool heap of (-score, flat index) drops such pairs when they
+    # surface, and the ranking of all pairs is walked once.
+    pool: list[tuple[float, int]] = []
 
     def free(i: int, j: int) -> bool:
         return i not in used_left and j not in used_right
@@ -456,28 +460,30 @@ def compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) ->
                 for pi in x[event]:
                     for qi in y[event]:
                         if free(pi, qi):
-                            heapq.heappush(pool, (-values[pi][qi], left[pi], right[qi], pi, qi))
+                            f = pi * m + qi
+                            heapq.heappush(pool, (-flat[f], f))
 
     for i, j in matched:
         expand(i, j)
 
-    ranking: Iterator[tuple[float, str, str, int, int]] | None = None
+    ranking: Iterator[int] | None = None
     while True:
-        while pool and not free(pool[0][3], pool[0][4]):
+        while pool and not free(*divmod(pool[0][1], m)):
             heapq.heappop(pool)
         if pool:
-            i, j = heapq.heappop(pool)[3:]
+            i, j = divmod(heapq.heappop(pool)[1], m)
         else:
             # No pair is free once one side is fully matched; stopping here
             # spares the sort in the common case.
             if len(used_left) == len(left) or len(used_right) == len(right):
                 break
             if ranking is None:
-                ranking = iter(sorted(_candidates(scores)))
-            pick = next((c for c in ranking if free(c[3], c[4])), None)
-            if pick is None or pick[0] >= 0.0:  # no free pair with a positive score
+                # A stable reverse sort keeps equal scores in name order.
+                ranking = iter(sorted(range(len(flat)), key=flat.__getitem__, reverse=True))
+            f = next((f for f in ranking if free(*divmod(f, m))), None)
+            if f is None or flat[f] <= 0.0:  # no free pair with a positive score
                 break
-            i, j = pick[3:]
+            i, j = divmod(f, m)
         matched.append((i, j))
         used_left.add(i)
         used_right.add(j)
@@ -510,10 +516,7 @@ def build_diff(a: Nfa, b: Nfa, matching: Matching) -> DiffMachine:
     in no state set, so one membership rule marks each state's presence and
     its initial and accepting flags.
     """
-    _check_injective(matching)
-    for p, q in matching:
-        if p not in a.states or q not in b.states:
-            raise ValueError(f"matching pair ({p!r}, {q!r}) references unknown states")
+    _check_matching(matching, a, b)
     to_b = dict(matching)
     to_a = {q: p for p, q in matching}
     keys = [

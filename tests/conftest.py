@@ -13,7 +13,9 @@ the pipeline's canonical-DFA algebra or to build inputs.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
+import math
 import operator
 import random
 from pathlib import Path
@@ -862,6 +864,46 @@ def oracle_global_scores(a: Nfa, b: Nfa, params: DiffParams) -> ScoreTable:
         if delta <= params.convergence_epsilon:
             break
     return table
+
+
+def oracle_select_landmarks(scores: ScoreTable, a: Nfa, b: Nfa, params: DiffParams) -> Matching:
+    """Landmark selection that ranks every pair by ``(-score, left name, right name)``.
+
+    The library ranks by flat index instead, which is the same order for a
+    table that lists each machine's states sorted.
+    """
+    left, right, values = scores.left, scores.right, scores.values
+    candidates = (
+        (-values[i][j], left[i], right[j], i, j)
+        for i in range(len(left))
+        for j in range(len(right))
+    )
+    n_top = math.ceil(params.landmark_fraction * min(len(left), len(right)))
+    selected: list[tuple[int, int]] = []
+    used_left: set[int] = set()
+    used_right: set[int] = set()
+    for _, _, _, i, j in heapq.nsmallest(n_top, candidates):
+        score = values[i][j]
+        if score <= 0.0:
+            continue
+        row_ok = all(
+            score >= params.landmark_ratio * values[i][j2] for j2 in range(len(right)) if j2 != j
+        )
+        col_ok = all(
+            score >= params.landmark_ratio * values[i2][j] for i2 in range(len(left)) if i2 != i
+        )
+        if not (row_ok and col_ok):
+            continue
+        if i in used_left or j in used_right:
+            continue
+        selected.append((i, j))
+        used_left.add(i)
+        used_right.add(j)
+    if selected:
+        return frozenset((left[i], right[j]) for i, j in selected)
+    if a.initial and b.initial:
+        return frozenset({(min(a.initial), min(b.initial))})
+    return frozenset()
 
 
 def oracle_compute_matching(a: Nfa, b: Nfa, scores: ScoreTable, landmarks: Matching) -> Matching:

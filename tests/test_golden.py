@@ -13,6 +13,7 @@ REPO_ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FIG2 = Path(__file__).parent / "data" / "fig2"
 LOGS = Path(__file__).parent / "data" / "logs"
+TIES = Path(__file__).parent / "data" / "ties"
 
 
 def test_full_run_matches_goldens(tmp_path, monkeypatch):
@@ -38,6 +39,14 @@ def test_fig2_diff_matches_its_golden():
     )
     assert result.exit_code == 0, result.output
     assert result.stdout_bytes == (FIG2 / "diff.txt").read_bytes()
+
+
+def test_tied_ring_diff_matches_its_golden():
+    # Two 24-state rings of a-transitions with one a-chord each: every score
+    # is 1.0, so the ranking's tie order alone decides the matching.
+    result = CliRunner().invoke(main, ["diff", str(TIES / "left.nfa"), str(TIES / "right.nfa")])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (TIES / "diff.txt").read_bytes()
 
 
 @pytest.mark.parametrize("flags, golden", [((), "pta.nfa"), (("--minimize",), "minimal.nfa")])

@@ -1,7 +1,6 @@
 """Structural comparison tests: scores, landmarks, matching, diff machines."""
 
 import hashlib
-import heapq
 import math
 import random
 from collections import Counter
@@ -19,11 +18,13 @@ from fsmcompare import (
     diff,
     diff_stats,
     global_scores,
+    parse_nfa,
     select_landmarks,
 )
-from fsmcompare.ltsdiff import _candidates, _pair_tables
+from fsmcompare.ltsdiff import _pair_tables
 
 from conftest import (
+    DATA_DIR,
     build_nfa,
     fig2_machines,
     local_scores,
@@ -31,6 +32,7 @@ from conftest import (
     oracle_compute_matching,
     oracle_global_scores,
     oracle_score_steps,
+    oracle_select_landmarks,
     random_nfa,
     running_example_machines,
     score,
@@ -309,32 +311,52 @@ class TestMatchingAgainstScanOracle:
 
 def tied_score_table(rng: random.Random) -> ScoreTable:
     """Few distinct values, so most ranks are decided by names; the names are
-    shuffled, so name order is not index order."""
+    a sorted sample, so ``p10`` comes before ``p2``."""
     n, m = rng.randint(0, 9), rng.randint(0, 9)
-    left = tuple(rng.sample([f"p{i}" for i in range(20)], n))
-    right = tuple(rng.sample([f"q{i}" for i in range(20)], m))
+    left = tuple(sorted(rng.sample([f"p{i}" for i in range(20)], n)))
+    right = tuple(sorted(rng.sample([f"q{i}" for i in range(20)], m)))
     levels = (0.0, 0.25, 0.5, 1.0, rng.random())
     return ScoreTable(left, right, tuple(tuple(rng.choice(levels) for _ in right) for _ in left))
 
 
+def bare_machine(rng: random.Random, states) -> Nfa:
+    """A machine with the given states, no transitions and up to two initial states."""
+    return build_nfa(initial=rng.sample(states, min(len(states), rng.randint(0, 2))), states=states)
+
+
 class TestSelectLandmarks:
     def test_ranked_pairs_and_their_prefixes_follow_score_then_names(self):
+        # The oracles rank by (-score, left name, right name). The machines
+        # of a tied table have no transitions, so every matching pick after
+        # the landmarks is a fallback pick that the ranking decides.
         rng = random.Random(59)
-        tables = [tied_score_table(rng) for _ in range(200)]
-        tables += [global_scores(a, b, DiffParams()) for a, b in oracle_pairs(59, 40)]
-        for scores in tables:
-            left, right, values = scores.left, scores.right, scores.values
-            keyed = sorted(
-                (-values[i][j], left[i], right[j], (i, j))
-                for i in range(len(left))
-                for j in range(len(right))
-            )
-            ranked = sorted(_candidates(scores))
-            assert [(*c[:3], c[3:]) for c in ranked] == keyed
-            # Score and names alone order the pairs; the indices never decide.
-            assert len({c[:3] for c in ranked}) == len(ranked)
-            for count in {0, 1, 2, len(ranked) // 4, len(ranked), len(ranked) + 1}:
-                assert heapq.nsmallest(count, _candidates(scores)) == ranked[:count]
+        cases = []
+        for _ in range(200):
+            scores = tied_score_table(rng)
+            cases.append((scores, bare_machine(rng, scores.left), bare_machine(rng, scores.right)))
+        for a, b in oracle_pairs(59, 40):
+            cases.append((global_scores(a, b, DiffParams()), a, b))
+        for fraction, ratio in ((0.25, 1.5), (1.0, 1.5), (0.25, 1.0), (1.0, 1.0)):
+            params = DiffParams(landmark_fraction=fraction, landmark_ratio=ratio)
+            for scores, a, b in cases:
+                landmarks = select_landmarks(scores, a, b, params)
+                assert landmarks == oracle_select_landmarks(scores, a, b, params)
+                assert compute_matching(a, b, scores, landmarks) == oracle_compute_matching(
+                    a, b, scores, landmarks
+                )
+
+    def test_refuses_a_table_that_is_not_its_machines_sorted(self):
+        # The first table lists q, which b lacks, and used to yield the pair
+        # (q, q); the second lists a's states out of order.
+        a = build_nfa(transitions=[("p", "x", "q")])
+        b = build_nfa(states=["p"])
+        other_machines = (global_scores(a, a, DiffParams()), a, b)
+        unsorted = (ScoreTable(("q", "p"), ("q", "p"), ((1.0, 0.0), (0.0, 1.0))), a, a)
+        for scores, x, y in (other_machines, unsorted):
+            with pytest.raises(ValueError, match="score table"):
+                select_landmarks(scores, x, y, DiffParams())
+            with pytest.raises(ValueError, match="score table"):
+                compute_matching(x, y, scores, frozenset())
 
     def test_identical_two_state_line_selects_both_diagonal_pairs(self):
         line = build_nfa(transitions=[("p", "x", "q")], initial=["p"], accepting=["q"])
@@ -354,7 +376,8 @@ class TestSelectLandmarks:
         # With ratio 1 a tie dominates: (p, q) and then (p, r) both qualify.
         scores = ScoreTable(("p", "s"), ("q", "r"), ((1.0, 1.0), (0.0, 0.0)))
         params = DiffParams(landmark_fraction=1.0, landmark_ratio=1.0)
-        assert select_landmarks(scores, E1, E1, params) == frozenset({("p", "q")})
+        a, b = build_nfa(states=["p", "s"]), build_nfa(states=["q", "r"])
+        assert select_landmarks(scores, a, b, params) == frozenset({("p", "q")})
 
     def test_empty_machine_yields_empty_matching(self):
         scores = global_scores(Nfa.empty(), E1, DiffParams())
@@ -401,6 +424,11 @@ class TestComputeMatching:
         scores = global_scores(E1, E1, DiffParams())
         with pytest.raises(ValueError):
             compute_matching(E1, E1, scores, frozenset({("s1", "s1"), ("s1", "s2")}))
+
+    def test_rejects_landmarks_with_an_unknown_state(self):
+        scores = global_scores(E1, E1, DiffParams())
+        with pytest.raises(ValueError, match=r"pair \('zz', 's1'\) references unknown states"):
+            compute_matching(E1, E1, scores, frozenset({("zz", "s1")}))
 
 
 class TestBuildDiff:
@@ -465,6 +493,34 @@ class TestBuildDiff:
             assert build_diff(a, b, matching) == oracle_build_diff(a, b, matching)
 
 
+def ring(n: int, labels: str, chord=()) -> Nfa:
+    """States s0 .. s<n-1> in a ring whose i-th transition carries
+    ``labels[i % len(labels)]``, plus the ``chord`` transitions given as
+    (i, event, j); s0 is initial, every third state accepting."""
+    names = [f"s{i}" for i in range(n)]
+    edges = [(i, labels[i % len(labels)], (i + 1) % n) for i in range(n)] + list(chord)
+    return build_nfa(
+        transitions=[(names[i], event, names[j]) for i, event, j in edges],
+        initial=names[:1],
+        accepting=names[::3],
+    )
+
+
+def symmetric_pairs():
+    """Rings with the same labels, where many scores tie, and the tied pair
+    of ``tests/data/ties``, whose every score is 1.0."""
+    pairs = [
+        (ring(4, "a"), ring(4, "a")),
+        (ring(6, "ab"), ring(6, "ab", [(0, "a", 3)])),
+        (ring(6, "a", [(1, "a", 4)]), ring(6, "a", [(2, "a", 5)])),
+        (ring(9, "aab"), ring(6, "aab")),
+        (ring(8, "ab", [(0, "c", 4)]), ring(8, "ab", [(3, "c", 7)])),
+    ]
+    ties = DATA_DIR / "ties"
+    pairs.append(tuple(parse_nfa((ties / name).read_text()) for name in ("left.nfa", "right.nfa")))
+    return pairs
+
+
 class TestDiffPipeline:
     def test_e2_variant_b_to_c(self):
         stats = diff_stats(diff(E2_B, E2_C))
@@ -513,6 +569,19 @@ class TestDiffPipeline:
             a = random_nfa(rng, max_states=6)
             b = random_nfa(rng, max_states=6)
             assert_projections(diff(a, b), a, b)
+
+    @pytest.mark.parametrize("attenuation", [0.5, 0.9])
+    def test_equals_the_pipeline_composed_from_oracles(self, attenuation):
+        # Scoring feeds the ranking, so a tie order that only shows after
+        # scoring is caught here, not by the per-stage oracles.
+        pairs = [*oracle_pairs(67, 24), *symmetric_pairs()]
+        for ratio in (1.5, 1.0):
+            params = DiffParams(attenuation=attenuation, landmark_ratio=ratio)
+            for a, b in pairs:
+                scores = oracle_global_scores(a, b, params)
+                landmarks = oracle_select_landmarks(scores, a, b, params)
+                matching = oracle_compute_matching(a, b, scores, landmarks)
+                assert diff(a, b, params) == oracle_build_diff(a, b, matching)
 
     def test_diff_params_validation(self):
         with pytest.raises(ValueError):
