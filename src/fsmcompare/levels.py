@@ -5,23 +5,25 @@ completed under union/intersection, and the pairwise difference matrix.
 Levels 4-6 do the same per entity, ending in annotated structural diffs.
 
 Every level reads the per-entity models through one language table per
-entity, built over the entity's workspace alphabet when the entity is first
-used: each distinct model becomes a small int, so equal ints mean equal
-languages. The table decides which models are equal and which are empty on
-the fly, by Hopcroft and Karp's union-find check over the subsets the two
-machines reach, as Bonchi and Pous run it (``automata._same_language``), and
-by reachability, and builds no DFA. That check compares each model with
-every language before it, so an entity with many distinct models minimizes
-each one instead, only to key its languages by (see ``_ON_THE_FLY_MODELS``).
-``build_bundle`` shares one dict of these tables across the levels of a run
-(the ``languages`` keyword); a level called alone builds its own, and a
-caller may pass any dict, empty at first, to share tables across levels.
-Both lattices are completed by one closure over the Boolean regions of the
-observed languages, where meet, join and inclusion are bitset operations
-(see ``_Regions``). The regions come from one product of the observed
-languages' subset tables, determinized but not minimized, and no observed
-model is ever minimized for them; a bitset is reduced from that product
-only when a caller reads its language, at most once per run. The product
+entity, built from all the entity's models, over its workspace alphabet,
+when the entity is first used: each distinct model becomes a small int, so
+equal ints mean equal languages. The table decides which models are equal
+and which are empty on the fly, by Hopcroft and Karp's union-find check over
+the subsets the two machines reach, as Bonchi and Pous run it
+(``automata._same_language``), and by reachability, and builds no DFA. That
+check compares each model with every language before it, so an entity with
+many distinct models minimizes each one instead, only to key its languages
+by (see ``_ON_THE_FLY_MODELS``). ``build_bundle`` shares one dict of these
+tables across the levels of a run (the ``languages`` keyword); a level
+called alone builds its own, and a caller may pass any dict, empty at
+first, to share tables across levels of one workspace.
+Both lattices are completed by one closure over the Boolean regions of an
+entity's languages, where meet, join and inclusion are bitset operations
+(see ``_Languages``). The regions come from one product per entity and run,
+of its non-empty languages' subset tables, determinized but not minimized,
+and no observed model is ever minimized for them; the empty language is the
+bitset 0, so levels 2 and 5 share the product. A bitset is reduced from
+it only when a caller reads its language, at most once per run. The product
 can reach the product of the tables' sizes: only the node cap bounds the
 closure. A level-2 node is a vector, one component per entity; a level-5
 node is a vector of length one. Node sizes and cover edges read the
@@ -189,119 +191,85 @@ def heat_class(value: int, max_value: int) -> int:
 class _Languages:
     """The distinct languages of one entity, interned as small ints.
 
-    Equal ints mean equal languages, numbered by first occurrence; each
-    language keeps its first model and whether it is empty. Both are decided
-    on the fly (``_same_language`` and ``_nonempty``), unless the entity has
-    more than ``_ON_THE_FLY_MODELS`` distinct models: then each distinct
-    model is minimized over the entity's alphabet, and its DFA serves only as
-    the key its language is found by. The closures add their computed
-    languages through ``_Regions``, which the table keeps for the run, one
-    per tuple of distinct observed languages: levels 2 and 5 of one entity
-    share it, so each bitset is reduced at most once per run and region
-    table, when it is first read, and each reduced language becomes one
-    machine (``machine``).
+    The table is built from all the entity's models at once, in model-set
+    order: ``id`` maps each distinct model to its language, equal ints mean
+    equal languages, numbered by first occurrence, and each language keeps
+    its first model and whether it is empty. Both are decided on the fly
+    (``_same_language`` and ``_nonempty``), a model checked only against the
+    languages of its own emptiness, unless the entity has more than
+    ``_ON_THE_FLY_MODELS`` distinct models: then each distinct model is
+    minimized over the entity's alphabet, and its DFA serves only as the key
+    its language is found by.
+
+    Both closures of the entity read its languages as bitsets over one set
+    of Boolean regions (``bitset``). Each reachable state of the product of
+    the non-empty languages' deterministic tables (the subset tables of
+    their first models over the entity's alphabet, not their minimal DFAs)
+    has a pattern, the set of the languages that accept there; each non-zero
+    pattern is one region. Regions are disjoint and non-empty, so every
+    Boolean combination of the languages is one bitset over them, the empty
+    language is 0, meet is ``&``, join is ``|``, ``u`` is included in ``v``
+    iff ``u & v == u``, and equal bitsets are equal languages. The product is
+    walked once per run, when a bitset is first read; each bitset is reduced
+    from it and converted to one machine when a caller first reads its
+    language (``machine``).
     """
 
-    def __init__(self, alphabet: frozenset[str], distinct_models: int) -> None:
+    def __init__(self, alphabet: frozenset[str], models: list[Nfa]) -> None:
         self.alphabet = alphabet
         self.models: list[Nfa] = []  # each language's first model
         self.empty: list[bool] = []  # whether each language is empty
-        self._ids: dict[Nfa, int] = {}
-        # Each language by its minimal DFA, past the models deciding on the fly takes.
-        self._keys = {} if distinct_models > _ON_THE_FLY_MODELS else None
-        self._nfas: dict[CanonicalDfa, Nfa] = {}
+        self.id: dict[Nfa, int] = {}  # each distinct model's language
+        distinct = list(dict.fromkeys(models))
+        if len(distinct) > _ON_THE_FLY_MODELS:
+            keys: dict[CanonicalDfa, int] = {}  # each language by its minimal DFA
+            for machine in distinct:
+                dfa = minimize(with_alphabet(machine, alphabet))
+                self._add(machine, keys.setdefault(dfa, len(self.models)), not dfa.accepting)
+        else:
+            tables = {machine: (machine, _successors(machine)) for machine in distinct}
+            for machine in distinct:
+                a = tables[machine]
+                empty = not _nonempty(*a)
+                for x, model in enumerate(self.models):
+                    if self.empty[x] == empty and (empty or _same_language(a, tables[model])):
+                        break
+                else:
+                    x = len(self.models)
+                self._add(machine, x, empty)
+        self._bitsets: list[int] | None = None  # each language's regions, once walked
+        self._machines: dict[int, Nfa] = {}
         self.lattices: dict[int, tuple] = {}  # _entity_lattice's result by node cap
-        self._regions: dict[tuple[int, ...], _Regions] = {}
         self.lock = threading.Lock()  # held by reads of computed level-2 payloads
 
-    def ids(self, models: list[Nfa]) -> list[int]:
-        """The language of each model: the first interned language it equals, else a new one.
+    def _add(self, machine: Nfa, x: int, empty: bool) -> None:
+        if x == len(self.models):
+            self.models.append(machine)
+            self.empty.append(empty)
+        self.id[machine] = x
 
-        Deciding on the fly, a model is checked only against the languages
-        of its own emptiness; the successor tables the checks read are built
-        once per distinct model of this call and dropped when it returns.
-        """
-        tables: dict = {}
+    def bitset(self, x: int) -> int:
+        """Language ``x``'s regions as a bitset, the product walked on first read."""
+        if self._bitsets is None:
+            live = [y for y, empty in enumerate(self.empty) if not empty]
+            tables = [_subset_table(with_alphabet(self.models[y], self.alphabet)) for y in live]
+            self._rows, patterns = _product_table(tables) if tables else ([[]], [0])
+            # Regions are numbered in the order the walk first reaches them.
+            region = {p: 1 << i for i, p in enumerate(dict.fromkeys(filter(None, patterns)))}
+            self._bits = [region.get(pattern, 0) for pattern in patterns]  # each row's region
+            self._bitsets = [0] * len(self.models)
+            for i, y in enumerate(live):
+                self._bitsets[y] = sum(bit for p, bit in region.items() if p >> i & 1)
+        return self._bitsets[x]
 
-        def table(machine: Nfa) -> tuple:
-            t = tables.get(machine)
-            if t is None:
-                t = tables[machine] = machine, _successors(machine)
-            return t
-
-        ids = []
-        for machine in models:
-            x = self._ids.get(machine)
-            if x is None:
-                new = len(self.models)
-                if self._keys is not None:
-                    dfa = minimize(with_alphabet(machine, self.alphabet))
-                    x, empty = self._keys.setdefault(dfa, new), not dfa.accepting
-                else:
-                    a = table(machine)
-                    empty = not _nonempty(*a)
-                    for x, model in enumerate(self.models):
-                        if self.empty[x] == empty and (empty or _same_language(a, table(model))):
-                            break
-                    else:
-                        x = new
-                if x == new:
-                    self.models.append(machine)
-                    self.empty.append(empty)
-                self._ids[machine] = x
-            ids.append(x)
-        return ids
-
-    def regions(self, column: tuple[int, ...]) -> _Regions:
-        """The regions of the distinct languages in ``column``, built on first use."""
-        xs = tuple(dict.fromkeys(column))
-        regions = self._regions.get(xs)
-        if regions is None:
-            regions = self._regions[xs] = _Regions(self, xs)
-        return regions
-
-    def machine(self, dfa: CanonicalDfa) -> Nfa:
-        """The language of ``dfa`` as a machine, converted on first use and shared after that."""
-        nfa = self._nfas.get(dfa)
+    def machine(self, u: int) -> Nfa:
+        """Bitset ``u``'s language as a machine, reduced on first read and shared after that."""
+        nfa = self._machines.get(u)
         if nfa is None:
-            nfa = self._nfas[dfa] = dfa.to_nfa()
+            accepting = {s for s, bit in enumerate(self._bits) if bit & u}
+            dfa = _canonical(sorted(self.alphabet), self._rows, accepting)
+            nfa = self._machines[u] = dfa.to_nfa()
         return nfa
-
-
-class _Regions:
-    """The Venn cells ("regions") of the distinct languages ``xs`` of one table.
-
-    Each reachable state of the product of the languages' deterministic
-    tables (the subset tables of their first models over the entity's
-    alphabet, not their minimal DFAs) has a pattern, the set of the languages
-    that accept there; each non-zero pattern is one region. Regions are
-    disjoint and non-empty, so every Boolean combination of the languages is
-    one bitset over them: meet is ``&``, join is ``|``, ``u`` is included in
-    ``v`` iff ``u & v == u``, and equal bitsets are equal languages. Only the
-    product table is kept; a bitset is reduced when a caller reads it.
-    """
-
-    def __init__(self, lang: _Languages, xs: tuple[int, ...]) -> None:
-        self.lang = lang
-        self.events = sorted(lang.alphabet)
-        models = [with_alphabet(lang.models[x], lang.alphabet) for x in xs]
-        self.rows, patterns = _product_table([_subset_table(m) for m in models])
-        # Regions are numbered in the order the walk first reaches them.
-        region = {p: 1 << i for i, p in enumerate(dict.fromkeys(filter(None, patterns)))}
-        self.bits = [region.get(pattern, 0) for pattern in patterns]  # each row's region
-        self.bitset = {
-            x: sum(bit for pattern, bit in region.items() if pattern >> i & 1)
-            for i, x in enumerate(xs)
-        }
-        self._dfas: dict[int, CanonicalDfa] = {}
-
-    def language(self, u: int) -> CanonicalDfa:
-        """The canonical DFA of bitset ``u``, reduced from the product on first read."""
-        dfa = self._dfas.get(u)
-        if dfa is None:
-            accepting = {s for s, bit in enumerate(self.bits) if bit & u}
-            dfa = self._dfas[u] = _canonical(self.events, self.rows, accepting)
-        return dfa
 
 
 #: Deciding on the fly checks each distinct model against every language
@@ -319,16 +287,16 @@ _ON_THE_FLY_MODELS = 8
 def _table(workspace: Workspace, languages: dict, entity: str) -> _Languages:
     """The entity's table in ``languages``, added on first use over its workspace alphabet."""
     if entity not in languages:
-        models = {ms.models[entity] for ms in workspace.model_sets}
+        models = [ms.models[entity] for ms in workspace.model_sets]
         alphabet = frozenset().union(*(m.alphabet for m in models))
-        languages[entity] = _Languages(alphabet, len(models))
+        languages[entity] = _Languages(alphabet, models)
     return languages[entity]
 
 
 def _ids(workspace: Workspace, languages: dict, entity: str) -> list[int]:
     """The language of each model set's model of ``entity``, in model-set order."""
     lang = _table(workspace, languages, entity)
-    return lang.ids([ms.models[entity] for ms in workspace.model_sets])
+    return [lang.id[ms.models[entity]] for ms in workspace.model_sets]
 
 
 def _classes(workspace: Workspace, keys: list, representatives: list) -> tuple[VariantClass, ...]:
@@ -398,18 +366,15 @@ def _close(observed: list[tuple[int, ...]], node_cap: int) -> list[tuple[int, ..
 
 def _complete(
     observed: list[tuple[int, ...]], languages: list[_Languages], node_cap: int
-) -> tuple[list[_Regions], list[tuple[int, ...]]]:
+) -> list[tuple[int, ...]]:
     """The closure of vectors of interned languages, one component per table.
 
-    Returns each component's regions and the nodes in creation order as
-    region bitsets; no language is reduced here, ``language`` of a
-    component's regions does that when a caller reads it. The regions and
-    their product tables stay on the tables for the run, so another closure
-    over the same observed languages reuses them.
+    Returns the nodes in creation order as region bitsets; no language is
+    reduced here, ``machine`` of a component's table does that when a caller
+    reads it.
     """
-    regions = [lang.regions(column) for lang, column in zip(languages, zip(*observed))]
-    observed_bitsets = [tuple(r.bitset[x] for r, x in zip(regions, node)) for node in observed]
-    return regions, _close(observed_bitsets, node_cap)
+    bitsets = [tuple(lang.bitset(x) for lang, x in zip(languages, node)) for node in observed]
+    return _close(bitsets, node_cap)
 
 
 def _cover_edges(nodes: list[tuple[int, ...]]) -> list[tuple[int, int]]:
@@ -466,22 +431,22 @@ def _nodes(partition: VariantPartition, payloads: list, sizes: list[int]) -> tup
 class _ComputedModels(Mapping):
     """A computed level-2 node's models, entity -> machine, read-only.
 
-    Entity ``e``'s machine is ``lang.machine(regions.language(u))`` for its
-    component's regions and bitset ``u``: reduced and converted on first
-    read, and shared after that through the table's caches, so reading
-    gives the machines, and the sharing, that building them up front gave.
+    Entity ``e``'s machine is ``lang.machine(u)`` for its component's table
+    and bitset ``u``: reduced and converted on first read, and shared after
+    that through the table's cache, so reading gives the machines, and the
+    sharing, that building them up front gave.
     """
 
-    def __init__(self, index: dict[str, int], regions: list[_Regions], node: tuple[int, ...]):
+    def __init__(self, index: dict[str, int], languages: list[_Languages], node: tuple[int, ...]):
         self._index = index  # entity -> component
-        self._regions = regions
+        self._languages = languages
         self._node = node
 
     def __getitem__(self, entity: str) -> Nfa:
         k = self._index[entity]
-        regions = self._regions[k]
-        with regions.lang.lock:  # the table's caches are shared by every payload
-            return regions.lang.machine(regions.language(self._node[k]))
+        lang = self._languages[k]
+        with lang.lock:  # the table's cache is shared by every payload
+            return lang.machine(self._node[k])
 
     def __contains__(self, entity: object) -> bool:
         return entity in self._index
@@ -514,13 +479,12 @@ def level2(
     entities = reps[0].entities() if reps else ()
     shared = {} if languages is None else languages
     languages = [_table(partition.workspace, shared, e) for e in entities]
-    columns = [lang.ids([rep.models[e] for rep in reps]) for lang, e in zip(languages, entities)]
-    observed = [tuple(column[i] for column in columns) for i in range(len(reps))]
-    regions, bitsets = _complete(observed, languages, node_cap)
+    observed = [tuple(lang.id[r.models[e]] for lang, e in zip(languages, entities)) for r in reps]
+    bitsets = _complete(observed, languages, node_cap)
 
     index = {e: k for k, e in enumerate(entities)}
     payloads = reps + [
-        ModelSet(variant_letters(i), _ComputedModels(index, regions, bitsets[i]))
+        ModelSet(variant_letters(i), _ComputedModels(index, languages, bitsets[i]))
         for i in range(len(reps), len(bitsets))
     ]
     sizes = [sum(map(bool, v)) for v in bitsets]  # an empty language has no regions
@@ -581,10 +545,9 @@ def _entity_lattice(
     if node_cap in lang.lattices:
         return lang.lattices[node_cap]
     partition = _entity_partition(workspace, entity, languages)
-    observed = [(x,) for x in lang.ids([cls.representative for cls in partition.classes])]
-    regions, bitsets = _complete(observed, [lang], node_cap)
     payloads = [cls.representative for cls in partition.classes]
-    payloads += [lang.machine(regions[0].language(u)) for (u,) in bitsets[len(payloads) :]]
+    bitsets = _complete([(lang.id[p],) for p in payloads], [lang], node_cap)
+    payloads += [lang.machine(u) for (u,) in bitsets[len(payloads) :]]
     nodes, payloads_by_label = _nodes(partition, payloads, [len(p.transitions) for p in payloads])
     covers = [(nodes[i].variant, nodes[j].variant) for i, j in _cover_edges(bitsets)]
     lang.lattices[node_cap] = nodes, payloads_by_label, covers

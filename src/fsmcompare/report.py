@@ -75,9 +75,10 @@ def build_bundle(
     two variants when none is selected. Level 6 emits the diff for each
     level-5 cover edge unless a specific variant pair is requested; a
     requested cover edge reuses level 5's diff when level 5 runs too. All
-    levels share one dict of language tables, so each distinct model of an
-    entity is interned once in the run, checked for equality and emptiness
-    on the fly, and each computed language is reduced once, when it is read.
+    levels share one dict of language tables, so each entity's models are
+    interned once in the run, levels 2 and 5 close the entity over one
+    product of its non-empty languages, and each computed language is
+    reduced once, when it is read.
     """
     params = params or DiffParams()
     wanted = set(levels)

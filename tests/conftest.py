@@ -540,8 +540,8 @@ class OracleLanguages:
 
     Each distinct machine is minimized over ``alphabet``; meet and join are
     pairwise canonical products, computed once per unordered pair, and
-    ``x <= y`` iff ``meet(x, y) == x``. ``levels._Regions`` must give the
-    same languages without any product of two DFAs.
+    ``x <= y`` iff ``meet(x, y) == x``. The regions of ``levels._Languages``
+    must give the same languages without any product of two DFAs.
     """
 
     def __init__(self, alphabet: frozenset[str]) -> None:
@@ -605,8 +605,7 @@ def oracle_close(observed, tables, node_cap: int) -> list[tuple[int, ...]]:
 
 def interned(tables, nodes) -> list[tuple[int, ...]]:
     """Each node, one machine per table, as the vector of its machines' ids in ``tables``."""
-    columns = [table.ids([node[k] for node in nodes]) for k, table in enumerate(tables)]
-    return [tuple(column[i] for column in columns) for i in range(len(nodes))]
+    return [tuple(table.id[m] for table, m in zip(tables, node)) for node in nodes]
 
 
 def eager_level2_payloads(
@@ -616,22 +615,18 @@ def eager_level2_payloads(
 
     This is how ``level2`` built them before it reduced a computed component
     only when read: each computed node's models are a dict of
-    ``lang.machine(r.language(u))`` for each component's regions ``r`` and
-    bitset ``u``.
+    ``lang.machine(u)`` for each component's table ``lang`` and bitset ``u``.
     """
     reps = [cls.representative for cls in partition.classes]
     entities = reps[0].entities() if reps else ()
     shared: dict = {}
     languages = [_table(partition.workspace, shared, e) for e in entities]
     observed = interned(languages, [[rep.models[e] for e in entities] for rep in reps])
-    regions, bitsets = _complete(observed, languages, node_cap)
+    bitsets = _complete(observed, languages, node_cap)
     return reps + [
         ModelSet(
             variant_letters(i),
-            {
-                e: lang.machine(r.language(u))
-                for e, lang, r, u in zip(entities, languages, regions, bitsets[i])
-            },
+            {e: lang.machine(u) for e, lang, u in zip(entities, languages, bitsets[i])},
         )
         for i in range(len(reps), len(bitsets))
     ]

@@ -371,12 +371,20 @@ class TestCompare:
         assert trees[0] == trees[1]
 
     def test_outputs_do_not_depend_on_hash_seed(self, running_example_dir, tmp_path):
-        trees = []
-        for seed in ("0", "1"):
-            out = tmp_path / f"hash{seed}"
-            run_in_subprocess(seed, "compare", "--input", running_example_dir, "--output", out)
-            trees.append(tree_bytes(out))
-        assert trees[0] and trees[0] == trees[1]
+        # The absent-model workspace's entities each close over one product of
+        # their non-empty languages, walked over frozensets of states; its E2
+        # keys nine distinct models by minimal DFAs.
+        absent = Path(__file__).parent / "data" / "absent"
+        for name, workspace in (("hash", running_example_dir), ("absent", absent / "workspace")):
+            trees = []
+            for seed in ("0", "1"):
+                out = tmp_path / f"{name}{seed}"
+                run_in_subprocess(seed, "compare", "--input", workspace, "--output", out)
+                trees.append(tree_bytes(out))
+            assert trees[0] and trees[0] == trees[1]
+        golden = tree_bytes(absent / "golden")
+        del golden["report.json"], trees[0]["report.json"]  # a report embeds its input path
+        assert trees[0] == golden
 
         # Equality is decided on the fly, walking subsets in set order, over
         # machines logs2nfa --minimize builds from logs; with level 2, the

@@ -14,23 +14,34 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 FIG2 = Path(__file__).parent / "data" / "fig2"
 LOGS = Path(__file__).parent / "data" / "logs"
 TIES = Path(__file__).parent / "data" / "ties"
+ABSENT = Path(__file__).parent / "data" / "absent"
+
+
+def assert_compare_matches(input_dir: str, golden: Path, out: Path) -> None:
+    """A full ``compare`` of ``input_dir``, relative to the repo root, writes ``golden`` exactly."""
+    result = CliRunner().invoke(main, ["compare", "--input", input_dir, "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    actual = tree_bytes(out)
+    expected = tree_bytes(golden)
+    assert sorted(actual) == sorted(expected)
+    for name in expected:
+        assert actual[name] == expected[name], f"{name} differs from golden"
 
 
 def test_full_run_matches_goldens(tmp_path, monkeypatch):
     # The golden report embeds the input path, so run with the same
     # relative path the goldens were produced with.
     monkeypatch.chdir(REPO_ROOT)
-    out = tmp_path / "out"
-    result = CliRunner().invoke(
-        main,
-        ["compare", "--input", "tests/data/running_example", "--output", str(out)],
-    )
-    assert result.exit_code == 0, result.output
-    actual = tree_bytes(out)
-    expected = tree_bytes(GOLDEN)
-    assert sorted(actual) == sorted(expected)
-    for name in expected:
-        assert actual[name] == expected[name], f"{name} differs from golden"
+    assert_compare_matches("tests/data/running_example", GOLDEN, tmp_path / "out")
+
+
+def test_absent_models_run_matches_its_golden(tmp_path, monkeypatch):
+    # E1 is absent from S1 and has two incomparable variants, x* and y*, so
+    # both closures read the empty language and level 5 computes nodes. E2
+    # of set Sk accepts a^i for every i <= k: nine distinct models, so its
+    # languages are keyed by minimal DFAs instead of decided on the fly.
+    monkeypatch.chdir(REPO_ROOT)
+    assert_compare_matches("tests/data/absent/workspace", ABSENT / "golden", tmp_path / "out")
 
 
 def test_fig2_diff_matches_its_golden():

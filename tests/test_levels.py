@@ -16,6 +16,7 @@ from fsmcompare import (
     ModelSet,
     Nfa,
     Workspace,
+    build_bundle,
     diff_stats,
     level1,
     level2,
@@ -431,20 +432,19 @@ def tables_of(case):
     """One language table per component of a case, as ``levels._table`` builds them."""
     alphabets, machines = case
     return [
-        _Languages(alphabet, len({node[k] for node in machines}))
-        for k, alphabet in enumerate(alphabets)
+        _Languages(alphabet, [node[k] for node in machines]) for k, alphabet in enumerate(alphabets)
     ]
 
 
 def closure(case, node_cap=DEFAULT_NODE_CAP):
-    """The region closure of a case: nodes as canonical DFAs and as bitsets.
+    """The region closure of a case: nodes as machines and as bitsets.
 
-    The DFAs are read from each component's regions after the closure, as a
-    read of a computed payload reads them.
+    The machines are read from each component's table after the closure, as
+    a read of a computed payload reads them.
     """
     tables = tables_of(case)
-    regions, bitsets = _complete(interned(tables, case[1]), tables, node_cap)
-    vectors = [tuple(r.language(u) for r, u in zip(regions, node)) for node in bitsets]
+    bitsets = _complete(interned(tables, case[1]), tables, node_cap)
+    vectors = [tuple(t.machine(u) for t, u in zip(tables, node)) for node in bitsets]
     return vectors, bitsets
 
 
@@ -621,16 +621,18 @@ class TestCoverEdges:
             products.clear()
             tables = tables_of(case)
             observed = interned(tables, case[1])
-            regions, bitsets = _complete(observed, tables, DEFAULT_NODE_CAP)
+            bitsets = _complete(observed, tables, DEFAULT_NODE_CAP)
             assert reductions == []  # neither interning nor the closure reduces; reading does
             read = [{node[k] for node in bitsets} for k in range(len(tables))]
             for _ in range(2):  # a second read reduces nothing more
                 for node in bitsets:
-                    for r, u in zip(regions, node):
-                        r.language(u)
+                    for t, u in zip(tables, node):
+                        t.machine(u)
                 assert len(reductions) == sum(map(len, read))
-            # One product per component, of its distinct observed languages only.
-            assert [len(t) for t in products] == [len(set(ids)) for ids in zip(*observed)]
+            # One product per component, of its distinct non-empty languages
+            # only; a component with none walks no product.
+            live = [{x for x in ids if not t.empty[x]} for t, ids in zip(tables, zip(*observed))]
+            assert [len(t) for t in products] == [len(xs) for xs in live if xs]
 
 
 def assert_matches_product_closure(case):
@@ -642,7 +644,7 @@ def assert_matches_product_closure(case):
     vectors, bitsets = closure(case)
     nodes, oracle_tables = product_closure(case)
     assert [list(v) for v in vectors] == [
-        [t.dfas[x] for t, x in zip(oracle_tables, v)] for v in nodes
+        [t.dfas[x].to_nfa() for t, x in zip(oracle_tables, v)] for v in nodes
     ]
     for k in range(len(oracle_tables)):
         pairs = {(b[k], x[k]) for b, x in zip(bitsets, nodes)}
@@ -807,3 +809,33 @@ def test_a_caller_shares_a_plain_dict_of_tables_across_every_level(running_examp
         assert (partition, matrix) == (level1(ws), level3(ws))
         for e in ws.entities:
             assert level5(ws, e, languages=tables) == level5(ws, e)
+
+
+def test_a_full_bundle_walks_at_most_one_product_per_entity(monkeypatch):
+    # Level 2 closes an entity's column with its empty language in it, level 5
+    # its variants without; both read one product of the non-empty languages.
+    x_star = build_nfa([("s", "x", "s")], initial=["s"], accepting=["s"])
+    y_star = build_nfa([("s", "y", "s")], initial=["s"], accepting=["s"])
+    models = [Nfa.empty(), x_star, y_star]
+    hand_made = Workspace(("e",), tuple(ModelSet(f"m{i}", {"e": m}) for i, m in enumerate(models)))
+    rng = random.Random(5)
+    workspaces = [hand_made] + [dense_workspace(rng, 5, 3, absent=0.2) for _ in range(20)]
+    product_table = fsmcompare.levels._product_table
+    walks = []
+
+    def counting_product_table(tables):
+        walks.append(len(tables))
+        return product_table(tables)
+
+    monkeypatch.setattr(fsmcompare.levels, "_product_table", counting_product_table)
+    computed = 0
+    for ws in workspaces:
+        walks.clear()
+        bundle = build_bundle(ws)
+        assert len(walks) <= len(ws.entities)
+        computed += sum(n.kind == "computed" for n in bundle.level2.nodes)
+    assert computed > 20
+    walks.clear()
+    lattice = build_bundle(hand_made).level5["e"]
+    assert walks == [2]
+    assert [n.kind for n in lattice.nodes] == ["observed"] * 2 + ["computed"] * 2
